@@ -43,7 +43,7 @@ from .pipeline import (
 )
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
 from .signals import ingest_waveform_csv, save_signal_csv
-from .statesim import dump_state_csv, simulate, trace_distance
+from .statesim import simulate, trace_distance
 from .transforms import (
     ABSOLUTE,
     DFT,
@@ -57,6 +57,7 @@ from .transforms import (
     packet_dhwt,
     save_compressed_csv,
     threshold_normalize,
+    write_amplitude_csv,
 )
 
 
@@ -134,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taus", type=_parse_float_list, default=DEFAULT_SWEEP_TAUS,
                    help="comma-separated thresholds")
     p.add_argument("--mode", choices=(ABSOLUTE, FRACTION_OF_MAX), default=ABSOLUTE)
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export", parents=common, help="convert a circuit file")
@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
     state = simulate(circuit)
     print(f"simulated {circuit.n_qubits} qubits, {len(circuit)} gates")
     if args.out is not None:
-        dump_state_csv(state, args.out)
+        write_amplitude_csv(args.out, circuit.n_qubits, enumerate(state.tolist()))
         print(f"wrote state to {args.out}")
     else:
         largest = np.argsort(np.abs(state))[::-1][:8]
@@ -292,13 +292,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cells = sweep_ppg(
-        levels=args.levels,
-        taus=args.taus,
-        dataset_dir=args.dataset,
-        mode=args.mode,
-        max_workers=args.workers,
-    )
+    cells = sweep_ppg(args.levels, args.taus, dataset_dir=args.dataset, mode=args.mode)
     out = args.out if args.out is not None else Path("sweep.csv")
     write_sweep_csv(cells, out)
     print(f"wrote {len(cells)} cells to {out}")

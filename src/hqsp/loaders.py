@@ -28,12 +28,14 @@ rather than guarded.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Gate, gate, ucry_gates, ucrz_gates
+from .circuit import cancel_adjacent_inverses
 
 __all__ = [
     "SparseState",
@@ -41,8 +43,6 @@ __all__ = [
     "sqsp",
     "eae_real",
     "dense_complex_load",
-    "save_sparse_csv",
-    "load_sparse_csv",
     "SQSP_COST_CONSTANT",
 ]
 
@@ -82,6 +82,8 @@ class SparseState:
             indices = sorted(indices)
         if indices[0] < 0 or indices[-1] >= 2**self.n:
             raise ValueError(f"indices out of range for n={self.n}")
+        if not all(cmath.isfinite(a) for _, a in entries):
+            raise ValueError("amplitudes must be finite")
         norm2 = sum(abs(a) ** 2 for _, a in entries)
         if abs(norm2 - 1.0) > 1e-12 * max(1.0, norm2) + 1e-12:
             raise ValueError(f"amplitudes have squared norm {norm2}, expected 1")
@@ -335,8 +337,6 @@ def sqsp(state: SparseState) -> Circuit:
     if dense_cx < _MERGE_CX_PER_STATE * state.d:
         circ.extend(gate("X", b) for b in _bits(base))
         circ.extend(_subcube_cascade(indices, amps, cube_bits, is_real))
-        from .circuit import cancel_adjacent_inverses
-
         return cancel_adjacent_inverses(circ)
 
     weights = _popcounts(indices)
@@ -362,8 +362,6 @@ def sqsp(state: SparseState) -> Circuit:
         for g in reversed(step_gates):
             prep.append(_adjoint(g))
     circ.extend(prep)
-    from .circuit import cancel_adjacent_inverses
-
     return cancel_adjacent_inverses(circ)
 
 
@@ -511,38 +509,3 @@ def _adjoint(g: Gate) -> Gate:
     if g.kind in ("RY", "RZ", "RX", "PHASE", "CPHASE", "MCRY"):
         return Gate(g.kind, g.qubits, -g.angle)
     raise ValueError(f"no adjoint rule for {g.kind}")
-
-
-# ---------------------------------------------------------------------------
-# Sparse-state file format (shared with the compressed-vector serialization)
-# ---------------------------------------------------------------------------
-
-
-def save_sparse_csv(state: SparseState, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n={state.n}\n")
-        fh.write("index,real,imaginary\n")
-        for i, a in state.entries:
-            fh.write(f"{i},{a.real!r},{a.imag!r}\n")
-
-
-def load_sparse_csv(path) -> SparseState:
-    n = None
-    entries = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                if key.strip() == "n":
-                    n = int(value)
-                continue
-            if line.startswith("index"):
-                continue
-            i, re_part, im_part = line.split(",")
-            entries.append((int(i), float(re_part) + 1j * float(im_part)))
-    if n is None:
-        raise ValueError(f"{path}: missing '# n=' header")
-    return SparseState(n, tuple(entries))

@@ -16,8 +16,9 @@ drivers reproduce the standard comparison tables: :func:`run_table1`
 (hybrid vs. exact amplitude encoding across four signal families) and
 :func:`run_table2` (Fourier series loader costs), while :func:`sweep_ppg`
 maps compression quality over a (levels, threshold) grid of waveform
-recordings.  Records serialize to CSV and JSON with fixed formatting so
-reruns are byte-identical.
+recordings, transforming each (recording, levels) pair once and pricing
+every threshold from that one transform.  Records serialize to CSV and
+JSON with fixed formatting so reruns are byte-identical.
 
 The input signal is always normalized to unit norm before the transform,
 so absolute thresholds refer to coefficients of a unit vector and are
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -238,17 +237,34 @@ _TRANSFORM_ALIASES = {"packet_haar": PACKET_HAAR, "fourier": DFT}
 
 
 def _parse_flat_config(path) -> dict:
-    """Flat TOML-style key/value lines; #-comments; no sections."""
+    """Flat TOML-style key/value lines; #-comments outside quotes; no
+    sections; each key at most once."""
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
             raise PipelineError(f"{path}:{lineno}: expected key = value")
         key, _, text = line.partition("=")
-        values[key.strip()] = _parse_scalar(text.strip())
+        key = key.strip()
+        if key in values:
+            raise PipelineError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = _parse_scalar(text.strip())
     return values
+
+
+def _strip_comment(line: str) -> str:
+    quote = None
+    for i, ch in enumerate(line):
+        if quote is not None:
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+        elif ch == "#":
+            return line[:i]
+    return line
 
 
 def _parse_scalar(text: str):
@@ -337,6 +353,11 @@ class SweepCell:
 # ---------------------------------------------------------------------------
 
 
+def _unit_samples(signal: Signal) -> np.ndarray:
+    x = np.asarray(signal.samples, dtype=complex)
+    return x / np.linalg.norm(x)
+
+
 def _compress(x: np.ndarray, cfg: ExperimentConfig) -> CompressedVector:
     if cfg.transform == DFT:
         coeffs = dft(x)
@@ -367,8 +388,7 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     the support.
     """
     signal = cfg.build_signal()
-    x = np.asarray(signal.samples, dtype=complex)
-    x = x / np.linalg.norm(x)
+    x = _unit_samples(signal)
     n = signal.n
 
     compressed = _compress(x, cfg)
@@ -489,16 +509,6 @@ _TABLE2_ROWS = (
 )
 
 
-def _table2_signal(label: str, n: int, ppg_csv, seed: int) -> Signal | None:
-    if label == "ppg":
-        if not Path(ppg_csv).exists():
-            return None
-        return ingest_waveform_csv(ppg_csv)
-    if label == "mixture":
-        return gen_gaussian_mixture(2**n, MixtureSpec.sample(seed))
-    return _GENERATORS[label](2**n)
-
-
 def run_table2(
     ppg_csv=DEFAULT_PPG_RECORDING, skip_ppg: bool = False, seed: int = 0
 ) -> list[FslRecord]:
@@ -507,17 +517,21 @@ def run_table2(
     count, depth, and simulated trace distance to the original."""
     records = []
     for label, n, m in _TABLE2_ROWS:
-        if label == "ppg" and skip_ppg:
-            continue
-        signal = _table2_signal(label, n, ppg_csv, seed)
-        if signal is None:
-            records.append(
-                FslRecord(
-                    label="ppg",
-                    warning=f"recording {ppg_csv} not found; row skipped",
+        if label == "ppg":
+            if skip_ppg:
+                continue
+            if not Path(ppg_csv).exists():
+                records.append(
+                    FslRecord(
+                        label="ppg",
+                        warning=f"recording {ppg_csv} not found; row skipped",
+                    )
                 )
-            )
-            continue
+                continue
+            signal = build_signal("csv", csv_path=ppg_csv)
+        else:
+            params = {"N": 2**n, "seed": seed} if label == "mixture" else {"N": 2**n}
+            signal = build_signal(label, params)
         if signal.n != n:
             records.append(
                 FslRecord(
@@ -526,8 +540,7 @@ def run_table2(
                 )
             )
             continue
-        x = np.asarray(signal.samples, dtype=complex)
-        x = x / np.linalg.norm(x)
+        x = _unit_samples(signal)
         circuit = fsl_circuit(fsl_coefficients(Signal(x, label), m), n, m)
         rep = report(circuit)
         td = trace_distance(simulate(circuit), x)
@@ -543,20 +556,25 @@ DEFAULT_SWEEP_LEVELS = tuple(range(8, 15))
 DEFAULT_SWEEP_TAUS = (0.0, 0.001, 0.002, 0.0041, 0.008, 0.02)
 
 
+def _price(
+    x: np.ndarray, coeffs: CompressedVector, policy: ThresholdPolicy
+) -> tuple[int, float, float]:
+    """(d, CR, TD) of thresholding the transform ``coeffs`` of ``x``."""
+    compressed = threshold_normalize(coeffs, policy)
+    reconstruction = np.asarray(classical_reconstruct(compressed).samples)
+    return (
+        compressed.d,
+        compression_ratio(2**compressed.n, compressed.d),
+        trace_distance(reconstruction, x),
+    )
+
+
 def compression_point(
     signal: Signal, levels: int, policy: ThresholdPolicy
 ) -> tuple[int, float, float]:
     """(d, CR, TD) of one classical compression, without any synthesis."""
-    x = np.asarray(signal.samples, dtype=complex)
-    x = x / np.linalg.norm(x)
-    compressed = threshold_normalize(packet_dhwt(x, levels), policy)
-    reconstruction = np.asarray(classical_reconstruct(compressed).samples)
-    n = compressed.n
-    return (
-        compressed.d,
-        compression_ratio(2**n, compressed.d),
-        trace_distance(reconstruction, x),
-    )
+    x = _unit_samples(signal)
+    return _price(x, packet_dhwt(x, levels), policy)
 
 
 def sweep_ppg(
@@ -564,40 +582,28 @@ def sweep_ppg(
     taus=DEFAULT_SWEEP_TAUS,
     dataset_dir=DEFAULT_PPG_DIR,
     mode: str = ABSOLUTE,
-    max_workers: int = 4,
 ) -> list[SweepCell]:
     """Mean TD and CR statistics per (levels, tau) cell across every
     recording CSV in ``dataset_dir``, flagging cells whose mean CR falls in
     the useful band [15, 235].
 
-    Each (recording, levels) pair transforms once and is priced at every
-    tau; pairs run on a bounded thread pool and the aggregation walks cells
-    in grid order, so the result is independent of scheduling.
+    Each (recording, levels) pair is transformed once and priced at every
+    tau, so the grid costs one packet Haar analysis per recording and
+    level.  Cells come out in grid order (levels, then tau); each equals
+    the mean and standard deviation of :func:`compression_point` over the
+    recordings in file-name order.
     """
     paths = sorted(Path(dataset_dir).glob("*.csv"))
     if not paths:
         raise FileNotFoundError(f"no recording CSVs under {dataset_dir}")
-    levels = tuple(levels)
+    units = [_unit_samples(ingest_waveform_csv(p)) for p in paths]
     taus = tuple(taus)
-    signals = [ingest_waveform_csv(p) for p in paths]
-
-    def column(job: tuple[int, int]) -> list[tuple[int, float, float]]:
-        level_index, signal_index = job
-        signal = signals[signal_index]
-        return [
-            compression_point(signal, levels[level_index], ThresholdPolicy(mode, tau))
-            for tau in taus
-        ]
-
-    jobs = [(li, si) for li in range(len(levels)) for si in range(len(signals))]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        columns = list(pool.map(column, jobs))
-
-    by_pair = dict(zip(jobs, columns))
     cells = []
-    for li, level in enumerate(levels):
-        for ti, tau in enumerate(taus):
-            points = [by_pair[(li, si)][ti] for si in range(len(signals))]
+    for level in levels:
+        coeffs = [packet_dhwt(x, level) for x in units]
+        for tau in taus:
+            policy = ThresholdPolicy(mode, tau)
+            points = [_price(x, X, policy) for x, X in zip(units, coeffs)]
             crs = np.array([cr for _, cr, _ in points])
             mean_cr = float(crs.mean())
             cells.append(

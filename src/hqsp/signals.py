@@ -30,7 +30,6 @@ __all__ = [
     "gen_gaussian_mixture",
     "ingest_waveform_csv",
     "save_signal_csv",
-    "load_signal_csv",
     "save_signal_bin",
     "load_signal_bin",
 ]
@@ -227,7 +226,8 @@ def _next_pow2(m: int) -> int:
 def ingest_waveform_csv(path, column_selector=0, pad: str = "tail") -> Signal:
     """Read one numeric CSV column, zero-pad to the next power of two,
     and normalize.  ``column_selector`` is a header name or 0-based index;
-    the original sample count is kept in ``metadata['original_length']``."""
+    the original sample count is kept in ``metadata['original_length']``.
+    A cell that is not a finite number raises :class:`NonNumericCellError`."""
     if pad not in ("tail", "head"):
         raise ValueError("pad must be 'tail' or 'head'")
     with open(path, newline="") as fh:
@@ -253,9 +253,12 @@ def ingest_waveform_csv(path, column_selector=0, pad: str = "tail") -> Signal:
         if col >= len(row):
             raise MissingColumnError(f"{path}: row {lineno} has no column {col}")
         cell = row[col].strip()
-        if not _is_number(cell):
-            raise NonNumericCellError(f"{path}: row {lineno}: non-numeric cell {cell!r}")
-        values.append(float(cell))
+        value = float(cell) if _is_number(cell) else math.nan
+        if not math.isfinite(value):
+            raise NonNumericCellError(
+                f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
+            )
+        values.append(value)
     if not values:
         raise EmptyColumnError(f"{path}: column {column_selector!r} is empty")
     original = len(values)
@@ -291,10 +294,6 @@ def save_signal_csv(signal: Signal, path, header: bool = False) -> None:
             fh.write("sample\n")
         for v in samples.real:
             fh.write(f"{float(v)!r}\n")
-
-
-def load_signal_csv(path) -> Signal:
-    return ingest_waveform_csv(path, column_selector=0)
 
 
 def save_signal_bin(signal: Signal, path) -> None:

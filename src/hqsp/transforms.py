@@ -10,17 +10,22 @@ of each block, differences in the second half.
 
 Thresholding zeroes coefficients with magnitude strictly below the cutoff
 (ties survive) and rescales the survivors to unit norm.
+
+Amplitude vectors on disk, compressed coefficients and simulated states
+alike, use one CSV codec: ``# key=value`` header lines (``n`` required),
+then ``index,real,imaginary`` rows.
 """
 
 from __future__ import annotations
 
-import csv
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .signals import Signal
+from .statesim import MAX_QUBITS
 
 __all__ = [
     "TransformDescriptor",
@@ -35,6 +40,8 @@ __all__ = [
     "threshold_normalize",
     "compression_ratio",
     "classical_reconstruct",
+    "write_amplitude_csv",
+    "read_amplitude_csv",
     "save_compressed_csv",
     "load_compressed_csv",
 ]
@@ -208,55 +215,101 @@ def classical_reconstruct(X: CompressedVector) -> Signal:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: sparse CSV with a small metadata header
+# Sparse-amplitude CSV: '# key=value' lines, then index,real,imaginary rows
 # ---------------------------------------------------------------------------
 
+_AMPLITUDE_COLUMNS = ["index", "real", "imaginary"]
 
-def save_compressed_csv(X: CompressedVector, path) -> None:
-    """Nonzero entries as index,real,imaginary rows; metadata in '#' lines."""
+
+def write_amplitude_csv(path, n: int, entries, meta: dict | None = None) -> None:
+    """Write ``(index, amplitude)`` pairs as ``index,real,imaginary`` rows.
+
+    A ``# n=`` line and one ``# key=value`` line per ``meta`` item come
+    first.  Floats are written with ``repr``, so a round trip is exact.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(f"# kind={X.descriptor.kind}\n")
-        fh.write(f"# levels={X.descriptor.levels if X.descriptor.levels else ''}\n")
-        fh.write(f"# n={X.n}\n")
-        pol = X.threshold_applied
-        fh.write(f"# mode={pol.mode if pol else ''}\n")
-        fh.write(f"# value={repr(pol.value) if pol else ''}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "real", "imaginary"])
-        indices, values = X.support()
-        for i, v in zip(indices, values):
-            writer.writerow([int(i), repr(float(v.real)), repr(float(v.imag))])
+        for key, value in {"n": n, **(meta or {})}.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(_AMPLITUDE_COLUMNS) + "\n")
+        for i, a in entries:
+            a = complex(a)
+            fh.write(f"{int(i)},{a.real!r},{a.imag!r}\n")
 
 
-def load_compressed_csv(path) -> CompressedVector:
+def read_amplitude_csv(path) -> tuple[int, list[tuple[int, complex]], dict[str, str]]:
+    """Read a file of :func:`write_amplitude_csv` as ``(n, entries, meta)``.
+
+    ``meta`` holds every header value as a string, ``n`` included; ``n``
+    may not exceed the dense simulator's ``MAX_QUBITS``, since callers
+    densify the vector.  A missing or malformed header, an index outside
+    ``[0, 2**n)``, a repeated index or a non-finite value raises
+    :class:`ValueError`.
+    """
     meta: dict[str, str] = {}
-    rows: list[tuple[int, complex]] = []
+    entries: dict[int, complex] = {}
+    n = None
     with open(path, newline="") as fh:
-        header_seen = False
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key.strip()] = value.strip()
+            where = f"{path}:{lineno}"
+            if n is None:
+                if line.startswith("#"):
+                    key, eq, value = line[1:].partition("=")
+                    key = key.strip()
+                    if not eq or not key or key in meta:
+                        raise ValueError(f"{where}: expected a new '# key=value' line")
+                    meta[key] = value.strip()
+                    continue
+                if [c.strip() for c in line.split(",")] != _AMPLITUDE_COLUMNS:
+                    raise ValueError(f"{where}: expected header 'index,real,imaginary'")
+                if "n" not in meta:
+                    raise ValueError(f"{where}: missing '# n=' line before the header")
+                n = int(meta["n"])
+                if not 1 <= n <= MAX_QUBITS:
+                    raise ValueError(f"{where}: n={n} outside [1, {MAX_QUBITS}]")
                 continue
-            cells = next(csv.reader([line]))
-            if not header_seen:
-                if [c.strip() for c in cells] != ["index", "real", "imaginary"]:
-                    raise ValueError("expected header 'index,real,imaginary'")
-                header_seen = True
-                continue
-            rows.append((int(cells[0]), float(cells[1]) + 1j * float(cells[2])))
-    if "kind" not in meta or "n" not in meta:
-        raise ValueError("compressed CSV missing kind/n metadata")
-    n = int(meta["n"])
+            cells = line.split(",")
+            if len(cells) != 3:
+                raise ValueError(f"{where}: expected 3 cells, got {len(cells)}")
+            index = int(cells[0])
+            value = complex(float(cells[1]), float(cells[2]))
+            if not 0 <= index < 2**n:
+                raise ValueError(f"{where}: index {index} outside [0, 2^{n})")
+            if index in entries:
+                raise ValueError(f"{where}: duplicate index {index}")
+            if not cmath.isfinite(value):
+                raise ValueError(f"{where}: non-finite amplitude {value}")
+            entries[index] = value
+    if n is None:
+        raise ValueError(f"{path}: missing header 'index,real,imaginary'")
+    return n, list(entries.items()), meta
+
+
+def save_compressed_csv(X: CompressedVector, path) -> None:
+    """Nonzero coefficients, with the transform and threshold as metadata."""
+    pol = X.threshold_applied
+    meta = {
+        "kind": X.descriptor.kind,
+        "levels": X.descriptor.levels or "",
+        "mode": pol.mode if pol else "",
+        "value": repr(pol.value) if pol else "",
+    }
+    indices, values = X.support()
+    write_amplitude_csv(path, X.n, zip(indices.tolist(), values.tolist()), meta)
+
+
+def load_compressed_csv(path) -> CompressedVector:
+    n, entries, meta = read_amplitude_csv(path)
+    if "kind" not in meta:
+        raise ValueError(f"{path}: compressed CSV missing '# kind=' metadata")
     coeffs = np.zeros(2**n, dtype=complex)
-    for idx, val in rows:
+    for idx, val in entries:
         coeffs[idx] = val
     levels = int(meta["levels"]) if meta.get("levels") else None
     descriptor = TransformDescriptor(meta["kind"], levels)
     policy = None
     if meta.get("mode"):
-        policy = ThresholdPolicy(meta["mode"], float(meta["value"]))
+        policy = ThresholdPolicy(meta["mode"], float(meta.get("value", "")))
     return CompressedVector(coeffs, descriptor, threshold_applied=policy)

@@ -10,8 +10,8 @@ import pytest
 from hqsp.circuit import parse_listing, parse_qasm
 from hqsp.cli import main
 from hqsp.signals import gen_gaussian, save_signal_csv
-from hqsp.statesim import load_state_csv, simulate
-from hqsp.transforms import load_compressed_csv
+from hqsp.statesim import simulate
+from hqsp.transforms import load_compressed_csv, read_amplitude_csv
 
 RNG = np.random.default_rng(31)
 
@@ -64,6 +64,13 @@ def test_compress_reports_and_writes(gaussian_csv, tmp_path, capsys):
     assert compressed.d == int(text.split()[0].split("=")[1])
 
 
+def test_compress_rejects_nan_sample(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("1\nnan\n2\n3\n")
+    assert main(["compress", str(path), "--levels", "1"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_compress_dft(gaussian_csv, capsys):
     assert main(["compress", str(gaussian_csv), "--transform", "dft"]) == 0
     assert "TD=0.0000" in capsys.readouterr().out  # no threshold, lossless
@@ -107,6 +114,13 @@ def test_synth_sqsp_from_compressed(gaussian_csv, tmp_path, capsys):
     assert qasm.read_text().startswith("OPENQASM 2.0;")
 
 
+def test_synth_sqsp_index_out_of_range_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# kind=haar\n# levels=1\n# n=2\nindex,real,imaginary\n4,1.0,0.0\n")
+    assert main(["synth", "--plan", "sqsp", "--input", str(bad)]) == 2
+    assert "outside [0, 2^2)" in capsys.readouterr().err
+
+
 def test_synth_eae_and_fsl(gaussian_csv, tmp_path):
     listing = tmp_path / "eae.txt"
     assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(listing)]) == 0
@@ -123,8 +137,11 @@ def test_simulate_circuit_file(tmp_path, capsys):
     state_csv = tmp_path / "state.csv"
     assert main(["simulate", str(circ), "--out", str(state_csv)]) == 0
     assert "simulated 2 qubits, 2 gates" in capsys.readouterr().out
-    state = load_state_csv(state_csv)
-    np.testing.assert_allclose(np.abs(state) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
+    n, entries, _ = read_amplitude_csv(state_csv)
+    assert n == 2
+    assert [i for i, _ in entries] == [0, 1, 2, 3]  # one row per amplitude
+    probs = [abs(a) ** 2 for _, a in entries]
+    np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 def test_simulate_prints_largest_amplitudes(tmp_path, capsys):

@@ -17,13 +17,18 @@ from hqsp.loaders import (
     SparseState,
     dense_complex_load,
     eae_real,
-    load_sparse_csv,
-    save_sparse_csv,
     sqsp,
 )
 from hqsp.signals import gen_periodic
 from hqsp.statesim import fidelity, simulate
-from hqsp.transforms import ABSOLUTE, ThresholdPolicy, dft, threshold_normalize
+from hqsp.transforms import (
+    ABSOLUTE,
+    ThresholdPolicy,
+    dft,
+    read_amplitude_csv,
+    threshold_normalize,
+    write_amplitude_csv,
+)
 
 RNG = np.random.default_rng(123)
 
@@ -54,6 +59,14 @@ def test_sparse_state_validation():
         SparseState(2, ((4, 1.0),))
     with pytest.raises(ValueError):
         SparseState(2, ((0, 0.5),))  # norm 0.25
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_sparse_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SparseState(2, ((0, bad),))
+    with pytest.raises(ValueError, match="finite"):
+        SparseState(2, ((0, 1.0), (3, bad)))
 
 
 def test_sparse_state_sorts_and_densifies():
@@ -194,8 +207,9 @@ def test_sqsp_stays_on_register():
 def test_sparse_csv_roundtrip(tmp_path):
     s = _random_sparse(6, 9, True)
     path = tmp_path / "state.csv"
-    save_sparse_csv(s, path)
-    back = load_sparse_csv(path)
+    write_amplitude_csv(path, s.n, s.entries)
+    n, entries, _ = read_amplitude_csv(path)
+    back = SparseState(n, tuple(entries))
     assert back.n == s.n
     assert back.entries == s.entries  # repr round trip is exact
 
@@ -203,5 +217,5 @@ def test_sparse_csv_roundtrip(tmp_path):
 def test_sparse_csv_requires_n_header(tmp_path):
     path = tmp_path / "state.csv"
     path.write_text("index,real,imaginary\n0,1.0,0.0\n")
-    with pytest.raises(ValueError):
-        load_sparse_csv(path)
+    with pytest.raises(ValueError, match="# n="):
+        read_amplitude_csv(path)

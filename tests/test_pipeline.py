@@ -18,6 +18,7 @@ from hqsp.pipeline import (
     ExperimentRecord,
     FslRecord,
     PipelineError,
+    SweepCell,
     ToleranceExceededError,
     build_signal,
     compression_point,
@@ -30,7 +31,7 @@ from hqsp.pipeline import (
     write_records_json,
     write_sweep_csv,
 )
-from hqsp.signals import gen_gaussian
+from hqsp.signals import gen_gaussian, ingest_waveform_csv
 from hqsp.statesim import simulate, trace_distance
 from hqsp.transforms import (
     ABSOLUTE,
@@ -130,6 +131,22 @@ def test_config_from_file_errors(tmp_path):
     no_equals.write_text("signal.kind sinc\n")
     with pytest.raises(PipelineError):
         ExperimentConfig.from_file(no_equals)
+
+
+def test_config_keeps_hash_inside_quotes(tmp_path):
+    path = tmp_path / "exp.conf"
+    path.write_text(
+        "signal.kind = sinc  # comment\ntransform.levels = 3\nlabel = \"a#b\"  # 'q'\n"
+    )
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.signal == "sinc" and cfg.label == "a#b"
+
+
+def test_config_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "exp.conf"
+    path.write_text("signal.kind = sinc\nepsilon = 0.5\n# later\nepsilon = 0.9\n")
+    with pytest.raises(PipelineError, match=r"exp.conf:4: duplicate key 'epsilon'"):
+        ExperimentConfig.from_file(path)
 
 
 def test_build_signal_dispatch(tmp_path):
@@ -349,10 +366,29 @@ def test_sweep_grid_order_and_lossless_column(recording_dir):
 
 
 def test_sweep_is_deterministic(recording_dir, tmp_path):
-    kwargs = dict(levels=(3, 5), taus=(0.0, 0.005, 0.01), dataset_dir=recording_dir)
-    a = sweep_ppg(max_workers=1, **kwargs)
-    b = sweep_ppg(max_workers=4, **kwargs)
-    assert a == b
+    levels, taus = (3, 5), (0.0, 0.005, 0.01)
+    a = sweep_ppg(levels=levels, taus=taus, dataset_dir=recording_dir)
+    # each cell aggregates compression_point over the recordings
+    signals = [ingest_waveform_csv(p) for p in sorted(recording_dir.glob("*.csv"))]
+    expected = []
+    for level in levels:
+        for tau in taus:
+            points = [
+                compression_point(s, level, ThresholdPolicy(ABSOLUTE, tau)) for s in signals
+            ]
+            crs = np.array([cr for _, cr, _ in points])
+            expected.append(
+                SweepCell(
+                    level,
+                    tau,
+                    float(np.mean([td for _, _, td in points])),
+                    float(crs.mean()),
+                    float(crs.std()),
+                    CR_VALID_LOW <= float(crs.mean()) <= CR_VALID_HIGH,
+                )
+            )
+    assert a == expected
+    b = sweep_ppg(levels=levels, taus=taus, dataset_dir=recording_dir)
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_sweep_csv(a, out1)
     write_sweep_csv(b, out2)

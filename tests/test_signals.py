@@ -26,7 +26,6 @@ from hqsp.signals import (
     gen_sinc,
     ingest_waveform_csv,
     load_signal_bin,
-    load_signal_csv,
     save_signal_bin,
     save_signal_csv,
 )
@@ -187,6 +186,14 @@ def test_ingest_error_taxonomy(tmp_path):
         ingest_waveform_csv(_write(tmp_path / "only_header.csv", "ppg\n"), column_selector="ppg")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_ingest_rejects_non_finite_cells(tmp_path, cell):
+    with pytest.raises(NonNumericCellError):
+        ingest_waveform_csv(_write(tmp_path / "w.csv", f"1\n{cell}\n2\n3\n"))
+    with pytest.raises(NonNumericCellError):  # not mistaken for a header line
+        ingest_waveform_csv(_write(tmp_path / "w.csv", f"{cell}\n1\n2\n3\n"))
+
+
 @given(st.integers(min_value=1, max_value=70))
 @settings(max_examples=30, deadline=None)
 def test_ingest_length_is_next_power_of_two(count):
@@ -205,7 +212,7 @@ def test_signal_csv_roundtrip(tmp_path):
     s = gen_gaussian(2**8)
     path = tmp_path / "sig.csv"
     save_signal_csv(s, path)
-    back = load_signal_csv(path)
+    back = ingest_waveform_csv(path)
     np.testing.assert_array_equal(back.samples, s.samples)
 
 

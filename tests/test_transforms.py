@@ -1,4 +1,4 @@
-"""Transforms, thresholding, and compressed-vector serialization.
+"""Transforms, thresholding, and the sparse-amplitude CSV codec.
 
 The DFT oracle is the explicit kernel matrix; the packet Haar oracles are
 hand-expanded small cases plus orthogonality of the assembled matrix.
@@ -29,6 +29,7 @@ from hqsp.transforms import (
     load_compressed_csv,
     packet_dhwt,
     packet_idhwt,
+    read_amplitude_csv,
     save_compressed_csv,
     threshold_normalize,
 )
@@ -258,3 +259,82 @@ def test_compressed_csv_error_paths(tmp_path):
     missing_meta.write_text("index,real,imaginary\n0,1.0,0.0\n")
     with pytest.raises(ValueError):
         load_compressed_csv(missing_meta)
+
+
+# a file written by an earlier ``hqsp compress --out``: n after kind and
+# levels, CRLF row endings
+_LEGACY_COMPRESSED = (
+    b"# kind=haar\n# levels=2\n# n=3\n# mode=fraction_of_max\n# value=0.2\n"
+    b"index,real,imaginary\r\n0,0.18294043331615056,0.0\r\n"
+    b"1,0.6585855599381419,0.0\r\n2,0.4024689532955313,0.0\r\n"
+    b"3,0.5122332132852216,0.0\r\n4,-0.32929277996907097,0.0\r\n"
+)
+
+
+def test_compressed_csv_reads_legacy_files(tmp_path):
+    path = tmp_path / "legacy.csv"
+    path.write_bytes(_LEGACY_COMPRESSED)
+    X = load_compressed_csv(path)
+    assert X.descriptor == TransformDescriptor(PACKET_HAAR, 2)
+    assert X.threshold_applied == ThresholdPolicy(FRACTION_OF_MAX, 0.2)
+    assert X.d == 5 and X.coefficients[4] == -0.32929277996907097
+    again = tmp_path / "again.csv"
+    save_compressed_csv(X, again)
+    back = load_compressed_csv(again)
+    assert np.array_equal(back.coefficients, X.coefficients)
+    assert back.descriptor == X.descriptor and back.threshold_applied == X.threshold_applied
+
+
+_HEAD = "# n=2\nindex,real,imaginary\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,real,imaginary\n0,1.0,0.0\n", "# n="),
+        ("# n=2\n0,1.0,0.0\n", "expected header"),
+        ("# n=2\n", "missing header"),
+        ("# n\nindex,real,imaginary\n", "key=value"),
+        ("# n=2\n# n=3\nindex,real,imaginary\n", "key=value"),
+        ("# n=0\nindex,real,imaginary\n", "outside"),
+        ("# n=99\nindex,real,imaginary\n", "outside"),
+        ("# n=two\nindex,real,imaginary\n", "invalid literal"),
+        (_HEAD + "4,1.0,0.0\n", "outside"),
+        (_HEAD + "-1,1.0,0.0\n", "outside"),
+        (_HEAD + "1,0.6,0.0\n1,0.8,0.0\n", "duplicate"),
+        (_HEAD + "0,nan,0.0\n", "non-finite"),
+        (_HEAD + "0,1.0,inf\n", "non-finite"),
+        (_HEAD + "0,1.0\n", "3 cells"),
+        (_HEAD + "0,1.0,0.0,7\n", "3 cells"),
+        (_HEAD + "x,1.0,0.0\n", "invalid literal"),
+    ],
+)
+def test_amplitude_csv_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_amplitude_csv(path)
+
+
+_CSV_ALPHABET = "0123456789-+.,e#=n \nindexrealimaginaryft"
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=_CSV_ALPHABET),
+        st.text(alphabet=_CSV_ALPHABET).map(lambda body: _HEAD + body),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_amplitude_csv_reader_raises_only_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        n, entries, meta = read_amplitude_csv(path)
+    except ValueError:
+        return
+    assert int(meta["n"]) == n
+    indices = [i for i, _ in entries]
+    assert len(set(indices)) == len(indices)
+    assert all(0 <= i < 2**n for i in indices)
