@@ -19,6 +19,7 @@ predictable CX budgets:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "parse_listing",
     "ucry_gates",
     "ucrz_gates",
+    "inverse",
     "cancel_adjacent_inverses",
     "mcx_cx_cost",
     "mcry_cx_cost",
@@ -109,6 +111,8 @@ def gate(kind: str, *qubits: int, angle: float | None = None) -> Gate:
         if angle is None:
             raise ValueError(f"{kind} requires an angle")
         angle = float(angle)
+        if not math.isfinite(angle):
+            raise ValueError(f"{kind} angle must be finite, got {angle}")
     elif angle is not None:
         raise ValueError(f"{kind} does not take an angle")
     return Gate(kind, tuple(int(q) for q in qubits), angle)
@@ -385,18 +389,20 @@ def report(circuit: Circuit, stages: dict[str, Circuit] | None = None) -> Resour
 # Peephole cancellation
 # ---------------------------------------------------------------------------
 
-_SELF_INVERSE = frozenset({"H", "X", "CX", "SWAP", "CCX"})
-_ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "PHASE", "CPHASE", "MCRY"})
+
+def inverse(g: Gate) -> Gate:
+    """The gate undoing ``g``: every kind that takes an angle is a rotation
+    and inverts by negating it; every other kind is its own inverse."""
+    if g.angle is None:
+        return g
+    return Gate(g.kind, g.qubits, -g.angle)
 
 
 def _cancels(a: Gate, b: Gate) -> bool:
     if a.kind != b.kind or a.qubits != b.qubits:
         return False
-    if a.kind in _SELF_INVERSE:
-        return True
-    if a.kind in _ROTATION_KINDS:
-        return abs(a.angle + b.angle) < _ANGLE_EPS
-    return False
+    inv = inverse(a)
+    return inv.angle is None or abs(inv.angle - b.angle) < _ANGLE_EPS
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:

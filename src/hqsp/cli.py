@@ -31,6 +31,8 @@ from .pipeline import (
     ExperimentConfig,
     PipelineError,
     ToleranceExceededError,
+    _price,
+    _unit_samples,
     build_signal,
     format_table,
     hybrid_prepare,
@@ -43,18 +45,16 @@ from .pipeline import (
 )
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
 from .signals import ingest_waveform_csv, save_signal_csv
-from .statesim import simulate, trace_distance
+from .statesim import simulate
 from .transforms import (
     ABSOLUTE,
     DFT,
     FRACTION_OF_MAX,
     PACKET_HAAR,
     ThresholdPolicy,
-    classical_reconstruct,
-    compression_ratio,
-    dft,
+    TransformDescriptor,
+    analyse,
     load_compressed_csv,
-    packet_dhwt,
     save_compressed_csv,
     threshold_normalize,
     write_amplitude_csv,
@@ -183,21 +183,16 @@ def _threshold_from_args(args) -> ThresholdPolicy:
 
 
 def cmd_compress(args) -> int:
-    signal = ingest_waveform_csv(args.input)
-    x = np.asarray(signal.samples, dtype=complex)
-    x = x / np.linalg.norm(x)
+    x = _unit_samples(ingest_waveform_csv(args.input))
     if args.transform == DFT:
-        coeffs = dft(x)
+        descriptor = TransformDescriptor(DFT)
+    elif args.levels is None:
+        raise PipelineError("packet Haar compression needs --levels")
     else:
-        if args.levels is None:
-            raise PipelineError("packet Haar compression needs --levels")
-        coeffs = packet_dhwt(x, args.levels)
-    compressed = threshold_normalize(coeffs, _threshold_from_args(args))
-    reconstruction = np.asarray(classical_reconstruct(compressed).samples)
-    n = compressed.n
-    cr = compression_ratio(2**n, compressed.d)
-    td = trace_distance(reconstruction, x)
-    print(f"d={compressed.d} CR={cr:.1f} TD={td:.4f}")
+        descriptor = TransformDescriptor(PACKET_HAAR, args.levels)
+    compressed = threshold_normalize(analyse(x, descriptor), _threshold_from_args(args))
+    d, cr, td = _price(x, compressed)
+    print(f"d={d} CR={cr:.1f} TD={td:.4f}")
     if args.out is not None:
         save_compressed_csv(compressed, args.out)
         print(f"wrote coefficients to {args.out}")

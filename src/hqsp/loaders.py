@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, gate, ucry_gates, ucrz_gates
-from .circuit import cancel_adjacent_inverses
+from .circuit import Circuit, Gate, cancel_adjacent_inverses, gate, inverse
+from .circuit import ucry_gates, ucrz_gates
 
 __all__ = [
     "SparseState",
@@ -274,8 +274,8 @@ def _subcube_cascade(indices, amps, cube_bits: list[int], is_real: bool) -> list
     """Amplitude cascade over the support's bounding subcube.
 
     The support is re-coordinatized onto the cube's free bits (ascending),
-    padded with zero amplitudes, and loaded with the same multiplexer
-    cascade as the dense loaders; gate qubits are mapped back afterwards.
+    padded with zero amplitudes, and loaded by :func:`eae_real` or
+    :func:`dense_complex_load`; gate qubits are mapped back afterwards.
     """
     k = len(cube_bits)
     coords = np.zeros(len(indices), dtype=np.int64)
@@ -283,18 +283,10 @@ def _subcube_cascade(indices, amps, cube_bits: list[int], is_real: bool) -> list
         coords |= ((indices >> b) & 1) << j
     v = np.zeros(2**k, dtype=complex)
     v[coords] = amps
-    gates = _ry_cascade(v.real if is_real else np.abs(v), k)
-    if not is_real:
-        phases = np.where(np.abs(v) > 0, np.angle(v), 0.0)
-        deltas = _phase_deltas(phases)
-        for lvl in range(k):
-            target = k - 1 - lvl
-            gates.extend(
-                ucrz_gates(tuple(range(target + 1, k)), target, deltas[target])
-            )
+    load = eae_real(v.real) if is_real else dense_complex_load(v)
     return [
         Gate(g.kind, tuple(cube_bits[q] for q in g.qubits), g.angle)
-        for g in gates
+        for g in load
     ]
 
 
@@ -360,7 +352,7 @@ def sqsp(state: SparseState) -> Circuit:
     prep: list[Gate] = [gate("X", b) for b in _bits(final_idx)]
     for step_gates in reversed(merge_steps):
         for g in reversed(step_gates):
-            prep.append(_adjoint(g))
+            prep.append(inverse(g))
     circ.extend(prep)
     return cancel_adjacent_inverses(circ)
 
@@ -501,11 +493,3 @@ def _emit_merge(step: _MergeStep, amp_of: dict, alive: dict) -> list[Gate]:
         gates.append(gate("RY", b, angle=float(pattern_angles[0])))
     gates.extend(gate("CX", b, j) for j in reversed(_bits(spread)))
     return gates
-
-
-def _adjoint(g: Gate) -> Gate:
-    if g.kind in ("X", "CX", "H", "SWAP", "CCX"):
-        return g
-    if g.kind in ("RY", "RZ", "RX", "PHASE", "CPHASE", "MCRY"):
-        return Gate(g.kind, g.qubits, -g.angle)
-    raise ValueError(f"no adjoint rule for {g.kind}")

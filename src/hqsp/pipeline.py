@@ -28,7 +28,9 @@ invariant under input rescaling.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,9 +57,10 @@ from .transforms import (
     PACKET_HAAR,
     CompressedVector,
     ThresholdPolicy,
+    TransformDescriptor,
+    analyse,
     classical_reconstruct,
     compression_ratio,
-    dft,
     packet_dhwt,
     threshold_normalize,
 )
@@ -137,8 +140,9 @@ class ExperimentConfig:
 
     ``signal`` names a generator (periodic, piecewise, sinc, gaussian,
     mixture) or the literal ``"csv"`` with ``csv_path`` set;
-    ``signal_params`` is forwarded to the generator.  ``epsilon`` is the
-    admissible trace distance between the prepared state and the input.
+    ``signal_params`` is forwarded to the generator, which must take each
+    one with a value of its default's type.  ``epsilon`` is the admissible
+    trace distance between the prepared state and the input.
     """
 
     signal: str
@@ -150,22 +154,25 @@ class ExperimentConfig:
     signal_params: dict = field(default_factory=dict)
     csv_path: str | None = None
     eae_baseline: bool = True
-    fsl_m: int | None = None
     output_dir: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise PipelineError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.transform not in (DFT, PACKET_HAAR):
-            raise PipelineError(f"unknown transform {self.transform!r}")
-        if self.transform == PACKET_HAAR and (self.levels is None or self.levels < 1):
-            raise PipelineError("packet Haar transform needs levels >= 1")
-        if self.transform == DFT and self.levels is not None:
-            raise PipelineError("DFT takes no levels")
+        try:
+            self.descriptor
+        except ValueError as err:
+            raise PipelineError(str(err)) from None
         if self.signal == "csv" and not self.csv_path:
             raise PipelineError("csv signal needs csv_path")
+        _check_signal_params(self.signal, self.signal_params)
         if not self.label:
             self.label = self.signal
+
+    @property
+    def descriptor(self) -> TransformDescriptor:
+        """``transform`` and ``levels``; building it validates them."""
+        return TransformDescriptor(self.transform, self.levels)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -183,17 +190,15 @@ class ExperimentConfig:
             elif key == "transform.kind":
                 kwargs["transform"] = _TRANSFORM_ALIASES.get(value, value)
             elif key == "transform.levels":
-                kwargs["levels"] = int(value)
+                kwargs["levels"] = _converted(key, value, int)
             elif key == "threshold.mode":
                 kwargs.setdefault("_tau", {})["mode"] = value
             elif key == "threshold.value":
-                kwargs.setdefault("_tau", {})["value"] = float(value)
+                kwargs.setdefault("_tau", {})["value"] = _converted(key, value, float)
             elif key == "epsilon":
-                kwargs["epsilon"] = float(value)
+                kwargs["epsilon"] = _converted(key, value, float)
             elif key == "baselines.eae":
                 kwargs["eae_baseline"] = bool(value)
-            elif key == "baselines.fsl_m":
-                kwargs["fsl_m"] = int(value)
             elif key == "output.dir":
                 kwargs["output_dir"] = str(value)
             elif key == "label":
@@ -213,24 +218,60 @@ class ExperimentConfig:
         return build_signal(self.signal, self.signal_params, csv_path=self.csv_path)
 
 
+# the mixture's own parameters; the rest go to gen_gaussian_mixture
+_MIXTURE_DEFAULTS = {"N": 2**15, "seed": 0, "K": 12}
+
+
 def build_signal(kind: str, params: dict | None = None, csv_path=None) -> Signal:
     """Instantiate a benchmark signal by generator name, or ingest a CSV
     (``kind="csv"``).  ``params`` is forwarded to the generator; the
-    mixture consumes ``seed`` and ``K`` itself."""
+    mixture consumes ``N``, ``seed`` and ``K`` itself."""
     params = dict(params or {})
     if kind == "csv":
         if not csv_path:
             raise PipelineError("csv signal needs a path")
         return ingest_waveform_csv(csv_path)
     if kind == "mixture":
-        n_samples = int(params.pop("N", 2**15))
-        spec = MixtureSpec.sample(int(params.pop("seed", 0)), K=int(params.pop("K", 12)))
-        return gen_gaussian_mixture(n_samples, spec, **params)
+        params = {**_MIXTURE_DEFAULTS, **params}
+        spec = MixtureSpec.sample(int(params.pop("seed")), K=int(params.pop("K")))
+        return gen_gaussian_mixture(int(params.pop("N")), spec, **params)
     try:
         generator = _GENERATORS[kind]
     except KeyError:
         raise PipelineError(f"unknown signal generator {kind!r}") from None
     return generator(**params)
+
+
+def _check_signal_params(kind, params: dict) -> None:
+    """Reject a ``signal.*`` parameter that the generator behind ``kind``
+    does not take, or whose value is not of its default's type (an int may
+    stand for a float)."""
+    defaults = {}
+    if kind != "csv":
+        generator = gen_gaussian_mixture if kind == "mixture" else _GENERATORS.get(kind)
+        if generator is None:
+            raise PipelineError(f"unknown signal generator {kind!r}")
+        for p in inspect.signature(generator).parameters.values():
+            if p.default is not p.empty:
+                defaults[p.name] = p.default
+        if kind == "mixture":
+            defaults.update(_MIXTURE_DEFAULTS)
+    for name, value in params.items():
+        if name not in defaults:
+            raise PipelineError(f"{kind} signal takes no parameter signal.{name}")
+        default = defaults[name]
+        expected = {float: numbers.Real, int: numbers.Integral}.get(type(default), type(default))
+        if not isinstance(value, expected):
+            raise PipelineError(
+                f"signal.{name} must be {type(default).__name__}, got {value!r}"
+            )
+
+
+def _converted(key: str, value, kind: type):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise PipelineError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
 
 _TRANSFORM_ALIASES = {"packet_haar": PACKET_HAAR, "fourier": DFT}
@@ -358,14 +399,6 @@ def _unit_samples(signal: Signal) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _compress(x: np.ndarray, cfg: ExperimentConfig) -> CompressedVector:
-    if cfg.transform == DFT:
-        coeffs = dft(x)
-    else:
-        coeffs = packet_dhwt(x, cfg.levels)
-    return threshold_normalize(coeffs, cfg.threshold)
-
-
 def _decompression_circuit(n: int, cfg: ExperimentConfig) -> Circuit:
     if cfg.transform == DFT:
         return iqft(n)
@@ -391,15 +424,14 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     x = _unit_samples(signal)
     n = signal.n
 
-    compressed = _compress(x, cfg)
+    compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
     load = sqsp(SparseState.from_compressed(compressed))
     decompression = _decompression_circuit(n, cfg)
     circuit = load + decompression
 
     psi = simulate(circuit)
-    reconstruction = np.asarray(classical_reconstruct(compressed).samples)
+    d, cr, classical_td = _price(x, compressed)
     simulated_td = trace_distance(psi, x)
-    classical_td = trace_distance(reconstruction, x)
     if simulated_td >= cfg.epsilon:
         raise ToleranceExceededError(simulated_td, cfg.epsilon)
 
@@ -419,8 +451,8 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
         levels=cfg.levels,
         tau_mode=cfg.threshold.mode,
         tau_value=cfg.threshold.value,
-        d=compressed.d,
-        cr=compression_ratio(2**n, compressed.d),
+        d=d,
+        cr=cr,
         sqsp_report=rep.stage_breakdown["sqsp"],
         decompression_report=rep.stage_breakdown["decompression"],
         total_cnot=rep.cnot_count,
@@ -556,11 +588,8 @@ DEFAULT_SWEEP_LEVELS = tuple(range(8, 15))
 DEFAULT_SWEEP_TAUS = (0.0, 0.001, 0.002, 0.0041, 0.008, 0.02)
 
 
-def _price(
-    x: np.ndarray, coeffs: CompressedVector, policy: ThresholdPolicy
-) -> tuple[int, float, float]:
-    """(d, CR, TD) of thresholding the transform ``coeffs`` of ``x``."""
-    compressed = threshold_normalize(coeffs, policy)
+def _price(x: np.ndarray, compressed: CompressedVector) -> tuple[int, float, float]:
+    """(d, CR, TD) of ``compressed``, a thresholded transform of ``x``."""
     reconstruction = np.asarray(classical_reconstruct(compressed).samples)
     return (
         compressed.d,
@@ -574,7 +603,7 @@ def compression_point(
 ) -> tuple[int, float, float]:
     """(d, CR, TD) of one classical compression, without any synthesis."""
     x = _unit_samples(signal)
-    return _price(x, packet_dhwt(x, levels), policy)
+    return _price(x, threshold_normalize(packet_dhwt(x, levels), policy))
 
 
 def sweep_ppg(
@@ -603,7 +632,9 @@ def sweep_ppg(
         coeffs = [packet_dhwt(x, level) for x in units]
         for tau in taus:
             policy = ThresholdPolicy(mode, tau)
-            points = [_price(x, X, policy) for x, X in zip(units, coeffs)]
+            points = [
+                _price(x, threshold_normalize(X, policy)) for x, X in zip(units, coeffs)
+            ]
             crs = np.array([cr for _, cr, _ in points])
             mean_cr = float(crs.mean())
             cells.append(

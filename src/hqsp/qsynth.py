@@ -1,7 +1,7 @@
 """Quantum decompression circuits and the Fourier Series Loader baseline.
 
 ``iqft`` realizes the inverse-DFT matrix (1/sqrt(N)) exp(+2 pi i j k / N)
-up to global phase, bit-reversal SWAPs included by default.  The inverse
+up to global phase, bit-reversal SWAPs included.  The inverse
 packet Haar circuit undoes :func:`hqsp.transforms.packet_dhwt`: one block
 per level in increasing block size, each block a descending SWAP chain
 followed by a Hadamard on qubit 0.  Closed-form costs (decomposed):
@@ -35,13 +35,10 @@ __all__ = [
 ]
 
 
-def iqft(n: int, include_bit_reversal_swaps: bool = True) -> Circuit:
-    """Inverse quantum Fourier transform on n qubits.
-
-    With the bit-reversal SWAPs the unitary equals the inverse-DFT matrix
-    up to global phase; without them the output arrives bit-reversed
-    (useful when a subsequent stage reorders anyway).
-    """
+def iqft(n: int) -> Circuit:
+    """Inverse quantum Fourier transform on n qubits; the closing
+    bit-reversal SWAPs make its unitary the inverse-DFT matrix up to
+    global phase."""
     if n < 1:
         raise ValueError("iqft needs at least one qubit")
     circ = Circuit(n)
@@ -49,9 +46,8 @@ def iqft(n: int, include_bit_reversal_swaps: bool = True) -> Circuit:
         circ.add("H", q)
         for p in range(q - 1, -1, -1):
             circ.add("CPHASE", p, q, angle=math.pi / 2 ** (q - p))
-    if include_bit_reversal_swaps:
-        for q in range(n // 2):
-            circ.add("SWAP", q, n - 1 - q)
+    for q in range(n // 2):
+        circ.add("SWAP", q, n - 1 - q)
     return circ
 
 

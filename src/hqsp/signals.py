@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "MixtureSpec",
     "InvalidLengthError",
     "DegenerateSignalError",
-    "MissingColumnError",
     "NonNumericCellError",
     "EmptyColumnError",
     "gen_periodic",
@@ -30,8 +28,6 @@ __all__ = [
     "gen_gaussian_mixture",
     "ingest_waveform_csv",
     "save_signal_csv",
-    "save_signal_bin",
-    "load_signal_bin",
 ]
 
 # sinusoid amplitudes of the four-coefficient benchmark spectrum
@@ -46,11 +42,7 @@ class InvalidLengthError(ValueError):
 
 
 class DegenerateSignalError(ValueError):
-    """Signal definition has no energy (cannot be normalized)."""
-
-
-class MissingColumnError(ValueError):
-    """Requested CSV column does not exist."""
+    """Signal has no finite, nonzero energy (cannot be normalized)."""
 
 
 class NonNumericCellError(ValueError):
@@ -58,7 +50,7 @@ class NonNumericCellError(ValueError):
 
 
 class EmptyColumnError(ValueError):
-    """CSV column contains no data rows."""
+    """CSV file contains no data rows."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +82,12 @@ class Signal:
 
 
 def _normalized(values: np.ndarray, label: str, **metadata) -> Signal:
-    norm = np.linalg.norm(values)
+    with np.errstate(over="ignore"):  # reported below, not warned about
+        norm = np.linalg.norm(values)
     if norm == 0:
         raise DegenerateSignalError(f"{label}: zero-energy signal")
+    if not np.isfinite(norm):
+        raise DegenerateSignalError(f"{label}: signal energy overflows")
     return Signal(values / norm, label=label, metadata=metadata)
 
 
@@ -223,50 +218,29 @@ def _next_pow2(m: int) -> int:
     return 1 << max(1, (m - 1).bit_length())
 
 
-def ingest_waveform_csv(path, column_selector=0, pad: str = "tail") -> Signal:
-    """Read one numeric CSV column, zero-pad to the next power of two,
-    and normalize.  ``column_selector`` is a header name or 0-based index;
-    the original sample count is kept in ``metadata['original_length']``.
+def ingest_waveform_csv(path) -> Signal:
+    """Read the first CSV column, zero-pad it to the next power of two,
+    and normalize.  A single non-numeric header line is skipped; the
+    original sample count is kept in ``metadata['original_length']``.
     A cell that is not a finite number raises :class:`NonNumericCellError`."""
-    if pad not in ("tail", "head"):
-        raise ValueError("pad must be 'tail' or 'head'")
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    if rows and not _is_number(rows[0][0]):
+        rows = rows[1:]
     if not rows:
         raise EmptyColumnError(f"{path}: no data rows")
-    col: int
-    if isinstance(column_selector, str):
-        header = [c.strip() for c in rows[0]]
-        if column_selector not in header:
-            raise MissingColumnError(
-                f"{path}: no column named {column_selector!r} in header {header}"
-            )
-        col = header.index(column_selector)
-        rows = rows[1:]
-    else:
-        col = int(column_selector)
-        # tolerate a single header line when selecting by index
-        if rows and not _is_number(rows[0][col] if col < len(rows[0]) else ""):
-            rows = rows[1:]
     values = []
     for lineno, row in enumerate(rows, start=1):
-        if col >= len(row):
-            raise MissingColumnError(f"{path}: row {lineno} has no column {col}")
-        cell = row[col].strip()
+        cell = row[0].strip()
         value = float(cell) if _is_number(cell) else math.nan
         if not math.isfinite(value):
             raise NonNumericCellError(
                 f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
             )
         values.append(value)
-    if not values:
-        raise EmptyColumnError(f"{path}: column {column_selector!r} is empty")
     original = len(values)
     padded = np.zeros(_next_pow2(original))
-    if pad == "tail":
-        padded[:original] = values
-    else:
-        padded[-original:] = values
+    padded[:original] = values
     sig = _normalized(padded, f"waveform:{path}")
     sig.metadata["original_length"] = original
     return sig
@@ -280,35 +254,12 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-# ---------------------------------------------------------------------------
-# On-disk formats: plain CSV (one sample per line) and length-prefixed f64
-# ---------------------------------------------------------------------------
-
-
-def save_signal_csv(signal: Signal, path, header: bool = False) -> None:
+def save_signal_csv(signal: Signal, path) -> None:
+    """Write the real samples one per line, as :func:`ingest_waveform_csv`
+    reads them back."""
     samples = np.asarray(signal.samples)
     if np.iscomplexobj(samples) and np.any(np.abs(samples.imag) > 1e-15):
         raise ValueError("signal CSV format stores real samples only")
     with open(path, "w") as fh:
-        if header:
-            fh.write("sample\n")
         for v in samples.real:
             fh.write(f"{float(v)!r}\n")
-
-
-def save_signal_bin(signal: Signal, path) -> None:
-    samples = np.asarray(signal.samples)
-    if np.iscomplexobj(samples) and np.any(np.abs(samples.imag) > 1e-15):
-        raise ValueError("binary signal format stores real samples only")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(samples)))
-        fh.write(samples.real.astype("<f8").tobytes())
-
-
-def load_signal_bin(path) -> Signal:
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    if len(data) != count:
-        raise ValueError(f"{path}: truncated binary signal")
-    return Signal(data.copy(), label=f"binary:{path}")

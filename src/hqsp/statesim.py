@@ -22,7 +22,6 @@ __all__ = [
     "unitary_of",
     "fidelity",
     "trace_distance",
-    "equal_up_to_global_phase",
     "MAX_QUBITS",
     "MAX_UNITARY_QUBITS",
 ]
@@ -31,7 +30,7 @@ MAX_QUBITS = 24
 MAX_UNITARY_QUBITS = 8
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """Register too wide for dense simulation."""
 
 
@@ -188,16 +187,3 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = b / nb
     r = a - np.vdot(b, a) * b
     return math.sqrt(min(1.0, float(np.real(np.vdot(r, r)))))
-
-
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Elementwise equality after removing one overall phase factor."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        return False
-    k = int(np.argmax(np.abs(a)))
-    if np.abs(a[k]) < tol or np.abs(b[k]) < tol:
-        return bool(np.allclose(a, b, atol=tol))
-    phase = (b[k] / np.abs(b[k])) / (a[k] / np.abs(a[k]))
-    return bool(np.allclose(a * phase, b, atol=tol))

@@ -39,6 +39,7 @@ __all__ = [
     "packet_idhwt",
     "threshold_normalize",
     "compression_ratio",
+    "analyse",
     "classical_reconstruct",
     "write_amplitude_csv",
     "read_amplitude_csv",
@@ -83,6 +84,8 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.mode not in (FRACTION_OF_MAX, ABSOLUTE):
             raise ValueError(f"unknown threshold mode {self.mode!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"threshold must be finite, got {self.value}")
         if self.value < 0:
             raise ValueError("threshold must be nonnegative")
         if self.mode == FRACTION_OF_MAX and self.value > 1:
@@ -204,6 +207,14 @@ def compression_ratio(N: int, d: int) -> float:
     if d < 1:
         raise EmptySupportError("compression ratio undefined for empty support")
     return N / d
+
+
+def analyse(x, descriptor: TransformDescriptor) -> CompressedVector:
+    """Apply the forward transform ``descriptor`` names; the twin of
+    :func:`classical_reconstruct`."""
+    if descriptor.kind == DFT:
+        return dft(x)
+    return packet_dhwt(x, descriptor.levels)
 
 
 def classical_reconstruct(X: CompressedVector) -> Signal:

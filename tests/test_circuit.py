@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqsp.circuit import (
+    GATE_KINDS,
     Circuit,
     Gate,
     cancel_adjacent_inverses,
@@ -21,6 +22,7 @@ from hqsp.circuit import (
     depth,
     export,
     gate,
+    inverse,
     mcry_cx_cost,
     mcx_cx_cost,
     parse_listing,
@@ -67,6 +69,9 @@ def test_gate_angle_rules():
         gate("X", 0, angle=1.0)  # angle forbidden
     assert gate("RY", 0, angle=np.float64(0.5)).angle == 0.5
     assert isinstance(gate("RY", 0, angle=np.float64(0.5)).angle, float)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gate("RY", 0, angle=bad)
 
 
 def test_gate_control_target_split():
@@ -275,6 +280,43 @@ def test_cancel_opposite_rotations():
     assert len(cancel_adjacent_inverses(keep)) == 2
 
 
+def test_cancel_mcx_pairs():
+    c = Circuit(4, [gate("MCX", 0, 1, 2, 3), gate("MCX", 0, 1, 2, 3)])
+    assert cancel_adjacent_inverses(c).gates == []
+    other_target = [gate("MCX", 0, 1, 2, 3), gate("MCX", 0, 1, 3, 2)]
+    assert cancel_adjacent_inverses(Circuit(4, other_target)).gates == other_target
+
+
+# one gate of every kind in the IR
+_ONE_OF_EACH_KIND = [
+    gate("H", 0),
+    gate("X", 1),
+    gate("RX", 0, angle=0.3),
+    gate("RY", 1, angle=-1.1),
+    gate("RZ", 2, angle=2.2),
+    gate("PHASE", 0, angle=0.7),
+    gate("CX", 2, 0),
+    gate("CPHASE", 0, 2, angle=-0.4),
+    gate("SWAP", 1, 2),
+    gate("CCX", 2, 0, 1),
+    gate("MCX", 0, 1, 2),
+    gate("MCRY", 2, 1, 0, angle=1.3),
+]
+
+
+@pytest.mark.parametrize("g", _ONE_OF_EACH_KIND, ids=lambda g: g.kind)
+def test_inverse_undoes_each_kind(g):
+    inv = inverse(g)
+    assert (inv is g) == (g.angle is None)
+    product = unitary_of(Circuit(3, [g, inv]))
+    np.testing.assert_allclose(product, np.eye(8), atol=1e-12)
+    assert cancel_adjacent_inverses(Circuit(3, [g, inv])).gates == []
+
+
+def test_one_of_each_kind_covers_the_ir():
+    assert {g.kind for g in _ONE_OF_EACH_KIND} == GATE_KINDS
+
+
 def test_cancel_cascades():
     # inner pair removal exposes the outer pair
     c = Circuit(2, [gate("H", 0), gate("X", 0), gate("X", 0), gate("H", 0)])
@@ -360,3 +402,27 @@ def base_circuits(draw):
 def test_serialization_roundtrip_property(c):
     assert parse_listing(export(c, "listing")) == c
     assert parse_qasm(export(c, "qasm")) == c
+
+
+# circuit-file lines: keywords and operands the parsers know, mixed with noise
+_FILE_TOKENS = st.sampled_from(
+    ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg", "q[", "]", ";", "(", ")",
+     ",", "qubits", "h", "cx", "ry", "cp", "H", "CX", "RY", "MCX", "MCRY", "SWAP",
+     "0", "1", "3", "-1", "30", "0.5", "nan", "inf", "1e999", " ", "//", "#"]
+)
+_FILE_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(_FILE_TOKENS, max_size=8).map("".join), max_size=8).map("\n".join),
+    st.lists(st.lists(_FILE_TOKENS, max_size=8).map(" ".join), max_size=8).map("\n".join),
+)
+
+
+@given(_FILE_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_circuit_parsers_raise_only_value_error(text):
+    # parse only: a fuzzed width could ask the simulator for any amount of memory
+    for parse in (parse_qasm, parse_listing):
+        try:
+            parse(text)
+        except ValueError:
+            pass

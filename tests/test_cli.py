@@ -71,6 +71,21 @@ def test_compress_rejects_nan_sample(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--tau-abs", "--tau-frac"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_compress_rejects_non_finite_threshold(gaussian_csv, capsys, flag, value):
+    assert main(["compress", str(gaussian_csv), "--levels", "2", flag, value]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_compress_rejects_overflowing_samples(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308\n1e308\n1\n2\n")
+    assert main(["compress", str(path), "--levels", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "overflows" in err and "Warning" not in err
+
+
 def test_compress_dft(gaussian_csv, capsys):
     assert main(["compress", str(gaussian_csv), "--transform", "dft"]) == 0
     assert "TD=0.0000" in capsys.readouterr().out  # no threshold, lossless
@@ -144,6 +159,24 @@ def test_simulate_circuit_file(tmp_path, capsys):
     np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("command", ["simulate", "export"])
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_circuit_file_rejects_non_finite_angle(tmp_path, capsys, command, angle):
+    circ = tmp_path / "c.txt"
+    circ.write_text(f"qubits 1\nRY 0 {angle}\n")
+    out = tmp_path / "c.qasm"
+    assert main([command, str(circ), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_too_wide_is_usage_error(tmp_path, capsys):
+    circ = tmp_path / "wide.txt"
+    circ.write_text("qubits 30\nH 0\n")
+    assert main(["simulate", str(circ)]) == 2
+    assert "dense-simulation cap" in capsys.readouterr().err
+
+
 def test_simulate_prints_largest_amplitudes(tmp_path, capsys):
     circ = tmp_path / "x.qasm"
     circ.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nx q[1];\n')
@@ -206,6 +239,16 @@ def test_prepare_writes_output_dir(tmp_path, capsys):
     qasm = (tmp_path / "results" / "gaussian.qasm").read_text()
     assert parse_qasm(qasm).n_qubits == 8
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "line, key", [("signal.bogus = 3", "signal.bogus"), ('signal.N = "abc"', "signal.N")]
+)
+def test_prepare_rejects_bad_signal_param(tmp_path, capsys, line, key):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"signal.kind = sinc\n{line}\ntransform.levels = 3\n")
+    assert main(["prepare", str(conf)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_prepare_tolerance_exit_code(tmp_path, capsys):

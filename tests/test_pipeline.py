@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hqsp.pipeline import (
     CR_VALID_HIGH,
@@ -105,13 +107,16 @@ def test_config_from_file_csv_and_fsl(tmp_path):
         "transform.kind = fourier\n"
         "threshold.value = 0.0\n"
         "threshold.mode = absolute\n"
-        "baselines.fsl_m = 3\n"
         f"output.dir = {tmp_path}\n"
     )
     cfg = ExperimentConfig.from_file(path)
     assert cfg.signal == "csv" and cfg.csv_path == str(wave)
     assert cfg.transform == DFT and cfg.levels is None
-    assert cfg.fsl_m == 3 and cfg.output_dir == str(tmp_path)
+    assert cfg.output_dir == str(tmp_path)
+    # no loader reads an FSL mode from a config, so the key is unknown
+    path.write_text(path.read_text() + "baselines.fsl_m = 3\n")
+    with pytest.raises(PipelineError, match="unknown config key 'baselines.fsl_m'"):
+        ExperimentConfig.from_file(path)
 
 
 def test_config_from_file_errors(tmp_path):
@@ -147,6 +152,76 @@ def test_config_rejects_duplicate_key(tmp_path):
     path.write_text("signal.kind = sinc\nepsilon = 0.5\n# later\nepsilon = 0.9\n")
     with pytest.raises(PipelineError, match=r"exp.conf:4: duplicate key 'epsilon'"):
         ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("signal.kind = sinc\nsignal.bogus = 3\n", r"signal\.bogus"),
+        ('signal.kind = sinc\nsignal.N = "abc"\n', r"signal\.N must be int"),
+        ("signal.kind = gaussian\nsignal.sigma = true\nsignal.mu = x\n", r"signal\.mu"),
+        ("signal.kind = mixture\nsignal.seed = 1.5\n", r"signal\.seed must be int"),
+        ("signal.kind = mixture\nsignal.spec = 1\n", r"signal\.spec"),
+        ("signal.csv = w.csv\nsignal.N = 8\n", r"signal\.N"),
+        ("signal.kind = chirp\n", "unknown signal generator"),
+    ],
+)
+def test_config_rejects_bad_signal_params(tmp_path, lines, message):
+    path = tmp_path / "exp.conf"
+    path.write_text(lines + "transform.levels = 3\n")
+    with pytest.raises(PipelineError, match=message):
+        ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["transform.levels = inf", "epsilon = 1" + "0" * 400, "threshold.value = x"],
+    ids=["levels-inf", "epsilon-overflow", "threshold-text"],
+)
+def test_config_rejects_unconvertible_values(tmp_path, line):
+    path = tmp_path / "exp.conf"
+    path.write_text(f"signal.kind = sinc\nthreshold.mode = absolute\n{line}\n")
+    with pytest.raises(PipelineError, match=line.split(" =")[0]):
+        ExperimentConfig.from_file(path)
+
+
+_CONFIG_KEYS = [
+    "signal.kind", "signal.csv", "signal.N", "signal.seed", "signal.sigma",
+    "signal.bogus", "transform.kind", "transform.levels", "threshold.mode",
+    "threshold.value", "epsilon", "baselines.eae", "output.dir", "label", "k",
+]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(
+        ["sinc", "mixture", "csv", "haar", "fourier", "dft", "absolute",
+         "fraction_of_max", "true", "nan", "inf", "-1", "0", "3", "0.5", "1e999",
+         '"x#y"', "'", '"', "1" + "0" * 400]
+    ),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES).map(" = ".join),
+    st.text(max_size=30),
+)
+_NO_SURROGATES = st.characters(blacklist_categories=("Cs",))
+
+
+@given(
+    st.one_of(
+        st.lists(_CONFIG_LINE, max_size=8).map("\n".join),
+        st.text(alphabet=_NO_SURROGATES),
+    )
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_parser_raises_only_typed_errors(tmp_path, text):
+    # parse only: building the fuzzed signal could allocate without bound
+    path = tmp_path / "fuzz.conf"
+    path.write_text(text, encoding="utf-8", errors="replace")
+    try:
+        ExperimentConfig.from_file(path)
+    except (ValueError, PipelineError):
+        pass
 
 
 def test_build_signal_dispatch(tmp_path):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hqsp.circuit import depth, report
+from hqsp.circuit import Circuit, depth, report
 from hqsp.qsynth import (
     fsl_circuit,
     fsl_classical_reconstruction,
@@ -50,7 +50,7 @@ def test_iqft_matches_inverse_dft_matrix(n):
 
 def test_iqft_without_swaps_is_bit_reversed():
     n = 3
-    u = unitary_of(iqft(n, include_bit_reversal_swaps=False))
+    u = unitary_of(Circuit(n, [g for g in iqft(n) if g.kind != "SWAP"]))
     perm = [int(f"{j:0{n}b}"[::-1], 2) for j in range(2**n)]
     np.testing.assert_allclose(
         _phase_aligned(u[perm, :], _idft_matrix(n)), _idft_matrix(n), atol=1e-10

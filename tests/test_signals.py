@@ -15,7 +15,6 @@ from hqsp.signals import (
     DegenerateSignalError,
     EmptyColumnError,
     InvalidLengthError,
-    MissingColumnError,
     MixtureSpec,
     NonNumericCellError,
     Signal,
@@ -25,8 +24,6 @@ from hqsp.signals import (
     gen_piecewise,
     gen_sinc,
     ingest_waveform_csv,
-    load_signal_bin,
-    save_signal_bin,
     save_signal_csv,
 )
 
@@ -152,27 +149,11 @@ def test_ingest_pads_to_next_power_of_two(tmp_path):
     np.testing.assert_allclose(s.samples, expected / np.linalg.norm(expected))
 
 
-def test_ingest_head_padding(tmp_path):
-    path = _write(tmp_path / "w.csv", "1.0\n2.0\n3.0\n")
-    s = ingest_waveform_csv(path, pad="head")
-    assert s.samples[0] == 0.0 and s.samples[-1] != 0.0
-    with pytest.raises(ValueError):
-        ingest_waveform_csv(path, pad="middle")
-
-
-def test_ingest_by_header_name(tmp_path):
-    path = _write(tmp_path / "w.csv", "time,ppg\n0.0,1.5\n0.1,2.5\n")
-    s = ingest_waveform_csv(path, column_selector="ppg")
-    expected = np.array([1.5, 2.5])
-    np.testing.assert_allclose(s.samples, expected / np.linalg.norm(expected))
-    with pytest.raises(MissingColumnError):
-        ingest_waveform_csv(path, column_selector="ecg")
-
-
 def test_ingest_index_selector_skips_header(tmp_path):
-    path = _write(tmp_path / "w.csv", "ppg\n1.0\n-1.0\n")
-    s = ingest_waveform_csv(path, column_selector=0)
-    np.testing.assert_allclose(np.abs(s.samples), math.sqrt(0.5))
+    # the first column is read; one header line is skipped
+    path = _write(tmp_path / "w.csv", "ppg,time\n1.0,0.0\n-1.0,0.1\n")
+    s = ingest_waveform_csv(path)
+    np.testing.assert_allclose(s.samples, [math.sqrt(0.5), -math.sqrt(0.5)])
 
 
 def test_ingest_error_taxonomy(tmp_path):
@@ -180,10 +161,10 @@ def test_ingest_error_taxonomy(tmp_path):
         ingest_waveform_csv(_write(tmp_path / "empty.csv", "\n\n"))
     with pytest.raises(NonNumericCellError):
         ingest_waveform_csv(_write(tmp_path / "bad.csv", "1.0\ntwo\n"))
-    with pytest.raises(MissingColumnError):
-        ingest_waveform_csv(_write(tmp_path / "short.csv", "1.0,2.0\n3.0\n"), column_selector=1)
     with pytest.raises(EmptyColumnError):
-        ingest_waveform_csv(_write(tmp_path / "only_header.csv", "ppg\n"), column_selector="ppg")
+        ingest_waveform_csv(_write(tmp_path / "only_header.csv", "ppg\n"))
+    with pytest.raises(DegenerateSignalError, match="overflows"):
+        ingest_waveform_csv(_write(tmp_path / "huge.csv", "1e308\n1e308\n1\n2\n"))
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
@@ -220,20 +201,3 @@ def test_signal_csv_rejects_complex(tmp_path):
     s = Signal(np.array([1j, 0, 0, 0]))
     with pytest.raises(ValueError):
         save_signal_csv(s, tmp_path / "sig.csv")
-
-
-def test_signal_bin_roundtrip(tmp_path):
-    s = gen_sinc(2**9)
-    path = tmp_path / "sig.bin"
-    save_signal_bin(s, path)
-    back = load_signal_bin(path)
-    np.testing.assert_array_equal(back.samples, s.samples)
-
-
-def test_signal_bin_truncation_detected(tmp_path):
-    s = gen_sinc(2**6)
-    path = tmp_path / "sig.bin"
-    save_signal_bin(s, path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        load_signal_bin(path)

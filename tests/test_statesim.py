@@ -14,7 +14,6 @@ from hqsp.circuit import Circuit, gate
 from hqsp.statesim import (
     MAX_QUBITS,
     CapacityError,
-    equal_up_to_global_phase,
     fidelity,
     simulate,
     trace_distance,
@@ -209,13 +208,6 @@ def test_trace_distance_symmetry_and_range():
         td = trace_distance(a, b)
         assert 0.0 <= td <= 1.0
         assert abs(td - trace_distance(b, a)) < 1e-12
-
-
-def test_equal_up_to_global_phase():
-    a = np.array([0.6, 0.8j], dtype=complex)
-    assert equal_up_to_global_phase(a, a * np.exp(1.2j))
-    assert not equal_up_to_global_phase(a, np.array([0.8, 0.6j]))
-    assert not equal_up_to_global_phase(a, np.array([0.6, 0.8j, 0.0]))
 
 
 def test_state_csv_roundtrip(tmp_path):

@@ -22,6 +22,7 @@ from hqsp.transforms import (
     ThresholdPolicy,
     TransformDescriptor,
     WrongTransformError,
+    analyse,
     classical_reconstruct,
     compression_ratio,
     dft,
@@ -186,6 +187,10 @@ def test_threshold_policy_validation():
         ThresholdPolicy(ABSOLUTE, -0.1)
     with pytest.raises(ValueError):
         ThresholdPolicy(FRACTION_OF_MAX, 1.5)
+    for mode in (ABSOLUTE, FRACTION_OF_MAX):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ThresholdPolicy(mode, value)
 
 
 def test_descriptor_validation():
@@ -214,12 +219,14 @@ def test_compression_ratio():
 
 def test_classical_reconstruct_dispatch():
     x = RNG.normal(size=32)
-    np.testing.assert_allclose(
-        classical_reconstruct(dft(_signal(x))).samples, x, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        classical_reconstruct(packet_dhwt(_signal(x), 3)).samples, x, atol=1e-12
-    )
+    for descriptor, forward in (
+        (TransformDescriptor(DFT), dft(_signal(x))),
+        (TransformDescriptor(PACKET_HAAR, 3), packet_dhwt(_signal(x), 3)),
+    ):
+        X = analyse(_signal(x), descriptor)
+        assert X.descriptor == descriptor
+        np.testing.assert_array_equal(X.coefficients, forward.coefficients)
+        np.testing.assert_allclose(classical_reconstruct(X).samples, x, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
