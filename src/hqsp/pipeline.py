@@ -242,6 +242,9 @@ def build_signal(kind: str, params: dict | None = None, csv_path=None) -> Signal
     return generator(**params)
 
 
+_PARAM_TYPES = {float: numbers.Real, int: numbers.Integral}
+
+
 def _check_signal_params(kind, params: dict) -> None:
     """Reject a ``signal.*`` parameter that the generator behind ``kind``
     does not take, or whose value is not of its default's type (an int may
@@ -260,7 +263,7 @@ def _check_signal_params(kind, params: dict) -> None:
         if name not in defaults:
             raise PipelineError(f"{kind} signal takes no parameter signal.{name}")
         default = defaults[name]
-        expected = {float: numbers.Real, int: numbers.Integral}.get(type(default), type(default))
+        expected = _PARAM_TYPES.get(type(default), type(default))
         if not isinstance(value, expected):
             raise PipelineError(
                 f"signal.{name} must be {type(default).__name__}, got {value!r}"

@@ -410,11 +410,11 @@ _FILE_TOKENS = st.sampled_from(
      ",", "qubits", "h", "cx", "ry", "cp", "H", "CX", "RY", "MCX", "MCRY", "SWAP",
      "0", "1", "3", "-1", "30", "0.5", "nan", "inf", "1e999", " ", "//", "#"]
 )
-_FILE_TEXT = st.one_of(
-    st.text(),
-    st.lists(st.lists(_FILE_TOKENS, max_size=8).map("".join), max_size=8).map("\n".join),
-    st.lists(st.lists(_FILE_TOKENS, max_size=8).map(" ".join), max_size=8).map("\n".join),
+_FILE_LINES = st.one_of(
+    st.lists(_FILE_TOKENS, max_size=8).map("".join),
+    st.lists(_FILE_TOKENS, max_size=8).map(" ".join),
 )
+_FILE_TEXT = st.one_of(st.text(), st.lists(_FILE_LINES, max_size=8).map("\n".join))
 
 
 @given(_FILE_TEXT)

@@ -113,10 +113,6 @@ def test_config_from_file_csv_and_fsl(tmp_path):
     assert cfg.signal == "csv" and cfg.csv_path == str(wave)
     assert cfg.transform == DFT and cfg.levels is None
     assert cfg.output_dir == str(tmp_path)
-    # no loader reads an FSL mode from a config, so the key is unknown
-    path.write_text(path.read_text() + "baselines.fsl_m = 3\n")
-    with pytest.raises(PipelineError, match="unknown config key 'baselines.fsl_m'"):
-        ExperimentConfig.from_file(path)
 
 
 def test_config_from_file_errors(tmp_path):
@@ -213,7 +209,11 @@ _NO_SURROGATES = st.characters(blacklist_categories=("Cs",))
         st.text(alphabet=_NO_SURROGATES),
     )
 )
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 def test_config_parser_raises_only_typed_errors(tmp_path, text):
     # parse only: building the fuzzed signal could allocate without bound
     path = tmp_path / "fuzz.conf"
