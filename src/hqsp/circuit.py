@@ -5,11 +5,19 @@ list of :class:`Gate` records over ``n_qubits`` wires.  Gate operands are
 stored controls-first, targets-last.  Everything downstream (simulation,
 resource accounting, OpenQASM export) consumes this one structure.
 
+Uniformly controlled rotations are native ops: ``UCRY``/``UCRZ`` carry any
+number of controls, one target and a tuple of ``2**k`` pattern angles
+(``controls[j]`` is bit j of the pattern), so a whole cascade level is one
+gate for the simulator.  :func:`decompose` and :func:`export` lower them to
+their Gray-code ladders, which is what every count, depth and QASM file
+describes.
+
 Decomposition targets the base set {H, X, RX, RY, RZ, PHASE, CX}.  The
 multi-controlled gates reduce through uniformly controlled rotations
 (Gray-code multiplexers), which gives exact, ancilla-free networks with
 predictable CX budgets:
 
+* ``UCRY``/``UCRZ`` with k >= 1 controls cost ``2**k`` CX,
 * ``MCRY`` with k controls costs ``2**k`` CX (one-hot multiplexer),
 * ``MCX`` with k controls costs ``2**(k+1) - 2`` CX (Hadamard conjugation
   of a phase network built from uniformly controlled RZ layers),
@@ -58,9 +66,16 @@ _SIGNATURES = {
     "CCX": (2, 1, False),
     "MCX": (None, 1, False),
     "MCRY": (None, 1, True),
+    "UCRY": (None, 1, True),
+    "UCRZ": (None, 1, True),
 }
 
 GATE_KINDS = frozenset(_SIGNATURES)
+
+# uniformly controlled rotations -> the rotation their ladders are built of;
+# they take any number of controls (none included) and one angle per pattern
+_MULTIPLEXER_KINDS = {"UCRY": "RY", "UCRZ": "RZ"}
+_LISTING_KINDS = GATE_KINDS - _MULTIPLEXER_KINDS.keys()
 
 _BASE_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE", "CX"})
 _SINGLE_QUBIT_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE"})
@@ -71,11 +86,12 @@ _ANGLE_EPS = 1e-14
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application.  ``qubits`` lists controls first, targets last."""
+    """One gate application.  ``qubits`` lists controls first, targets last;
+    a multiplexer's ``angle`` is the tuple of its pattern angles."""
 
     kind: str
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | tuple[float, ...] | None = None
 
     @property
     def n_controls(self) -> int:
@@ -93,13 +109,16 @@ class Gate:
         return self.qubits[: len(self.qubits) - n_targets]
 
 
-def gate(kind: str, *qubits: int, angle: float | None = None) -> Gate:
+def gate(kind: str, *qubits: int, angle=None) -> Gate:
     """Validated :class:`Gate` constructor."""
     if kind not in _SIGNATURES:
         raise ValueError(f"unknown gate kind {kind!r}")
     n_ctrl, n_tgt, takes_angle = _SIGNATURES[kind]
     if n_ctrl is None:
-        if len(qubits) < 1 + n_tgt:
+        if kind in _MULTIPLEXER_KINDS:
+            if not qubits:
+                raise ValueError(f"{kind} needs a target")
+        elif len(qubits) < 1 + n_tgt:
             raise ValueError(f"{kind} needs at least one control")
     elif len(qubits) != n_ctrl + n_tgt:
         raise ValueError(f"{kind} takes {n_ctrl + n_tgt} operands, got {len(qubits)}")
@@ -110,12 +129,29 @@ def gate(kind: str, *qubits: int, angle: float | None = None) -> Gate:
     if takes_angle:
         if angle is None:
             raise ValueError(f"{kind} requires an angle")
-        angle = float(angle)
-        if not math.isfinite(angle):
-            raise ValueError(f"{kind} angle must be finite, got {angle}")
+        if kind in _MULTIPLEXER_KINDS:
+            angle = _pattern_angles(kind, angle, len(qubits) - 1)
+        else:
+            angle = float(angle)
+            if not math.isfinite(angle):
+                raise ValueError(f"{kind} angle must be finite, got {angle}")
     elif angle is not None:
         raise ValueError(f"{kind} does not take an angle")
     return Gate(kind, tuple(int(q) for q in qubits), angle)
+
+
+def _pattern_angles(kind: str, angle, k: int) -> tuple[float, ...]:
+    try:
+        values = np.asarray(angle, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (2**k,):
+        raise ValueError(
+            f"{kind} with {k} controls needs a sequence of {2**k} pattern angles"
+        )
+    if not np.isfinite(values).all():
+        raise ValueError(f"{kind} pattern angles must be finite")
+    return tuple(values.tolist())
 
 
 class Circuit:
@@ -196,15 +232,14 @@ class ResourceReport:
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place-style fast Walsh-Hadamard transform (unnormalised)."""
+    """Fast Walsh-Hadamard transform (unnormalised), one butterfly stage
+    over every block at a time."""
     out = np.array(v, dtype=float)
     h = 1
     while h < len(out):
-        for i in range(0, len(out), 2 * h):
-            a = out[i : i + h].copy()
-            b = out[i + h : i + 2 * h].copy()
-            out[i : i + h] = a + b
-            out[i + h : i + 2 * h] = a - b
+        blocks = out.reshape(-1, 2, h)
+        a, b = blocks[:, 0], blocks[:, 1]
+        out = np.stack((a + b, a - b), axis=1).reshape(-1)
         h *= 2
     return out
 
@@ -232,14 +267,15 @@ def _ucr_gates(kind: str, controls, target: int, pattern_angles) -> list[Gate]:
         if abs(theta[0]) < _ANGLE_EPS:
             return []
         return [gate(kind, target, angle=theta[0])]
-    phis = _multiplexer_angles(theta)
+    # one validated CX per control, shared along the ladder (gates are frozen)
+    cx = [gate("CX", c, target) for c in controls]
+    wire = cx[0].targets
     gates: list[Gate] = []
-    for i in range(2**k):
-        if abs(phis[i]) >= _ANGLE_EPS:
-            gates.append(gate(kind, target, angle=phis[i]))
+    for i, phi in enumerate(_multiplexer_angles(theta).tolist()):
+        if abs(phi) >= _ANGLE_EPS:
+            gates.append(Gate(kind, wire, phi))
         # Gray-code walk: flip the bit that changes between successive codes
-        ctrl = controls[_ctz(i + 1)] if i + 1 < 2**k else controls[k - 1]
-        gates.append(gate("CX", ctrl, target))
+        gates.append(cx[_ctz(i + 1)] if i + 1 < 2**k else cx[k - 1])
     return gates
 
 
@@ -345,15 +381,41 @@ def _decompose_gate(g: Gate) -> list[Gate]:
         one_hot = np.zeros(2 ** len(controls))
         one_hot[-1] = g.angle
         return ucry_gates(controls, target, one_hot)
+    if g.kind in _MULTIPLEXER_KINDS:
+        return _ucr_gates(_MULTIPLEXER_KINDS[g.kind], g.controls, g.targets[0], g.angle)
     raise ValueError(f"no decomposition rule for {g.kind}")
+
+
+def _lowered(gates, kept=_BASE_KINDS):
+    """``gates`` with every kind outside ``kept`` decomposed, one at a time."""
+    for g in gates:
+        if g.kind in kept:
+            yield g
+        else:
+            yield from _decompose_gate(g)
 
 
 def decompose(circuit: Circuit) -> Circuit:
     """Rewrite into the base set {H, X, RX, RY, RZ, PHASE, CX} exactly."""
-    out = Circuit(circuit.n_qubits)
-    for g in circuit:
-        out.extend(_decompose_gate(g))
-    return out
+    return Circuit(circuit.n_qubits).extend(_lowered(circuit))
+
+
+def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
+    """One ASAP pass: (CX count, single-qubit count, depth) of ``gates``,
+    every gate counting one layer across all of its operands."""
+    frontier = [0] * n_qubits
+    cx = single = 0
+    for g in gates:
+        qubits = g.qubits
+        if len(qubits) == 1:
+            frontier[qubits[0]] += 1
+            single += g.kind in _SINGLE_QUBIT_KINDS
+            continue
+        cx += g.kind == "CX"
+        layer = 1 + max([frontier[q] for q in qubits])
+        for q in qubits:
+            frontier[q] = layer
+    return cx, single, max(frontier, default=0)
 
 
 def depth(circuit: Circuit) -> int:
@@ -362,24 +424,17 @@ def depth(circuit: Circuit) -> int:
     Meant for already-decomposed circuits; multi-qubit gates still schedule
     correctly (one layer spanning all their operands) if present.
     """
-    frontier = [0] * circuit.n_qubits
-    for g in circuit:
-        layer = 1 + max(frontier[q] for q in g.qubits)
-        for q in g.qubits:
-            frontier[q] = layer
-    return max(frontier, default=0)
+    return _schedule(circuit.n_qubits, circuit)[2]
 
 
 def report(circuit: Circuit, stages: dict[str, Circuit] | None = None) -> ResourceReport:
-    """Decompose, then tally CX count, single-qubit count and ASAP depth.
+    """Tally CX count, single-qubit count and ASAP depth of the decomposed
+    circuit, lowering gate by gate in one pass without building it.
 
     ``stages`` attaches per-stage sub-reports (each stage scheduled on its
     own); the top-level depth is that of the whole scheduled circuit.
     """
-    dec = decompose(circuit)
-    cx = sum(1 for g in dec if g.kind == "CX")
-    single = sum(1 for g in dec if g.kind in _SINGLE_QUBIT_KINDS)
-    rep = ResourceReport(cx, single, depth(dec))
+    rep = ResourceReport(*_schedule(circuit.n_qubits, _lowered(circuit)))
     if stages:
         rep.stage_breakdown = {name: report(sub) for name, sub in stages.items()}
     return rep
@@ -392,9 +447,12 @@ def report(circuit: Circuit, stages: dict[str, Circuit] | None = None) -> Resour
 
 def inverse(g: Gate) -> Gate:
     """The gate undoing ``g``: every kind that takes an angle is a rotation
-    and inverts by negating it; every other kind is its own inverse."""
+    and inverts by negating it (a multiplexer negates every pattern angle);
+    every other kind is its own inverse."""
     if g.angle is None:
         return g
+    if g.kind in _MULTIPLEXER_KINDS:
+        return Gate(g.kind, g.qubits, tuple(-a for a in g.angle))
     return Gate(g.kind, g.qubits, -g.angle)
 
 
@@ -402,7 +460,11 @@ def _cancels(a: Gate, b: Gate) -> bool:
     if a.kind != b.kind or a.qubits != b.qubits:
         return False
     inv = inverse(a)
-    return inv.angle is None or abs(inv.angle - b.angle) < _ANGLE_EPS
+    if inv.angle is None:
+        return True
+    if a.kind in _MULTIPLEXER_KINDS:
+        return all(abs(x - y) < _ANGLE_EPS for x, y in zip(inv.angle, b.angle))
+    return abs(inv.angle - b.angle) < _ANGLE_EPS
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
@@ -447,30 +509,30 @@ _QASM_KINDS = {v: k for k, v in _QASM_NAMES.items()}
 
 def export(circuit: Circuit, fmt: str = "qasm") -> str:
     """Serialise to OpenQASM 2.0 (subset h,x,rx,ry,rz,u1,cx,cp,swap,ccx) or
-    to a line-per-gate debug listing.  Gates outside the QASM subset (MCX,
-    MCRY) are decomposed on the way out; CCX is kept as ``ccx``."""
+    to a line-per-gate debug listing.  Gates outside the format are
+    decomposed on the way out: MCX and MCRY in QASM (CCX is kept as
+    ``ccx``), the UCRY/UCRZ multiplexers in both."""
     if fmt == "listing":
-        lines = [f"qubits {circuit.n_qubits}"]
-        for g in circuit:
-            parts = [g.kind, *map(str, g.qubits)]
-            if g.angle is not None:
-                parts.append(repr(g.angle))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-    if fmt != "qasm":
+        header = [f"qubits {circuit.n_qubits}"]
+        kept, line = _LISTING_KINDS, _listing_line
+    elif fmt == "qasm":
+        header = [
+            "OPENQASM 2.0;",
+            'include "qelib1.inc";',
+            f"qreg q[{circuit.n_qubits}];",
+        ]
+        kept, line = _QASM_NAMES, _qasm_line
+    else:
         raise ValueError(f"unknown export format {fmt!r}")
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{circuit.n_qubits}];",
-    ]
-    for g in circuit:
-        if g.kind not in _QASM_NAMES:
-            for sub in _decompose_gate(g):
-                lines.append(_qasm_line(sub))
-        else:
-            lines.append(_qasm_line(g))
+    lines = header + [line(g) for g in _lowered(circuit, kept)]
     return "\n".join(lines) + "\n"
+
+
+def _listing_line(g: Gate) -> str:
+    parts = [g.kind, *map(str, g.qubits)]
+    if g.angle is not None:
+        parts.append(repr(g.angle))
+    return " ".join(parts)
 
 
 def _qasm_line(g: Gate) -> str:
@@ -532,8 +594,8 @@ def parse_listing(text: str) -> Circuit:
             raise ValueError("listing must start with a 'qubits N' line")
         parts = line.split()
         kind = parts[0]
-        if kind not in _SIGNATURES:
-            raise ValueError(f"unknown gate kind {kind!r} in listing")
+        if kind not in _LISTING_KINDS:
+            raise ValueError(f"gate kind {kind!r} cannot appear in a listing")
         takes_angle = _SIGNATURES[kind][2]
         if takes_angle:
             qubits, angle = parts[1:-1], float(parts[-1])

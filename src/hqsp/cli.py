@@ -184,12 +184,11 @@ def _threshold_from_args(args) -> ThresholdPolicy:
 
 def cmd_compress(args) -> int:
     x = _unit_samples(ingest_waveform_csv(args.input))
-    if args.transform == DFT:
-        descriptor = TransformDescriptor(DFT)
-    elif args.levels is None:
-        raise PipelineError("packet Haar compression needs --levels")
-    else:
-        descriptor = TransformDescriptor(PACKET_HAAR, args.levels)
+    try:
+        descriptor = TransformDescriptor(args.transform, args.levels)
+    except ValueError as err:
+        # the descriptor's levels are the --levels flag here
+        raise PipelineError(str(err).replace("levels", "--levels")) from None
     compressed = threshold_normalize(analyse(x, descriptor), _threshold_from_args(args))
     d, cr, td = _price(x, compressed)
     print(f"d={d} CR={cr:.1f} TD={td:.4f}")
@@ -227,8 +226,12 @@ def cmd_synth(args) -> int:
         print(report(circuit))
     if args.out is not None:
         fmt = "qasm" if args.out.suffix == ".qasm" else "listing"
-        args.out.write_text(export(circuit, fmt))
-        print(f"wrote {len(circuit)} gates to {args.out}")
+        text = export(circuit, fmt)
+        args.out.write_text(text)
+        # one line per written gate after the header; native multiplexers
+        # are written lowered, so this is not len(circuit)
+        written = text.count("\n") - (1 if fmt == "listing" else 3)
+        print(f"wrote {written} gates to {args.out}")
     elif not args.report:
         sys.stdout.write(export(circuit, "listing"))
     return 0

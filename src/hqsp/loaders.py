@@ -20,6 +20,11 @@ Three loaders with very different cost regimes:
   being small), the synthesizer switches to an amplitude cascade over the
   cube's free bits at ``2**k - 2`` CX instead.
 
+The cascades, sqsp's subcube one included, emit one native ``UCRY``/``UCRZ``
+op per level.  Merges emit the lowered ladder, because the peephole pass
+run on their reversed adjoint cancels CX pairs inside ladders.  Every CX
+count quoted here is of the lowered circuit (:func:`hqsp.circuit.decompose`).
+
 The SQSP CX count is bounded by ``c * n * d`` with c = 8 on the randomized
 families exercised in the test suite (see the regression-slope test);
 adversarial supports can exceed the linear regime, which is documented
@@ -34,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, cancel_adjacent_inverses, gate, inverse
-from .circuit import ucry_gates, ucrz_gates
+from .circuit import Circuit, Gate, cancel_adjacent_inverses, decompose, gate, inverse
+from .circuit import ucry_gates
 
 __all__ = [
     "SparseState",
@@ -122,7 +127,7 @@ def _norm_tree(magnitudes: np.ndarray) -> list[np.ndarray]:
 
 
 def _ry_cascade(amplitudes: np.ndarray, n: int) -> list[Gate]:
-    """Uniformly controlled RY levels realizing a real amplitude vector.
+    """One UCRY per level realizing a real amplitude vector.
 
     Level k targets qubit n-1-k with the higher qubits as controls; signs
     are folded into the finest level's angles.
@@ -134,8 +139,7 @@ def _ry_cascade(amplitudes: np.ndarray, n: int) -> list[Gate]:
         target = n - 1 - k
         children = signed if k == n - 1 else tree[n - 1 - k]
         theta = 2.0 * np.arctan2(children[1::2], children[0::2])
-        controls = tuple(range(target + 1, n))
-        gates.extend(ucry_gates(controls, target, theta))
+        gates.append(gate("UCRY", *range(target + 1, n), target, angle=theta))
     return gates
 
 
@@ -174,8 +178,8 @@ def dense_complex_load(coefficients) -> Circuit:
     Magnitudes go through the RY cascade, relative phases through an RZ
     cascade (pairwise differences at each tree level).  The mean phase at
     the root is a global phase and stays uncorrected.  For real input the
-    RZ rotations all vanish and are elided, but the multiplexer CX ladders
-    are emitted either way, so the count stays at the formula value.
+    RZ angles all vanish; lowering elides those rotations but keeps the
+    multiplexer CX ladders, so the count stays at the formula value.
     """
     coeffs = np.asarray(coefficients, dtype=complex)
     m = int(math.log2(len(coeffs)))
@@ -187,10 +191,8 @@ def dense_complex_load(coefficients) -> Circuit:
     circ.extend(_ry_cascade(np.abs(coeffs), m))
     phases = np.where(np.abs(coeffs) > 0, np.angle(coeffs), 0.0)
     deltas = _phase_deltas(phases)
-    for k in range(m):
-        target = m - 1 - k
-        controls = tuple(range(target + 1, m))
-        circ.extend(ucrz_gates(controls, target, deltas[target]))
+    for target in range(m - 1, -1, -1):
+        circ.add("UCRZ", *range(target + 1, m), target, angle=deltas[target])
     return circ
 
 
@@ -329,7 +331,12 @@ def sqsp(state: SparseState) -> Circuit:
     if dense_cx < _MERGE_CX_PER_STATE * state.d:
         circ.extend(gate("X", b) for b in _bits(base))
         circ.extend(_subcube_cascade(indices, amps, cube_bits, is_real))
-        return cancel_adjacent_inverses(circ)
+        # the peephole pass only sees a ladder once it is lowered (a
+        # one-control level whose second rotation vanishes ends in a CX
+        # pair): keep the native levels unless cancellation finds a pair
+        lowered = decompose(circ)
+        kept = cancel_adjacent_inverses(lowered)
+        return circ if len(kept) == len(lowered) else kept
 
     weights = _popcounts(indices)
     # pinned processing order: descending Hamming weight, ties by index

@@ -190,7 +190,7 @@ class ExperimentConfig:
             elif key == "transform.kind":
                 kwargs["transform"] = _TRANSFORM_ALIASES.get(value, value)
             elif key == "transform.levels":
-                kwargs["levels"] = _converted(key, value, int)
+                kwargs["levels"] = _exact(key, value, int)
             elif key == "threshold.mode":
                 kwargs.setdefault("_tau", {})["mode"] = value
             elif key == "threshold.value":
@@ -198,7 +198,7 @@ class ExperimentConfig:
             elif key == "epsilon":
                 kwargs["epsilon"] = _converted(key, value, float)
             elif key == "baselines.eae":
-                kwargs["eae_baseline"] = bool(value)
+                kwargs["eae_baseline"] = _exact(key, value, bool)
             elif key == "output.dir":
                 kwargs["output_dir"] = str(value)
             elif key == "label":
@@ -275,6 +275,14 @@ def _converted(key: str, value, kind: type):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise PipelineError(f"{key} must be {kind.__name__}, got {value!r}") from None
+
+
+def _exact(key: str, value, kind: type):
+    """``value`` as parsed, if it is of ``kind`` exactly (a bool is no int
+    and a float no int, so nothing is truncated or coerced)."""
+    if type(value) is not kind:
+        raise PipelineError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 _TRANSFORM_ALIASES = {"packet_haar": PACKET_HAAR, "fourier": DFT}

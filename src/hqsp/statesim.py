@@ -4,8 +4,11 @@ States are little-endian: qubit 0 is the least significant bit of the basis
 index, so ``state[5]`` is the amplitude of |...101>.  All gate kinds of the
 IR are applied natively (multi-controlled gates do not need decomposition
 first); axis slicing on the ``[2]*n``-shaped view keeps every update
-vectorised.  Register width is capped at 24 qubits, which bounds the state
-at 256 MiB of complex128; a run adds one workspace of twice that size.
+vectorised.  A UCRY/UCRZ multiplexer runs in one pass over the state: its
+per-pattern rotation entries are laid onto the control axes and broadcast,
+so a cascade level costs O(2**n) however many controls it has.  Register
+width is capped at 24 qubits, which bounds the state at 256 MiB of
+complex128; a run adds one workspace of twice that size.
 """
 
 from __future__ import annotations
@@ -59,11 +62,26 @@ def _slots(n: int, target: int, controls) -> tuple[tuple, tuple]:
     return (*i0, ...), (*i1, ...)
 
 
+def _on_controls(values: np.ndarray, n: int, target: int, controls) -> np.ndarray:
+    """Per-pattern ``values`` (``controls[j]`` is bit j of the pattern) shaped
+    to broadcast over one target half of the ``[2]*n`` view."""
+    k = len(controls)
+    # axis i of the pattern grid holds bit k-1-i; the half's axes run from
+    # the highest qubit down
+    order = sorted(range(k), key=lambda j: controls[j], reverse=True)
+    grid = values.reshape([2] * k).transpose([k - 1 - j for j in order])
+    shape = [1] * (n - 1)
+    for c in controls:
+        shape[n - 1 - c - (c < target)] = 2
+    return grid.reshape(shape)
+
+
 def _apply_1q(
-    psi: np.ndarray, n: int, mat: np.ndarray, target: int, controls, work: np.ndarray
+    psi: np.ndarray, n: int, mat, target: int, controls, work: np.ndarray
 ) -> None:
     """In-place application of a controlled single-qubit matrix; the four
-    rows of ``work`` hold its temporaries."""
+    rows of ``work`` hold its temporaries.  Entries ``mat[i][j]`` may be
+    arrays broadcasting over the target's halves."""
     view = psi.reshape([2] * n)
     s0, s1 = _slots(n, target, controls)
     v0, v1 = view[s0], view[s1]
@@ -72,17 +90,19 @@ def _apply_1q(
     np.copyto(b, v1)
     # sum into the contiguous buffer and copy: ufuncs writing into the
     # strided halves directly run about 15% slower
-    np.add(np.multiply(mat[0, 0], a, out=ma), np.multiply(mat[0, 1], b, out=mb), out=ma)
+    (m00, m01), (m10, m11) = mat
+    np.add(np.multiply(m00, a, out=ma), np.multiply(m01, b, out=mb), out=ma)
     np.copyto(v0, ma)
-    np.add(np.multiply(mat[1, 0], a, out=ma), np.multiply(mat[1, 1], b, out=mb), out=ma)
+    np.add(np.multiply(m10, a, out=ma), np.multiply(m11, b, out=mb), out=ma)
     np.copyto(v1, ma)
 
 
 def _apply_diag(psi: np.ndarray, n: int, phases: tuple, target: int, controls) -> None:
-    """Diagonal gate: multiply the target's 0/1 slices under the controls."""
+    """Diagonal gate: multiply the target's 0/1 slices under the controls;
+    a phase of None leaves its slice alone."""
     view = psi.reshape([2] * n)
     for sel, phase in zip(_slots(n, target, controls), phases):
-        if phase != 1:
+        if phase is not None:
             view[sel] *= phase
 
 
@@ -100,11 +120,11 @@ def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
         half = np.exp(0.5j * g.angle)
         _apply_diag(psi, n, (np.conj(half), half), g.qubits[0], ())
     elif kind == "PHASE":
-        _apply_diag(psi, n, (1, np.exp(1j * g.angle)), g.qubits[0], ())
+        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), g.qubits[0], ())
     elif kind == "CX":
         _apply_1q(psi, n, _X, g.qubits[1], (g.qubits[0],), work)
     elif kind == "CPHASE":
-        _apply_diag(psi, n, (1, np.exp(1j * g.angle)), g.qubits[1], (g.qubits[0],))
+        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), g.qubits[1], (g.qubits[0],))
     elif kind == "SWAP":
         a, b = g.qubits
         view = psi.reshape([2] * n)
@@ -117,6 +137,13 @@ def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
         _apply_1q(psi, n, _X, g.targets[0], g.controls, work)
     elif kind == "MCRY":
         _apply_1q(psi, n, _ry(g.angle), g.targets[0], g.controls, work)
+    elif kind == "UCRY":
+        half = np.asarray(g.angle) / 2.0
+        c, s = (_on_controls(f(half), n, g.targets[0], g.controls) for f in (np.cos, np.sin))
+        _apply_1q(psi, n, ((c, -s), (s, c)), g.targets[0], (), work)
+    elif kind == "UCRZ":
+        half = _on_controls(np.exp(0.5j * np.asarray(g.angle)), n, g.targets[0], g.controls)
+        _apply_diag(psi, n, (np.conj(half), half), g.targets[0], ())
     else:  # pragma: no cover - the IR validates kinds on construction
         raise ValueError(f"cannot simulate gate kind {kind!r}")
 

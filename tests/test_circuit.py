@@ -31,7 +31,8 @@ from hqsp.circuit import (
     ucry_gates,
     ucrz_gates,
 )
-from hqsp.statesim import unitary_of
+from hqsp.circuit import _fwht
+from hqsp.statesim import simulate, unitary_of
 
 RNG = np.random.default_rng(7)
 
@@ -141,6 +142,8 @@ def test_multiplexer_matches_definition(k, builder, axis):
     circuit = Circuit(k + 1, builder(controls, target, angles))
     expected = _reference_ucr(axis, k + 1, controls, target, angles)
     np.testing.assert_allclose(unitary_of(circuit), expected, atol=1e-12)
+    native = Circuit(k + 1, [gate("UC" + axis, *controls, target, angle=angles)])
+    np.testing.assert_allclose(unitary_of(native), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -167,6 +170,72 @@ def test_multiplexer_zero_controls():
 def test_multiplexer_rejects_wrong_angle_count():
     with pytest.raises(ValueError):
         ucry_gates((1, 2), 0, [0.1, 0.2])
+
+
+def _fwht_loop(v):
+    """Block-by-block butterfly loop: the reference for the vectorised stages."""
+    out = np.array(v, dtype=float)
+    h = 1
+    while h < len(out):
+        for i in range(0, len(out), 2 * h):
+            a, b = out[i : i + h].copy(), out[i + h : i + 2 * h].copy()
+            out[i : i + h], out[i + h : i + 2 * h] = a + b, a - b
+        h *= 2
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
+def test_fwht_matches_loop_reference(k):
+    v = RNG.uniform(-math.pi, math.pi, size=2**k)
+    np.testing.assert_array_equal(_fwht(v), _fwht_loop(v))
+
+
+def test_multiplexer_gate_rules():
+    g = gate("UCRY", 1, 2, 0, angle=np.array([0.1, 0.2, 0.3, 0.4]))
+    assert g.angle == (0.1, 0.2, 0.3, 0.4)
+    assert all(type(a) is float for a in g.angle)
+    assert g.controls == (1, 2) and g.targets == (0,) and g.n_controls == 2
+    assert gate("UCRZ", 0, angle=[0.5]).controls == ()  # a level without controls
+    for bad in (0.5, [0.1, 0.2], [0.1] * 8, "ab", [[0.1, 0.2], [0.3, 0.4]], [1j, 0, 0, 0]):
+        with pytest.raises(ValueError, match="4 pattern angles"):
+            gate("UCRY", 1, 2, 0, angle=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gate("UCRZ", 1, 0, angle=[0.0, bad])
+    with pytest.raises(ValueError):
+        gate("UCRY", angle=[0.1])  # no target
+    with pytest.raises(ValueError):
+        gate("UCRZ", 1, 0)  # pattern angles required
+    with pytest.raises(ValueError):
+        gate("UCRY", 0, 0, angle=[0.1, 0.2])
+
+
+@st.composite
+def multiplexers(draw):
+    """A UCRY/UCRZ with 1-6 controls in any order on any target, finite
+    angles with exact zeros among them, and a random complex state."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k + 1, 7))
+    wires = draw(st.permutations(range(n)))
+    angle = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False))
+    angles = draw(st.lists(angle, min_size=2**k, max_size=2**k))
+    kind = draw(st.sampled_from(["UCRY", "UCRZ"]))
+    g = gate(kind, *wires[: k + 1], angle=angles)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return n, g, psi / np.linalg.norm(psi)
+
+
+@given(multiplexers())
+@settings(max_examples=100, deadline=None)
+def test_native_multiplexer_matches_its_lowering(case):
+    n, g, psi = case
+    native = Circuit(n, [g])
+    builder = ucry_gates if g.kind == "UCRY" else ucrz_gates
+    lowered = Circuit(n, builder(g.controls, g.targets[0], g.angle))
+    np.testing.assert_allclose(simulate(native, psi), simulate(lowered, psi), rtol=0, atol=1e-12)
+    assert decompose(native) == lowered
+    assert report(native) == report(lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +370,8 @@ _ONE_OF_EACH_KIND = [
     gate("CCX", 2, 0, 1),
     gate("MCX", 0, 1, 2),
     gate("MCRY", 2, 1, 0, angle=1.3),
+    gate("UCRY", 2, 0, 1, angle=(0.4, -1.2, 0.0, 2.5)),
+    gate("UCRZ", 1, 2, angle=(0.9, -0.3)),
 ]
 
 
@@ -353,6 +424,25 @@ def test_qasm_decomposes_nonstandard_gates():
     parsed = parse_qasm(export(c, "qasm"))
     assert all(g.kind != "MCRY" for g in parsed)
     np.testing.assert_allclose(unitary_of(parsed), unitary_of(c), atol=1e-12)
+
+
+def test_export_lowers_native_multiplexers_only():
+    ucry = gate("UCRY", 0, 2, 1, angle=(0.3, 0.0, -0.8, 1.1))
+    ucrz = gate("UCRZ", 2, 0, angle=(0.5, -0.5))
+    mcx = gate("MCX", 0, 1, 2)
+    c = Circuit(3, [mcx, ucry, ucrz])
+    lowered = ucry_gates((0, 2), 1, ucry.angle) + ucrz_gates((2,), 0, ucrz.angle)
+    assert parse_listing(export(c, "listing")) == Circuit(3, [mcx, *lowered])
+    assert parse_qasm(export(c, "qasm")) == decompose(c)
+
+
+def test_parsers_reject_native_multiplexers():
+    for line in ("UCRY 1 0 0.5 0.25", "UCRZ 0 0.5", "UCRY 1 0 (0.5, 0.25)"):
+        with pytest.raises(ValueError, match="listing"):
+            parse_listing(f"qubits 2\n{line}\n")
+    for line in ("ucry(0.5) q[1],q[0];", "UCRZ(0.5) q[0];"):
+        with pytest.raises(ValueError, match="unsupported"):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{line}\n")
 
 
 def test_export_rejects_unknown_format():
@@ -408,6 +498,7 @@ def test_serialization_roundtrip_property(c):
 _FILE_TOKENS = st.sampled_from(
     ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg", "q[", "]", ";", "(", ")",
      ",", "qubits", "h", "cx", "ry", "cp", "H", "CX", "RY", "MCX", "MCRY", "SWAP",
+     "UCRY", "UCRZ", "ucry",
      "0", "1", "3", "-1", "30", "0.5", "nan", "inf", "1e999", " ", "//", "#"]
 )
 _FILE_LINES = st.one_of(

@@ -7,9 +7,10 @@ capsys, so the assertions see exactly what a shell user would.
 import numpy as np
 import pytest
 
-from hqsp.circuit import parse_listing, parse_qasm
+from hqsp.circuit import decompose, parse_listing, parse_qasm
 from hqsp.cli import main
-from hqsp.signals import gen_gaussian, save_signal_csv
+from hqsp.loaders import eae_real
+from hqsp.signals import gen_gaussian, ingest_waveform_csv, save_signal_csv
 from hqsp.statesim import simulate
 from hqsp.transforms import load_compressed_csv, read_amplitude_csv
 
@@ -96,6 +97,11 @@ def test_compress_requires_levels_for_haar(gaussian_csv, capsys):
     assert "needs --levels" in capsys.readouterr().err
 
 
+def test_compress_dft_rejects_levels(gaussian_csv, capsys):
+    assert main(["compress", str(gaussian_csv), "--transform", "dft", "--levels", "3"]) == 2
+    assert "--levels" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth / simulate / export
 # ---------------------------------------------------------------------------
@@ -146,6 +152,18 @@ def test_synth_eae_and_fsl(gaussian_csv, tmp_path):
     assert parse_listing(fsl.read_text()).n_qubits == 8
 
 
+@pytest.mark.parametrize("suffix", [".txt", ".qasm"])
+def test_synth_out_counts_written_gates(gaussian_csv, tmp_path, capsys, suffix):
+    # the loader's multiplexers are written lowered, one line per gate
+    out = tmp_path / f"eae{suffix}"
+    assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(out)]) == 0
+    parse = parse_qasm if suffix == ".qasm" else parse_listing
+    written = parse(out.read_text())
+    samples = np.asarray(ingest_waveform_csv(gaussian_csv).samples, dtype=float)
+    assert written == decompose(eae_real(samples))
+    assert f"wrote {len(written)} gates to {out}" in capsys.readouterr().out
+
+
 def test_simulate_circuit_file(tmp_path, capsys):
     circ = tmp_path / "bell.txt"
     circ.write_text("qubits 2\nH 0\nCX 0 1\n")
@@ -167,6 +185,18 @@ def test_circuit_file_rejects_non_finite_angle(tmp_path, capsys, command, angle)
     out = tmp_path / "c.qasm"
     assert main([command, str(circ), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "export"])
+@pytest.mark.parametrize("line", ["UCRY 1 0 0.5 0.25", "UCRZ 0 0.5"])
+def test_circuit_file_rejects_native_multiplexer(tmp_path, capsys, command, line):
+    # no export writes one: listings hold the lowered ladder
+    circ = tmp_path / "c.txt"
+    circ.write_text(f"qubits 2\n{line}\n")
+    out = tmp_path / "c.qasm"
+    assert main([command, str(circ), "--out", str(out)]) == 2
+    assert "listing" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -247,6 +277,17 @@ def test_prepare_writes_output_dir(tmp_path, capsys):
 def test_prepare_rejects_bad_signal_param(tmp_path, capsys, line, key):
     conf = tmp_path / "exp.conf"
     conf.write_text(f"signal.kind = sinc\n{line}\ntransform.levels = 3\n")
+    assert main(["prepare", str(conf)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("transform.levels = 2.7", "transform.levels"), ("baselines.eae = no", "baselines.eae")],
+)
+def test_prepare_rejects_coerced_value(tmp_path, capsys, line, key):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"signal.kind = sinc\nsignal.N = 256\n{line}\n")
     assert main(["prepare", str(conf)]) == 2
     assert key in capsys.readouterr().err
 

@@ -171,8 +171,24 @@ def test_config_rejects_bad_signal_params(tmp_path, lines, message):
 
 @pytest.mark.parametrize(
     "line",
-    ["transform.levels = inf", "epsilon = 1" + "0" * 400, "threshold.value = x"],
-    ids=["levels-inf", "epsilon-overflow", "threshold-text"],
+    [
+        "transform.levels = inf",
+        "epsilon = 1" + "0" * 400,
+        "threshold.value = x",
+        # a level is an integer and the baseline switch a boolean, as written
+        "transform.levels = 2.7",
+        "transform.levels = 3.0",
+        "transform.levels = true",
+        'transform.levels = "3"',
+        "baselines.eae = no",
+        'baselines.eae = "false"',
+        "baselines.eae = 0",
+    ],
+    ids=[
+        "levels-inf", "epsilon-overflow", "threshold-text", "levels-fraction",
+        "levels-float", "levels-bool", "levels-text", "eae-text", "eae-quoted",
+        "eae-int",
+    ],
 )
 def test_config_rejects_unconvertible_values(tmp_path, line):
     path = tmp_path / "exp.conf"
