@@ -10,7 +10,8 @@ number of controls, one target and a tuple of ``2**k`` pattern angles
 (``controls[j]`` is bit j of the pattern), so a whole cascade level is one
 gate for the simulator.  :func:`decompose` and :func:`export` lower them to
 their Gray-code ladders, which is what every count, depth and QASM file
-describes.
+describes; :func:`report` and :func:`depth` price that ladder from the
+angles without building it.
 
 Decomposition targets the base set {H, X, RX, RY, RZ, PHASE, CX}.  The
 multi-controlled gates reduce through uniformly controlled rotations
@@ -79,6 +80,8 @@ _LISTING_KINDS = GATE_KINDS - _MULTIPLEXER_KINDS.keys()
 
 _BASE_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE", "CX"})
 _SINGLE_QUBIT_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE"})
+# what the scheduler takes as it is: base gates and native multiplexers
+_SCHEDULED_KINDS = _BASE_KINDS | _MULTIPLEXER_KINDS.keys()
 
 # rotations drop below this magnitude are identity for all practical purposes
 _ANGLE_EPS = 1e-14
@@ -132,7 +135,12 @@ def gate(kind: str, *qubits: int, angle=None) -> Gate:
         if kind in _MULTIPLEXER_KINDS:
             angle = _pattern_angles(kind, angle, len(qubits) - 1)
         else:
-            angle = float(angle)
+            try:
+                angle = float(angle)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{kind} angle must be a real number, got {angle!r}"
+                ) from None
             if not math.isfinite(angle):
                 raise ValueError(f"{kind} angle must be finite, got {angle}")
     elif angle is not None:
@@ -257,23 +265,32 @@ def _multiplexer_angles(pattern_angles: np.ndarray) -> np.ndarray:
     return xi[idx ^ (idx >> 1)]
 
 
+def _kept_walk(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gray-walk angles of a multiplexer with the mask of the rotations its
+    ladder keeps (magnitude at least ``_ANGLE_EPS``); the one elision test
+    shared by lowering and scheduling."""
+    if not np.isfinite(theta).all():
+        raise ValueError("multiplexer pattern angles must be finite")
+    phi = _multiplexer_angles(theta)
+    return phi, np.abs(phi) >= _ANGLE_EPS
+
+
 def _ucr_gates(kind: str, controls, target: int, pattern_angles) -> list[Gate]:
     controls = tuple(controls)
     theta = np.asarray(pattern_angles, dtype=float)
     k = len(controls)
     if theta.shape != (2**k,):
         raise ValueError(f"need {2**k} pattern angles for {k} controls")
+    phi, kept = _kept_walk(theta)
     if k == 0:
-        if abs(theta[0]) < _ANGLE_EPS:
-            return []
-        return [gate(kind, target, angle=theta[0])]
+        return [gate(kind, target, angle=phi[0])] if kept[0] else []
     # one validated CX per control, shared along the ladder (gates are frozen)
     cx = [gate("CX", c, target) for c in controls]
     wire = cx[0].targets
     gates: list[Gate] = []
-    for i, phi in enumerate(_multiplexer_angles(theta).tolist()):
-        if abs(phi) >= _ANGLE_EPS:
-            gates.append(Gate(kind, wire, phi))
+    for i, (angle, keep) in enumerate(zip(phi.tolist(), kept.tolist())):
+        if keep:
+            gates.append(Gate(kind, wire, angle))
         # Gray-code walk: flip the bit that changes between successive codes
         gates.append(cx[_ctz(i + 1)] if i + 1 < 2**k else cx[k - 1])
     return gates
@@ -288,7 +305,8 @@ def ucry_gates(controls, target: int, pattern_angles) -> list[Gate]:
     when the control qubits hold bit pattern ``p`` (``controls[j]`` is bit j).
 
     Emits exactly ``2**k`` CX for k >= 1 controls; zero-angle rotations are
-    dropped but the CX ladder is kept intact so counts stay structural.
+    dropped but the CX ladder is kept intact so counts stay structural.  A
+    non-finite pattern angle raises ``ValueError``.
     """
     return _ucr_gates("RY", controls, target, pattern_angles)
 
@@ -401,12 +419,18 @@ def decompose(circuit: Circuit) -> Circuit:
 
 
 def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
-    """One ASAP pass: (CX count, single-qubit count, depth) of ``gates``,
-    every gate counting one layer across all of its operands."""
+    """One ASAP pass: (CX count, single-qubit count, depth) of ``gates``.
+    A native multiplexer schedules as its Gray-code ladder; every other
+    gate counts one layer across all of its operands."""
     frontier = [0] * n_qubits
     cx = single = 0
     for g in gates:
         qubits = g.qubits
+        if g.kind in _MULTIPLEXER_KINDS:
+            ladder_cx, rotations = _schedule_ladder(frontier, g)
+            cx += ladder_cx
+            single += rotations
+            continue
         if len(qubits) == 1:
             frontier[qubits[0]] += 1
             single += g.kind in _SINGLE_QUBIT_KINDS
@@ -418,23 +442,56 @@ def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
     return cx, single, max(frontier, default=0)
 
 
+def _schedule_ladder(frontier: list[int], g: Gate) -> tuple[int, int]:
+    """Advance ``frontier`` over the Gray-code ladder of the multiplexer
+    ``g`` in closed form, without building it; returns (CX, rotations).
+
+    Walk position i holds a rotation when its angle survives elision, then
+    CX(controls[ctz(i + 1)], target), the last one on ``controls[k - 1]``.
+    Without waits the target's frontier after the CX at position i is its
+    start plus ``i + 1`` plus the rotations kept up to i.  Control j first
+    meets the target at position ``2**j - 1``, where the target may wait
+    for it; after that its frontier is the target's and never passes it,
+    so it ends at the target's frontier after its last CX, at position
+    ``2**k - 2**j - 1`` (``2**k - 1`` for j = k - 1), past every first one.
+    """
+    *controls, target = g.qubits
+    k = len(controls)
+    _, kept = _kept_walk(np.asarray(g.angle, dtype=float))
+    rotations = np.cumsum(kept).tolist()  # kept rotations at walk positions <= i
+    cx = 2**k if k else 0
+    start = frontier[target]
+    for j, c in enumerate(controls):
+        first = 2**j - 1
+        start += max(0, frontier[c] - (start + rotations[first] + first))
+    for j, c in enumerate(controls):
+        last = 2**k - 1 if j == k - 1 else 2**k - 2**j - 1
+        frontier[c] = start + rotations[last] + last + 1
+    frontier[target] = start + rotations[-1] + cx
+    return cx, rotations[-1]
+
+
 def depth(circuit: Circuit) -> int:
     """ASAP-schedule depth with every gate counting one layer.
 
-    Meant for already-decomposed circuits; multi-qubit gates still schedule
-    correctly (one layer spanning all their operands) if present.
+    Native multiplexers schedule as their Gray-code ladders, as in
+    :func:`report`, so a circuit of base gates and multiplexers has the
+    depth of its decomposition; any other multi-qubit gate counts one layer
+    spanning all of its operands.
     """
     return _schedule(circuit.n_qubits, circuit)[2]
 
 
 def report(circuit: Circuit, stages: dict[str, Circuit] | None = None) -> ResourceReport:
     """Tally CX count, single-qubit count and ASAP depth of the decomposed
-    circuit, lowering gate by gate in one pass without building it.
+    circuit in one pass without building it: composite gates are lowered
+    one at a time, and native multiplexers are priced from their angles
+    without building their ladders.
 
     ``stages`` attaches per-stage sub-reports (each stage scheduled on its
     own); the top-level depth is that of the whole scheduled circuit.
     """
-    rep = ResourceReport(*_schedule(circuit.n_qubits, _lowered(circuit)))
+    rep = ResourceReport(*_schedule(circuit.n_qubits, _lowered(circuit, _SCHEDULED_KINDS)))
     if stages:
         rep.stage_breakdown = {name: report(sub) for name, sub in stages.items()}
     return rep

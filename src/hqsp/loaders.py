@@ -216,36 +216,25 @@ def _popcounts(arr: np.ndarray) -> np.ndarray:
     return np.array([int(v).bit_count() for v in arr], dtype=np.int64)
 
 
-def _greedy_cover(constraints, b: int, span: int) -> list[int]:
-    """Smallest-effort control set separating each anchor from its targets.
+def _greedy_cover(anchor: int, targets: np.ndarray, b: int, span: int) -> list[int]:
+    """Smallest-effort control set separating ``anchor`` from ``targets``.
 
-    ``constraints`` is a list of (anchor, targets) with targets an int64
-    array; the returned bits (never ``b``) make every anchor's pattern
-    unique against its targets.  Greedy by maximum constraint kills,
-    deterministic tie-break on the lower bit index.
+    ``targets`` is an int64 array; the returned bits (below ``span``, never
+    ``b``) make the anchor's pattern unique against every target.  Greedy
+    by maximum kills over the matrix of bits where each target differs from
+    the anchor; ``argmax`` takes the first maximum, so ties go to the lower
+    bit index.
     """
-    rem = [(a, t) for a, t in constraints if len(t)]
+    differs = ((targets ^ anchor)[:, None] >> np.arange(span)) & 1
+    differs[:, b] = 0
     cover: list[int] = []
-    while rem:
-        best_c, best_kill = -1, 0
-        for c in range(span):
-            if c == b or c in cover:
-                continue
-            bit = 1 << c
-            kill = sum(
-                int(np.count_nonzero((t & bit) != (a & bit))) for a, t in rem
-            )
-            if kill > best_kill:
-                best_kill, best_c = kill, c
-        if best_c < 0:
+    while len(differs):
+        kills = differs.sum(axis=0)
+        c = int(kills.argmax())
+        if kills[c] == 0:
             raise RuntimeError("merge constraints are not separable")
-        cover.append(best_c)
-        bit = 1 << best_c
-        rem = [
-            (a, kept)
-            for a, t in rem
-            if len(kept := t[(t & bit) == (a & bit)])
-        ]
+        cover.append(c)
+        differs = differs[differs[:, c] == 0]
     return sorted(cover)
 
 
@@ -265,7 +254,7 @@ def _merge_cost(x: int, y: int, others: np.ndarray, span: int):
         spread = D ^ b_bit
         xp = x ^ spread if (x & b_bit) else x
         images = _aligned_images(others, b_bit, spread)
-        cover = _greedy_cover([(xp, images)], b, span)
+        cover = _greedy_cover(xp, images, b, span)
         cost = 2 * (m - 1) + (2 ** len(cover) if cover else 0)
         if best is None or cost < best[0]:
             best = (cost, b, cover, spread)

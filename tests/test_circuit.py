@@ -73,6 +73,10 @@ def test_gate_angle_rules():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             gate("RY", 0, angle=bad)
+    # a scalar rotation takes one real number; anything else names the kind
+    for bad in ([0.5], (0.5,), np.array([0.5]), 1j, "half", object()):
+        with pytest.raises(ValueError, match="RZ angle must be a real number"):
+            gate("RZ", 0, angle=bad)
 
 
 def test_gate_control_target_split():
@@ -170,6 +174,17 @@ def test_multiplexer_zero_controls():
 def test_multiplexer_rejects_wrong_angle_count():
     with pytest.raises(ValueError):
         ucry_gates((1, 2), 0, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("builder", [ucry_gates, ucrz_gates])
+def test_multiplexer_rejects_non_finite_angle(k, builder):
+    # abs(nan) >= eps is false: the elision test alone would drop a NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        angles = np.full(2**k, 0.3)
+        angles[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            builder(tuple(range(1, k + 1)), 0, angles)
 
 
 def _fwht_loop(v):
@@ -308,6 +323,45 @@ def test_depth_parallel_vs_serial():
     assert depth(Circuit(3, [gate("CX", 0, 1), gate("CX", 1, 2)])) == 2
     assert depth(Circuit(3, [gate("CX", 0, 1), gate("X", 2)])) == 1
     assert depth(Circuit(2)) == 0
+
+
+@st.composite
+def prefixed_multiplexers(draw):
+    """Random CX/H/X prefixes (uneven frontiers) followed by 1-4 native
+    UCRY/UCRZ with 0-6 controls; patterns are random, have exact zeros, or
+    are all equal (so most Gray-walk angles vanish)."""
+    n = draw(st.integers(1, 8))
+    c = Circuit(n)
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["CX", "H", "X"]))
+        if kind == "CX":
+            if n > 1:
+                a, b = draw(st.permutations(range(n)))[:2]
+                c.add("CX", a, b)
+        else:
+            c.add(kind, draw(st.integers(0, n - 1)))
+    angle = st.floats(-4.0, 4.0, allow_nan=False)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, min(6, n - 1)))
+        wires = draw(st.permutations(range(n)))[: k + 1]
+        pattern = draw(st.sampled_from(["random", "zeros", "equal"]))
+        if pattern == "equal":
+            angles = [draw(angle)] * 2**k
+        else:
+            slot = st.one_of(st.just(0.0), angle) if pattern == "zeros" else angle
+            angles = draw(st.lists(slot, min_size=2**k, max_size=2**k))
+        c.add(draw(st.sampled_from(["UCRY", "UCRZ"])), *wires, angle=angles)
+    return c
+
+
+@given(prefixed_multiplexers())
+@settings(max_examples=200, deadline=None)
+def test_ladder_schedule_matches_lowering(c):
+    # report schedules native multiplexers in closed form; the decomposed
+    # circuit is scheduled gate by gate
+    rep = report(c)
+    assert rep == report(decompose(c))
+    assert depth(c) == rep.depth
 
 
 def test_report_counts_and_stages():

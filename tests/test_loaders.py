@@ -19,6 +19,7 @@ from hqsp.loaders import (
     eae_real,
     sqsp,
 )
+from hqsp.loaders import _greedy_cover
 from hqsp.signals import gen_periodic
 from hqsp.statesim import fidelity, simulate
 from hqsp.transforms import (
@@ -197,6 +198,51 @@ def test_sqsp_dense_subcube_path():
 def test_sqsp_stays_on_register():
     s = _random_sparse(9, 12, True)
     assert all(max(g.qubits) < 9 for g in sqsp(s))
+
+
+def _greedy_cover_loop(anchor, targets, b, span):
+    """Per-bit greedy loop: the reference for the bit-matrix cover search."""
+    rem = targets
+    cover = []
+    while len(rem):
+        best_c, best_kill = -1, 0
+        for c in range(span):
+            if c == b or c in cover:
+                continue
+            bit = 1 << c
+            kill = int(np.count_nonzero((rem & bit) != (anchor & bit)))
+            if kill > best_kill:
+                best_kill, best_c = kill, c
+        if best_c < 0:
+            raise RuntimeError("merge constraints are not separable")
+        cover.append(best_c)
+        bit = 1 << best_c
+        rem = rem[(rem & bit) == (anchor & bit)]
+    return sorted(cover)
+
+
+def test_greedy_cover_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    raised = 0
+    for _ in range(400):
+        span = int(rng.integers(1, 13))
+        b = int(rng.integers(span))
+        anchor = int(rng.integers(2**span))
+        size = int(rng.integers(0, min(2**span, 40) + 1))
+        targets = rng.choice(2**span, size=size, replace=False).astype(np.int64)
+        try:
+            expected = _greedy_cover_loop(anchor, targets, b, span)
+        except RuntimeError:
+            # a target equal to the anchor off bit b cannot be separated
+            raised += 1
+            with pytest.raises(RuntimeError, match="not separable"):
+                _greedy_cover(anchor, targets, b, span)
+            continue
+        assert _greedy_cover(anchor, targets, b, span) == expected
+    assert 0 < raised < 400
+    assert _greedy_cover(5, np.array([], dtype=np.int64), 0, 4) == []
+    with pytest.raises(RuntimeError, match="not separable"):
+        _greedy_cover(0b0101, np.array([0b0100, 0b0110], dtype=np.int64), 0, 4)
 
 
 # ---------------------------------------------------------------------------
