@@ -13,17 +13,9 @@ if the operating point ever changes).  Run from the repository root:
     python3 scripts/calibrate_sinc_range.py
 """
 
-import numpy as np
-
+from hqsp.pipeline import compression_point
 from hqsp.signals import gen_sinc
-from hqsp.transforms import (
-    FRACTION_OF_MAX,
-    ThresholdPolicy,
-    classical_reconstruct,
-    packet_dhwt,
-    threshold_normalize,
-)
-from hqsp.statesim import trace_distance
+from hqsp.transforms import FRACTION_OF_MAX, ThresholdPolicy
 
 N = 2**15
 LEVELS = 10
@@ -33,12 +25,7 @@ TARGET_D = 110
 
 def operating_point(half_range: float) -> tuple[int, float, float]:
     signal = gen_sinc(N, -half_range, half_range)
-    x = np.asarray(signal.samples)
-    compressed = threshold_normalize(
-        packet_dhwt(x, LEVELS), ThresholdPolicy(FRACTION_OF_MAX, TAU)
-    )
-    reconstruction = np.asarray(classical_reconstruct(compressed).samples)
-    return compressed.d, N / compressed.d, trace_distance(reconstruction, x)
+    return compression_point(signal, LEVELS, ThresholdPolicy(FRACTION_OF_MAX, TAU))
 
 
 def main() -> None:

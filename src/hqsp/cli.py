@@ -189,8 +189,9 @@ def cmd_compress(args) -> int:
     except ValueError as err:
         # the descriptor's levels are the --levels flag here
         raise PipelineError(str(err).replace("levels", "--levels")) from None
-    compressed = threshold_normalize(analyse(x, descriptor), _threshold_from_args(args))
-    d, cr, td = _price(x, compressed)
+    X = analyse(x, descriptor)
+    compressed = threshold_normalize(X, _threshold_from_args(args))
+    d, cr, td = _price(X, compressed)
     print(f"d={d} CR={cr:.1f} TD={td:.4f}")
     if args.out is not None:
         save_compressed_csv(compressed, args.out)

@@ -18,17 +18,20 @@ Three loaders with very different cost regimes:
   patterns are free ride along in the same multiplexer at no CX cost.
   When the support is dense inside its bounding subcube (where covers stop
   being small), the synthesizer switches to an amplitude cascade over the
-  cube's free bits at ``2**k - 2`` CX instead.
+  cube's free bits at ``2**k - 2`` CX (doubled for complex amplitudes)
+  instead.
 
 The cascades, sqsp's subcube one included, emit one native ``UCRY``/``UCRZ``
-op per level.  Merges emit the lowered ladder, because the peephole pass
-run on their reversed adjoint cancels CX pairs inside ladders.  Every CX
-count quoted here is of the lowered circuit (:func:`hqsp.circuit.decompose`).
+op per level (lowered and peephole-cancelled only when two of its lowered
+CX would meet, which its angles show).  Merges emit the lowered ladder,
+because the peephole pass run on their reversed adjoint cancels CX pairs
+inside ladders.  Every CX count quoted here is of the lowered circuit
+(:func:`hqsp.circuit.decompose`).
 
 The SQSP CX count is bounded by ``c * n * d`` with c = 8 on the randomized
-families exercised in the test suite (see the regression-slope test);
-adversarial supports can exceed the linear regime, which is documented
-rather than guarded.
+families exercised in the test suite (see the regression-slope test).  It
+never exceeds the cascade over the support's bounding subcube: when the
+merged circuit would cost more CX, :func:`sqsp` returns the cascade.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, cancel_adjacent_inverses, decompose, gate, inverse
-from .circuit import ucry_gates
+from .circuit import _kept_walk, ucry_gates
 
 __all__ = [
     "SparseState",
@@ -281,6 +284,36 @@ def _subcube_cascade(indices, amps, cube_bits: list[int], is_real: bool) -> list
     ]
 
 
+def _subcube_circuit(n: int, base: int, indices, amps, cube_bits, is_real) -> Circuit:
+    """The X gates setting ``base``, then the subcube cascade as native
+    levels, or lowered and peephole-cancelled when that finds a CX pair."""
+    circ = Circuit(n).extend(gate("X", b) for b in _bits(base))
+    levels = _subcube_cascade(indices, amps, cube_bits, is_real)
+    circ.extend(levels)
+    if _lowered_pair_meets(levels):
+        return cancel_adjacent_inverses(decompose(circ))
+    return circ
+
+
+def _lowered_pair_meets(levels: list[Gate]) -> bool:
+    """Whether two CX of the lowered cascade meet, read off the angles.
+
+    A one-control level lowers to R(phi0) CX R(phi1) CX, so its CX pair
+    meets when phi1 is elided.  On a two-bit complex cube the RY levels'
+    last CX also meets the one-control RZ level's first CX when the
+    zero-control RZ level and that level's phi0 are both elided.  No other
+    pair can meet: in a ladder of two or more controls consecutive CX have
+    different controls, and every other level starts on a wire the level
+    before it touched last with a different gate.
+    """
+    kept = [_kept_walk(np.asarray(g.angle))[1] for g in levels]
+    if any(len(mask) == 2 and not mask[1] for mask in kept):
+        return True
+    kinds = [(g.kind, len(g.controls)) for g in levels]
+    two_bit_complex = [("UCRY", 0), ("UCRY", 1), ("UCRZ", 0), ("UCRZ", 1)]
+    return kinds == two_bit_complex and not kept[2][0] and not kept[3][0]
+
+
 def _merge_angle(a0, a1, kept_value: int) -> float:
     """RY angle sending the (slot0, slot1) amplitude pair onto the kept slot."""
     if kept_value == 0:
@@ -298,7 +331,9 @@ def _pattern_of(state: int, cover: list[int]) -> int:
 def sqsp(state: SparseState) -> Circuit:
     """Sparse state preparation; simulate(result) equals the state up to a
     global phase.  CX cost is linear in d on the tested families (see the
-    module docstring for the c * n * d bound)."""
+    module docstring for the c * n * d bound) and never above the cascade
+    over the support's bounding subcube, ``2**k - 2`` CX for k free bits,
+    doubled for complex amplitudes."""
     n = state.n
     circ = Circuit(n)
     if state.d == 1:
@@ -317,15 +352,9 @@ def sqsp(state: SparseState) -> Circuit:
     cube_bits = _bits(int(np.bitwise_or.reduce(indices)) ^ base)
     is_real = bool(np.all(np.abs(amps.imag) < _REAL_EPS))
     dense_cx = (2 ** len(cube_bits) - 2) * (1 if is_real else 2)
+    subcube = (n, base, indices, amps, cube_bits, is_real)
     if dense_cx < _MERGE_CX_PER_STATE * state.d:
-        circ.extend(gate("X", b) for b in _bits(base))
-        circ.extend(_subcube_cascade(indices, amps, cube_bits, is_real))
-        # the peephole pass only sees a ladder once it is lowered (a
-        # one-control level whose second rotation vanishes ends in a CX
-        # pair): keep the native levels unless cancellation finds a pair
-        lowered = decompose(circ)
-        kept = cancel_adjacent_inverses(lowered)
-        return circ if len(kept) == len(lowered) else kept
+        return _subcube_circuit(*subcube)
 
     weights = _popcounts(indices)
     # pinned processing order: descending Hamming weight, ties by index
@@ -350,7 +379,11 @@ def sqsp(state: SparseState) -> Circuit:
         for g in reversed(step_gates):
             prep.append(inverse(g))
     circ.extend(prep)
-    return cancel_adjacent_inverses(circ)
+    merged = cancel_adjacent_inverses(circ)
+    # the guarantee: merges hold only base gates, so this counts lowered CX
+    if sum(g.kind == "CX" for g in merged) > dense_cx:
+        return _subcube_circuit(*subcube)
+    return merged
 
 
 @dataclass

@@ -16,9 +16,10 @@ drivers reproduce the standard comparison tables: :func:`run_table1`
 (hybrid vs. exact amplitude encoding across four signal families) and
 :func:`run_table2` (Fourier series loader costs), while :func:`sweep_ppg`
 maps compression quality over a (levels, threshold) grid of waveform
-recordings, transforming each (recording, levels) pair once and pricing
-every threshold from that one transform.  Records serialize to CSV and
-JSON with fixed formatting so reruns are byte-identical.
+recordings, analysing each recording once, deepened level by level.
+Classical trace distances are priced from the transform by Parseval, with
+no inverse transform.  Records serialize to CSV and JSON with fixed
+formatting so reruns are byte-identical.
 
 The input signal is always normalized to unit norm before the transform,
 so absolute thresholds refer to coefficients of a unit vector and are
@@ -30,6 +31,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,9 +60,10 @@ from .transforms import (
     CompressedVector,
     ThresholdPolicy,
     TransformDescriptor,
+    _check_levels,
     analyse,
-    classical_reconstruct,
     compression_ratio,
+    packet_analysis,
     packet_dhwt,
     threshold_normalize,
 )
@@ -104,7 +107,7 @@ TABLE1_REFERENCE_SQSP_CX = {
 CR_VALID_LOW = 15.0
 CR_VALID_HIGH = 235.0
 
-_AGREEMENT_TOL = 1e-6
+_AGREEMENT_TOL = 1e-9
 
 
 class PipelineError(Exception):
@@ -426,6 +429,12 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     """Run one experiment: compress classically, load and decompress on the
     register, simulate, and price everything.
 
+    The classical TD is priced from the transform by Parseval (see
+    :func:`_price`) right after thresholding, so the transform is released
+    before the loader and the simulator allocate; the simulated TD is the
+    residual-form trace distance of the simulated register to the input,
+    and the record checks that the two agree.
+
     Raises :class:`ToleranceExceededError` when the prepared state is
     farther than ``cfg.epsilon`` from the input in trace distance, and
     :class:`hqsp.transforms.EmptySupportError` when thresholding empties
@@ -435,13 +444,15 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     x = _unit_samples(signal)
     n = signal.n
 
-    compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
+    X = analyse(x, cfg.descriptor)
+    compressed = threshold_normalize(X, cfg.threshold)
+    d, cr, classical_td = _price(X, compressed)
+    del X  # released before the loader and the simulator allocate
     load = sqsp(SparseState.from_compressed(compressed))
     decompression = _decompression_circuit(n, cfg)
     circuit = load + decompression
 
     psi = simulate(circuit)
-    d, cr, classical_td = _price(x, compressed)
     simulated_td = trace_distance(psi, x)
     if simulated_td >= cfg.epsilon:
         raise ToleranceExceededError(simulated_td, cfg.epsilon)
@@ -599,13 +610,21 @@ DEFAULT_SWEEP_LEVELS = tuple(range(8, 15))
 DEFAULT_SWEEP_TAUS = (0.0, 0.001, 0.002, 0.0041, 0.008, 0.02)
 
 
-def _price(x: np.ndarray, compressed: CompressedVector) -> tuple[int, float, float]:
-    """(d, CR, TD) of ``compressed``, a thresholded transform of ``x``."""
-    reconstruction = np.asarray(classical_reconstruct(compressed).samples)
+def _price(X: CompressedVector, compressed: CompressedVector) -> tuple[int, float, float]:
+    """(d, CR, TD) of ``compressed``, the thresholded transform ``X``.
+
+    Both transforms are orthonormal and thresholding is the only
+    approximation, so by Parseval the trace distance between the
+    reconstruction and the input is the root of the share of ``X``'s
+    energy in the coefficients ``compressed`` zeroed: nothing is
+    inverse-transformed.
+    """
+    energy = np.abs(X.coefficients) ** 2
+    dropped = energy[compressed.coefficients == 0].sum()
     return (
         compressed.d,
         compression_ratio(2**compressed.n, compressed.d),
-        trace_distance(reconstruction, x),
+        math.sqrt(min(1.0, float(dropped / energy.sum()))),
     )
 
 
@@ -613,8 +632,8 @@ def compression_point(
     signal: Signal, levels: int, policy: ThresholdPolicy
 ) -> tuple[int, float, float]:
     """(d, CR, TD) of one classical compression, without any synthesis."""
-    x = _unit_samples(signal)
-    return _price(x, threshold_normalize(packet_dhwt(x, levels), policy))
+    X = packet_dhwt(_unit_samples(signal), levels)
+    return _price(X, threshold_normalize(X, policy))
 
 
 def sweep_ppg(
@@ -627,38 +646,44 @@ def sweep_ppg(
     recording CSV in ``dataset_dir``, flagging cells whose mean CR falls in
     the useful band [15, 235].
 
-    Each (recording, levels) pair is transformed once and priced at every
-    tau, so the grid costs one packet Haar analysis per recording and
-    level.  Cells come out in grid order (levels, then tau); each equals
-    the mean and standard deviation of :func:`compression_point` over the
-    recordings in file-name order.
+    Each recording is analysed once: one running packet Haar analysis per
+    recording is deepened level by level in lockstep, holding one level at
+    a time, and every tau is priced from the levels the grid names.  Cells
+    come out in the caller's grid order (levels, then tau); each equals the
+    mean and standard deviation of :func:`compression_point` over the
+    recordings in file-name order.  A level outside ``[1, n]`` for some
+    recording raises ``ValueError`` as :func:`packet_dhwt` does.
     """
     paths = sorted(Path(dataset_dir).glob("*.csv"))
     if not paths:
         raise FileNotFoundError(f"no recording CSVs under {dataset_dir}")
     units = [_unit_samples(ingest_waveform_csv(p)) for p in paths]
-    taus = tuple(taus)
-    cells = []
+    levels, taus = tuple(levels), tuple(taus)
     for level in levels:
-        coeffs = [packet_dhwt(x, level) for x in units]
-        for tau in taus:
+        for x in units:
+            _check_levels(int(math.log2(len(x))), level)
+    analyses = [packet_analysis(x) for x in units]
+    coeffs: list = [None] * len(units)
+    cells = {}
+    for level in range(1, max(levels, default=0) + 1):
+        for i, analysis in enumerate(analyses):
+            coeffs[i] = next(analysis)  # drops this recording's previous level
+        if level not in levels:
+            continue
+        for j, tau in enumerate(taus):  # by position: 0.0 and -0.0 are two cells
             policy = ThresholdPolicy(mode, tau)
-            points = [
-                _price(x, threshold_normalize(X, policy)) for x, X in zip(units, coeffs)
-            ]
+            points = [_price(X, threshold_normalize(X, policy)) for X in coeffs]
             crs = np.array([cr for _, cr, _ in points])
             mean_cr = float(crs.mean())
-            cells.append(
-                SweepCell(
-                    levels=level,
-                    tau=tau,
-                    mean_td=float(np.mean([td for _, _, td in points])),
-                    mean_cr=mean_cr,
-                    std_cr=float(crs.std()),
-                    in_valid_regime=CR_VALID_LOW <= mean_cr <= CR_VALID_HIGH,
-                )
+            cells[level, j] = SweepCell(
+                levels=level,
+                tau=tau,
+                mean_td=float(np.mean([td for _, _, td in points])),
+                mean_cr=mean_cr,
+                std_cr=float(crs.std()),
+                in_valid_regime=CR_VALID_LOW <= mean_cr <= CR_VALID_HIGH,
             )
-    return cells
+    return [cells[level, j] for level in levels for j in range(len(taus))]
 
 
 # ---------------------------------------------------------------------------

@@ -224,11 +224,28 @@ def ingest_waveform_csv(path) -> Signal:
     original sample count is kept in ``metadata['original_length']``.
     A cell that is not a finite number raises :class:`NonNumericCellError`."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
     if not rows:
         raise EmptyColumnError(f"{path}: no data rows")
+    try:
+        values = np.array([float(row[0]) for row in rows])
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = _checked_cells(path, rows)  # raises, naming the first bad row
+    original = len(values)
+    padded = np.zeros(_next_pow2(original))
+    padded[:original] = values
+    sig = _normalized(padded, f"waveform:{path}")
+    sig.metadata["original_length"] = original
+    return sig
+
+
+def _checked_cells(path, rows) -> list[float]:
+    """The first cells of ``rows`` as floats, row by row; the first one that
+    is not a finite number raises :class:`NonNumericCellError`."""
     values = []
     for lineno, row in enumerate(rows, start=1):
         cell = row[0].strip()
@@ -238,12 +255,7 @@ def ingest_waveform_csv(path) -> Signal:
                 f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
             )
         values.append(value)
-    original = len(values)
-    padded = np.zeros(_next_pow2(original))
-    padded[:original] = values
-    sig = _normalized(padded, f"waveform:{path}")
-    sig.metadata["original_length"] = original
-    return sig
+    return values
 
 
 def _is_number(cell: str) -> bool:

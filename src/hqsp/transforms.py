@@ -19,7 +19,9 @@ then ``index,real,imaginary`` rows.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
     "WrongTransformError",
     "dft",
     "idft",
+    "packet_analysis",
     "packet_dhwt",
     "packet_idhwt",
     "threshold_normalize",
@@ -164,17 +167,29 @@ def _haar_level_inverse(values: np.ndarray, block: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def packet_dhwt(x: Signal, levels: int) -> CompressedVector:
-    """Packet Haar analysis: both halves of every block are re-analysed at
-    each of the ``levels`` stages.  Orthogonal, norm-preserving."""
-    samples = _as_samples(x)
-    n = int(math.log2(len(samples)))
+def _check_levels(n: int, levels: int) -> None:
     if not 1 <= levels <= n:
         raise ValueError(f"levels must satisfy 1 <= L <= {n}, got {levels}")
-    out = samples.copy()
-    for level in range(1, levels + 1):
+
+
+def packet_analysis(x: Signal) -> Iterator[CompressedVector]:
+    """Packet Haar analysis deepened one level at a time: yields the
+    level-1, level-2, ..., level-n transforms of ``x``, each built from the
+    one before, and keeps only the latest."""
+    out = _as_samples(x)
+    n = int(math.log2(len(out)))
+    for level in range(1, n + 1):
         out = _haar_level(out, 2 ** (n - level + 1))
-    return CompressedVector(out, TransformDescriptor(PACKET_HAAR, levels))
+        yield CompressedVector(out, TransformDescriptor(PACKET_HAAR, level))
+
+
+def packet_dhwt(x: Signal, levels: int) -> CompressedVector:
+    """Packet Haar analysis: both halves of every block are re-analysed at
+    each of the ``levels`` stages.  Orthogonal, norm-preserving.  This is
+    the ``levels``-th transform :func:`packet_analysis` yields."""
+    samples = _as_samples(x)
+    _check_levels(int(math.log2(len(samples))), levels)
+    return next(itertools.islice(packet_analysis(samples), levels - 1, None))
 
 
 def packet_idhwt(X: CompressedVector) -> Signal:
@@ -218,8 +233,11 @@ def analyse(x, descriptor: TransformDescriptor) -> CompressedVector:
 
 
 def classical_reconstruct(X: CompressedVector) -> Signal:
-    """Inverse-transform the (possibly thresholded) coefficients; this is the
-    classical oracle the simulated quantum state is checked against."""
+    """Inverse-transform the (possibly thresholded) coefficients.
+
+    Not on the pipeline's path, which prices a compression from its
+    coefficients by Parseval; the tests keep it as the oracle that the
+    simulated register and the Parseval price are checked against."""
     if X.descriptor.kind == DFT:
         return idft(X)
     return packet_idhwt(X)

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqsp.circuit import report
+from hqsp.circuit import Circuit, cancel_adjacent_inverses, decompose, gate, report
 from hqsp.loaders import (
     SQSP_COST_CONSTANT,
     ComplexAmplitudeError,
@@ -19,13 +21,15 @@ from hqsp.loaders import (
     eae_real,
     sqsp,
 )
-from hqsp.loaders import _greedy_cover
-from hqsp.signals import gen_periodic
+from hqsp.loaders import _bits, _greedy_cover, _subcube_cascade
+from hqsp.pipeline import DEFAULT_PPG_RECORDING, _unit_samples
+from hqsp.signals import gen_periodic, ingest_waveform_csv
 from hqsp.statesim import fidelity, simulate
 from hqsp.transforms import (
     ABSOLUTE,
     ThresholdPolicy,
     dft,
+    packet_dhwt,
     read_amplitude_csv,
     threshold_normalize,
     write_amplitude_csv,
@@ -193,6 +197,155 @@ def test_sqsp_dense_subcube_path():
     assert touched <= {0, 1, 2, 3}
     np.testing.assert_allclose(np.abs(simulate(circ)), np.abs(s.to_dense()), atol=1e-12)
     assert fidelity(simulate(circ), s.to_dense()) >= 1 - 1e-12
+
+
+def _support_cube(s: SparseState):
+    """(base, free bits, is_real) of the support's bounding subcube."""
+    indices = np.array([i for i, _ in s.entries], dtype=np.int64)
+    base = int(np.bitwise_and.reduce(indices))
+    bits = _bits(int(np.bitwise_or.reduce(indices)) ^ base)
+    return base, bits, all(abs(a.imag) < 1e-12 for _, a in s.entries)
+
+
+def _cascade_bound(s: SparseState) -> int:
+    _, bits, is_real = _support_cube(s)
+    return (2 ** len(bits) - 2) * (1 if is_real else 2)
+
+
+def _subcube_trial_lowering(s: SparseState) -> Circuit:
+    """The subcube path as it once chose its output: lower the whole
+    cascade and keep the native levels unless the peephole pass then
+    finds a pair.  The reference for reading that off the angles."""
+    base, bits, is_real = _support_cube(s)
+    indices = np.array([i for i, _ in s.entries], dtype=np.int64)
+    amps = np.array([a for _, a in s.entries], dtype=complex)
+    circ = Circuit(s.n).extend(gate("X", b) for b in _bits(base))
+    circ.extend(_subcube_cascade(indices, amps, bits, is_real))
+    lowered = decompose(circ)
+    kept = cancel_adjacent_inverses(lowered)
+    return circ if len(kept) == len(lowered) else kept
+
+
+def _on_cube(n, base, bits, coords):
+    return [base | sum(((c >> j) & 1) << b for j, b in enumerate(bits)) for c in coords]
+
+
+@st.composite
+def _subcube_supports(draw):
+    """Supports filling most of a k-bit subcube, with magnitudes and phases
+    from small sets so that Gray-walk angles vanish exactly."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=k, max_value=7))
+    bits = sorted(draw(st.permutations(range(n)))[:k])
+    base = draw(st.integers(0, 2**n - 1)) & ~sum(1 << b for b in bits)
+    coords = sorted(draw(st.sets(st.integers(0, 2**k - 1), min_size=max(2, 2**k - 2))))
+    size = len(coords)
+    mags = draw(st.lists(st.sampled_from([1.0, 1.0, 2.0]), min_size=size, max_size=size))
+    phases = draw(
+        st.lists(st.sampled_from([0.0, 0.7, -0.7, np.pi]), min_size=size, max_size=size)
+    )
+    amps = np.array(mags) * np.exp(1j * np.array(phases))
+    if draw(st.booleans()):  # real: keep only the signs
+        amps = np.array(mags) * np.sign(np.cos(phases))
+    amps = amps / np.linalg.norm(amps)
+    return SparseState(n, tuple(zip(_on_cube(n, base, bits, coords), amps.tolist())))
+
+
+@given(_subcube_supports())
+@settings(max_examples=300, deadline=None)
+def test_subcube_path_matches_trial_lowering(s):
+    # a one-control level with its second walk angle elided, and on a
+    # two-bit complex cube the RY-to-RZ seam, are the pairs read off angles
+    assert sqsp(s) == _subcube_trial_lowering(s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_uniform_subcube_matches_trial_lowering(k):
+    # uniform supports on 4 to 32 states lose a CX pair when lowered
+    s = SparseState(7, tuple((32 + i, 2 ** (-k / 2)) for i in range(2**k)))
+    circ = sqsp(s)
+    assert circ == _subcube_trial_lowering(s)
+    assert fidelity(simulate(circ), s.to_dense()) >= 1 - 1e-12
+
+
+def test_two_bit_complex_seam_cancels():
+    # the RY levels' last CX meets the one-control RZ level's first CX
+    mags = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30.0)
+    amps = mags * np.exp(1j * np.array([0.0, 0.7, 0.7, 0.0]))
+    s = SparseState(3, tuple(zip(range(4), amps.tolist())))
+    circ = sqsp(s)
+    assert circ == _subcube_trial_lowering(s)
+    assert report(circ).cnot_count == 2 < _cascade_bound(s)
+    assert fidelity(simulate(circ), s.to_dense()) >= 1 - 1e-12
+
+
+def test_dense_recording_input_matches_trial_lowering():
+    # recording01 at L = 12, tau = 0.006: d = 1029 on a dense subcube
+    x = _unit_samples(ingest_waveform_csv(DEFAULT_PPG_RECORDING))
+    compressed = threshold_normalize(packet_dhwt(x, 12), ThresholdPolicy(ABSOLUTE, 0.006))
+    s = SparseState.from_compressed(compressed)
+    assert s.d == 1029
+    assert sqsp(s) == _subcube_trial_lowering(s)
+
+
+@st.composite
+def _adversarial_supports(draw):
+    """Clustered, near-dense or scattered supports inside a k-bit subcube,
+    or scattered ones just sparse enough for merging on 8-9 qubits, where
+    merges cost most against the cascade; real or complex."""
+    shape = draw(st.sampled_from(["clustered", "near-dense", "scattered", "boundary"]))
+    complex_amps = draw(st.booleans())
+    if shape == "boundary":
+        n = k = draw(st.integers(min_value=8, max_value=9))
+    else:
+        n = draw(st.integers(min_value=4, max_value=9))
+        k = draw(st.integers(min_value=2, max_value=min(n, 6)))
+    bits = sorted(draw(st.permutations(range(n)))[:k])
+    base = draw(st.integers(0, 2**n - 1)) & ~sum(1 << b for b in bits)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "boundary":  # the merge chooser takes d < cascade CX / 8
+        most = ((2**k - 2) * (2 if complex_amps else 1) - 1) // 8
+        coords = rng.choice(2**k, size=min(most, 63) - int(rng.integers(0, 8)), replace=False)
+    elif shape == "clustered":  # a few small aligned blocks
+        coords = set()
+        for _ in range(draw(st.integers(1, 4))):
+            j = int(rng.integers(1, k))
+            start = int(rng.integers(0, 2 ** (k - j))) << j
+            coords.update(range(start, start + 2**j))
+    elif shape == "near-dense":
+        coords = set(range(2**k)) - set(rng.choice(2**k, size=min(3, 2**k - 2)).tolist())
+    else:
+        coords = set(rng.choice(2**k, size=int(rng.integers(2, 2**k + 1)), replace=False).tolist())
+    coords = sorted(coords)
+    if len(coords) < 2:
+        coords = [0, 2**k - 1]
+    a = rng.normal(size=len(coords))
+    if complex_amps:
+        a = a + 1j * rng.normal(size=len(coords))
+    a = a / np.linalg.norm(a)
+    return SparseState(n, tuple(zip(_on_cube(n, base, bits, coords), a.tolist())))
+
+
+@given(_adversarial_supports())
+@settings(max_examples=60, deadline=None)
+def test_sqsp_never_costs_more_than_the_cascade(s):
+    circ = sqsp(s)
+    assert report(circ).cnot_count <= _cascade_bound(s)
+    assert fidelity(simulate(circ), s.to_dense()) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("seed, merged", [(0, True), (2, False)])
+def test_sqsp_falls_back_to_the_cascade(seed, merged):
+    # 63 real amplitudes scattered over 9 qubits: merging costs 506 CX for
+    # seed 0, under the 510 of the cascade, and 596 for seed 2
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(2**9, size=63, replace=False)
+    a = rng.normal(size=63)
+    s = SparseState(9, tuple(zip(idx.tolist(), (a / np.linalg.norm(a)).tolist())))
+    circ = sqsp(s)
+    assert report(circ).cnot_count <= _cascade_bound(s) == 510
+    assert (circ != _subcube_trial_lowering(s)) == merged
+    assert fidelity(simulate(circ), s.to_dense()) >= 1 - 1e-9
 
 
 def test_sqsp_stays_on_register():

@@ -22,6 +22,7 @@ from hqsp.pipeline import (
     PipelineError,
     SweepCell,
     ToleranceExceededError,
+    _price,
     build_signal,
     compression_point,
     format_table,
@@ -42,6 +43,8 @@ from hqsp.transforms import (
     PACKET_HAAR,
     EmptySupportError,
     ThresholdPolicy,
+    TransformDescriptor,
+    analyse,
     classical_reconstruct,
     packet_dhwt,
     threshold_normalize,
@@ -273,7 +276,7 @@ def test_hybrid_prepare_haar_record_consistency():
     assert r.decompression_report.depth == 3 * 10 + 3 * 7 - 5
     assert r.eae_cnot == 2**10 - 2
     assert r.cx_reduction == pytest.approx(r.eae_cnot / r.total_cnot)
-    assert abs(r.simulated_td - r.classical_td) < 1e-6
+    assert abs(r.simulated_td - r.classical_td) < 1e-9
     # the simulated register holds the classical reconstruction exactly
     x = gen_gaussian(2**10).samples.astype(complex)
     compressed = threshold_normalize(packet_dhwt(x, 7), cfg.threshold)
@@ -427,6 +430,51 @@ def test_table2_flags_wrong_length_recording(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def _priced_compressions(draw):
+    """A random unit vector, one of its transforms and a threshold: tau = 0,
+    a cutoff that keeps only the largest coefficient, or any in between."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["real", "complex", "blocky"]))
+    if shape == "blocky":  # repeated values: exact zeros and tied coefficients
+        x = rng.integers(-2, 3, size=2**n).astype(complex)
+        if not np.any(x):
+            x[0] = 1.0
+    else:
+        x = rng.normal(size=2**n) + (1j * rng.normal(size=2**n) if shape == "complex" else 0)
+    x = x / np.linalg.norm(x)
+    if draw(st.booleans()):
+        descriptor = TransformDescriptor(DFT)
+    else:
+        descriptor = TransformDescriptor(PACKET_HAAR, draw(st.integers(1, n)))
+    X = analyse(x, descriptor)
+    largest = float(np.max(np.abs(X.coefficients)))
+    cut = draw(st.sampled_from(["zero", "single", "between"]))
+    fraction = {"zero": 0.0, "single": 1.0}.get(cut)
+    if fraction is None:
+        fraction = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        policy = ThresholdPolicy(FRACTION_OF_MAX, fraction)
+    else:
+        policy = ThresholdPolicy(ABSOLUTE, fraction * largest)
+    return x, X, policy, cut
+
+
+@given(_priced_compressions())
+@settings(max_examples=300, deadline=None)
+def test_price_is_parseval(case):
+    # the TD priced from the coefficients is that of the inverse transform
+    x, X, policy, cut = case
+    compressed = threshold_normalize(X, policy)
+    d, cr, td = _price(X, compressed)
+    reconstruction = classical_reconstruct(compressed).samples
+    assert abs(td - trace_distance(reconstruction, x)) <= 1e-12
+    assert d == compressed.d and cr == 2**compressed.n / d
+    if cut == "zero":
+        assert td == 0.0
+
+
 def test_compression_point_gaussian_benchmark():
     d, cr, td = compression_point(
         gen_gaussian(2**15), 13, ThresholdPolicy(FRACTION_OF_MAX, 0.006)
@@ -456,19 +504,18 @@ def test_sweep_grid_order_and_lossless_column(recording_dir):
         assert c.in_valid_regime == (CR_VALID_LOW <= c.mean_cr <= CR_VALID_HIGH)
 
 
-def test_sweep_is_deterministic(recording_dir, tmp_path):
-    levels, taus = (3, 5), (0.0, 0.005, 0.01)
-    a = sweep_ppg(levels=levels, taus=taus, dataset_dir=recording_dir)
-    # each cell aggregates compression_point over the recordings
-    signals = [ingest_waveform_csv(p) for p in sorted(recording_dir.glob("*.csv"))]
-    expected = []
+def _compression_point_cells(dataset_dir, levels, taus):
+    """Each grid cell from compression_point over the recordings, in grid
+    order: what sweep_ppg must return."""
+    signals = [ingest_waveform_csv(p) for p in sorted(dataset_dir.glob("*.csv"))]
+    cells = []
     for level in levels:
         for tau in taus:
             points = [
                 compression_point(s, level, ThresholdPolicy(ABSOLUTE, tau)) for s in signals
             ]
             crs = np.array([cr for _, cr, _ in points])
-            expected.append(
+            cells.append(
                 SweepCell(
                     level,
                     tau,
@@ -478,12 +525,50 @@ def test_sweep_is_deterministic(recording_dir, tmp_path):
                     CR_VALID_LOW <= float(crs.mean()) <= CR_VALID_HIGH,
                 )
             )
-    assert a == expected
+    return cells
+
+
+def test_sweep_is_deterministic(recording_dir, tmp_path):
+    levels, taus = (3, 5), (0.0, 0.005, 0.01)
+    a = sweep_ppg(levels=levels, taus=taus, dataset_dir=recording_dir)
+    # each cell aggregates compression_point over the recordings
+    assert a == _compression_point_cells(recording_dir, levels, taus)
     b = sweep_ppg(levels=levels, taus=taus, dataset_dir=recording_dir)
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_sweep_csv(a, out1)
     write_sweep_csv(b, out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("levels", [(5, 2, 9, 3), (9, 7, 4, 1), (4, 4, 2)])
+def test_sweep_keeps_the_callers_grid_order(recording_dir, levels):
+    taus = (0.01, 0.0, 0.003, -0.0)
+    cells = sweep_ppg(levels=levels, taus=taus, dataset_dir=recording_dir)
+    # str() tells -0.0 from 0.0, which the CSV writes as "-0" and "0"
+    assert [(c.levels, str(c.tau)) for c in cells] == [
+        (L, str(t)) for L in levels for t in taus
+    ]
+    assert cells == _compression_point_cells(recording_dir, levels, taus)
+
+
+@pytest.mark.parametrize("level", [10, 0, -1])
+def test_sweep_rejects_levels_as_packet_dhwt_does(recording_dir, level):
+    with pytest.raises(ValueError) as expected:
+        packet_dhwt(np.ones(512), level)
+    with pytest.raises(ValueError) as err:
+        sweep_ppg(levels=(3, level), taus=(0.0,), dataset_dir=recording_dir)
+    assert str(err.value) == str(expected.value)
+
+
+def test_sweep_over_recordings_of_different_lengths(tmp_path):
+    # 500 samples pad to n = 9, 100 to n = 7: each is priced on its own N
+    (tmp_path / "long.csv").write_text("".join(f"{v}\n" for v in RNG.normal(size=500)))
+    (tmp_path / "short.csv").write_text("".join(f"{v}\n" for v in RNG.normal(size=100)))
+    levels, taus = (7, 2), (0.0, 0.02)
+    cells = sweep_ppg(levels=levels, taus=taus, dataset_dir=tmp_path)
+    assert cells == _compression_point_cells(tmp_path, levels, taus)
+    with pytest.raises(ValueError, match=r"1 <= L <= 7, got 8"):
+        sweep_ppg(levels=(2, 8), taus=taus, dataset_dir=tmp_path)
 
 
 def test_sweep_requires_recordings(tmp_path):

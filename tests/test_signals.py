@@ -4,11 +4,12 @@ The periodic generator's spectral support is checked against a plain
 ``np.fft.fft`` of the samples, independent of the transforms module.
 """
 
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hqsp.signals import (
@@ -26,6 +27,7 @@ from hqsp.signals import (
     ingest_waveform_csv,
     save_signal_csv,
 )
+from hqsp.signals import _normalized
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,72 @@ def test_ingest_rejects_non_finite_cells(tmp_path, cell):
         ingest_waveform_csv(_write(tmp_path / "w.csv", f"1\n{cell}\n2\n3\n"))
     with pytest.raises(NonNumericCellError):  # not mistaken for a header line
         ingest_waveform_csv(_write(tmp_path / "w.csv", f"{cell}\n1\n2\n3\n"))
+
+
+def _ingest_row_by_row(path):
+    """Ingestion as one float() per row, as it ran before the one-pass
+    parse: the reference for the values and for every error."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    if rows:
+        try:
+            float(rows[0][0])
+        except ValueError:
+            rows = rows[1:]
+    if not rows:
+        raise EmptyColumnError(f"{path}: no data rows")
+    values = []
+    for lineno, row in enumerate(rows, start=1):
+        cell = row[0].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise NonNumericCellError(
+                f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
+            )
+        values.append(value)
+    padded = np.zeros(1 << max(1, (len(values) - 1).bit_length()))
+    padded[: len(values)] = values
+    return _normalized(padded, f"waveform:{path}"), len(values)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:.3e}"),
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+)
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\u00a0", "\u2003"])
+_CELL = st.one_of(
+    st.tuples(_PAD, _NUMBER, _PAD).map("".join),
+    st.sampled_from(["", " ", "\t", "x", "ppg", "1e999", "-0.0", "1_000", "0x10",
+                     "nan", "-inf", "1e-320", "+3", ".5", "5.", "1e", "--1", "\u0661\u0662"]),
+    st.text(alphabet=" \t0123456789.eE+-_xn", max_size=6),
+)
+_ROW = st.lists(_CELL, min_size=1, max_size=3).map(",".join)
+
+
+@given(st.lists(_ROW, max_size=12), st.sampled_from(["\n", "\r\n"]))
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_ingest_matches_row_by_row_parse(tmp_path, rows, newline):
+    # numeric, blank, whitespace-only, multi-column and blank-first-cell
+    # rows: the same samples bit for bit, or the same error and message
+    path = _write(tmp_path / "w.csv", "".join(row + newline for row in rows))
+    try:
+        expected, original = _ingest_row_by_row(path)
+    except ValueError as err:
+        with pytest.raises(type(err)) as raised:
+            ingest_waveform_csv(path)
+        assert str(raised.value) == str(err)
+        return
+    s = ingest_waveform_csv(path)
+    assert s.samples.tobytes() == expected.samples.tobytes()
+    assert s.metadata["original_length"] == original
 
 
 @given(st.integers(min_value=1, max_value=70))

@@ -28,6 +28,7 @@ from hqsp.transforms import (
     dft,
     idft,
     load_compressed_csv,
+    packet_analysis,
     packet_dhwt,
     packet_idhwt,
     read_amplitude_csv,
@@ -111,6 +112,35 @@ def test_packet_haar_level_bounds():
     with pytest.raises(ValueError):
         packet_dhwt(x, 4)
     assert packet_dhwt(x, 3).descriptor.levels == 3
+
+
+def _packet_dhwt_restarted(x, levels):
+    """Every level from the samples again, as packet_dhwt once ran: the
+    reference for the deepening analysis."""
+    out = np.asarray(x, dtype=complex).copy()
+    n = int(math.log2(len(out)))
+    for level in range(1, levels + 1):
+        pairs = out.reshape(-1, 2 ** (n - level), 2)
+        avg = (pairs[:, :, 0] + pairs[:, :, 1]) / math.sqrt(2.0)
+        diff = (pairs[:, :, 0] - pairs[:, :, 1]) / math.sqrt(2.0)
+        out = np.concatenate([avg, diff], axis=1).reshape(-1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_packet_analysis_deepens_bit_identically(n, complex_input):
+    x = RNG.normal(size=2**n)
+    if complex_input:
+        x = x + 1j * RNG.normal(size=2**n)
+    levels = list(packet_analysis(x))
+    assert [X.descriptor for X in levels] == [
+        TransformDescriptor(PACKET_HAAR, L) for L in range(1, n + 1)
+    ]
+    for L, X in enumerate(levels, start=1):
+        bits = X.coefficients.view(np.int64)
+        assert np.array_equal(bits, _packet_dhwt_restarted(x, L).view(np.int64))
+        assert np.array_equal(bits, packet_dhwt(x, L).coefficients.view(np.int64))
 
 
 @st.composite
