@@ -13,9 +13,14 @@ Three loaders with very different cost regimes:
   reversed adjoint.  Each merge aligns the pair to a single differing bit
   with CX conjugation, separates it from the remaining support with a
   greedy control cover C, and rotates through a Gray-code RY multiplexer
-  costing ``2**|C|`` CX.  The ladder cost does not depend on how many of
-  its angle slots are used, so further distance-1 pairs whose cover
-  patterns are free ride along in the same multiplexer at no CX cost.
+  costing ``2**|C|`` CX.  The pair and its kept bit are the cheapest over
+  the candidates nearest in Hamming distance; a choice whose cost floor
+  (the CX conjugation plus ``2**f`` for the f cover bits some other state
+  forces, by differing from the anchor in that bit alone) cannot beat the
+  best so far skips its cover search, which leaves the choice unchanged.
+  The ladder cost does not depend on how many of its angle slots are used,
+  so further distance-1 pairs whose cover patterns are free ride along in
+  the same multiplexer at no CX cost.
   When the support is dense inside its bounding subcube (where covers stop
   being small), the synthesizer switches to an amplitude cascade over the
   cube's free bits at ``2**k - 2`` CX (doubled for complex amplitudes)
@@ -241,27 +246,50 @@ def _greedy_cover(anchor: int, targets: np.ndarray, b: int, span: int) -> list[i
     return sorted(cover)
 
 
-def _aligned_images(states: np.ndarray, b_bit: int, spread: int) -> np.ndarray:
-    if spread == 0 or len(states) == 0:
-        return states
-    return np.where((states & b_bit) != 0, states ^ spread, states)
+def _merge_cost(x: int, y: int, others: np.ndarray, span: int, cap=math.inf):
+    """Cheapest (cost, b, cover, spread) over the choice of kept bit b, or
+    None when no choice costs less than ``cap``.
 
-
-def _merge_cost(x: int, y: int, others: np.ndarray, span: int):
-    """Cheapest (cost, b, cover, spread) over the choice of kept bit b."""
+    A b whose cost floor (:func:`_cover_floors`) is at or above the cost to
+    beat, ``cap`` or the best b priced so far, skips its cover search:
+    under the strict ``<`` it could not win, so the result is the unpruned
+    search's.
+    """
     D = int(x ^ y)
-    m = len(_bits(D))
+    bits = _bits(D)
+    m = len(bits)
+    # one row per kept bit b: the other states aligned by CX conjugation
+    # (those with bit b set get the spread D ^ b flipped), and x's image
+    b_bits = np.array([1 << b for b in bits], dtype=np.int64)[:, None]
+    images = np.where(others & b_bits, others ^ (D ^ b_bits), others)
+    anchors = [x ^ D ^ (1 << b) if (x >> b) & 1 else x for b in bits]
+    floors = 2 * (m - 1) + _cover_floors(images, anchors, b_bits)
     best = None
-    for b in _bits(D):
-        b_bit = 1 << b
-        spread = D ^ b_bit
-        xp = x ^ spread if (x & b_bit) else x
-        images = _aligned_images(others, b_bit, spread)
-        cover = _greedy_cover(xp, images, b, span)
+    for i, b in enumerate(bits):
+        if floors[i] >= (min(cap, best[0]) if best else cap):
+            continue
+        cover = _greedy_cover(anchors[i], images[i], b, span)
         cost = 2 * (m - 1) + (2 ** len(cover) if cover else 0)
         if best is None or cost < best[0]:
-            best = (cost, b, cover, spread)
+            best = (cost, b, cover, D ^ (1 << b))
     return best
+
+
+def _cover_floors(images: np.ndarray, anchors: list[int], b_bits: np.ndarray) -> np.ndarray:
+    """Per row, a lower bound on the ladder cost of a cover separating the
+    anchor from the row's images off bit b.
+
+    An image differing from the anchor in one bit alone forces that bit
+    into the cover, so a cover holds the f distinct forced bits, and at
+    least one bit when any image remains: ``2**max(1, f)``.  An image
+    differing nowhere is inseparable; its row's floor is -inf, so the
+    cover search still runs and raises.
+    """
+    if images.shape[1] == 0:
+        return np.zeros(len(anchors))
+    masks = (images ^ np.array(anchors, dtype=np.int64)[:, None]) & ~b_bits
+    forced = np.bitwise_or.reduce(np.where(masks & (masks - 1), 0, masks), axis=1)
+    return np.where(masks.all(axis=1), 2.0 ** np.maximum(1, _popcounts(forced)), -np.inf)
 
 
 def _subcube_cascade(indices, amps, cube_bits: list[int], is_real: bool) -> list[Gate]:
@@ -404,7 +432,10 @@ def _plan_merge(y, alive_arr, amp_of, span, order, indices) -> _MergeStep:
         if best is not None and 2 * (m - 1) >= best[0]:
             break
         others = alive_arr[(alive_arr != x) & (alive_arr != y)]
-        cost, b, cover, spread = _merge_cost(x, y, others, span)
+        priced = _merge_cost(x, y, others, span, best[0] if best else math.inf)
+        if priced is None:  # nothing under the best so far
+            continue
+        cost, b, cover, spread = priced
         if best is None or cost < best[0]:
             best = (cost, m, x, b, cover, spread)
     cost, m, x, b, cover, spread = best

@@ -51,7 +51,7 @@ from .signals import (
     gen_sinc,
     ingest_waveform_csv,
 )
-from .statesim import simulate, trace_distance
+from .statesim import simulate, simulate_support, trace_distance
 from .transforms import (
     ABSOLUTE,
     DFT,
@@ -431,9 +431,12 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
 
     The classical TD is priced from the transform by Parseval (see
     :func:`_price`) right after thresholding, so the transform is released
-    before the loader and the simulator allocate; the simulated TD is the
-    residual-form trace distance of the simulated register to the input,
-    and the record checks that the two agree.
+    before the loader and the simulator allocate.  The loader is simulated
+    on its support (:func:`hqsp.statesim.simulate_support`), which is
+    scattered into one dense register; only the decompression runs through
+    the dense :func:`hqsp.statesim.simulate`.  The simulated TD is the
+    residual-form trace distance of that full register to the input, and
+    the record checks that the two agree.
 
     Raises :class:`ToleranceExceededError` when the prepared state is
     farther than ``cfg.epsilon`` from the input in trace distance, and
@@ -452,7 +455,9 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     decompression = _decompression_circuit(n, cfg)
     circuit = load + decompression
 
-    psi = simulate(circuit)
+    # the loader acts on a d-sparse state: simulate it on its support and
+    # scatter that into the one dense register the decompression runs on
+    psi = simulate(decompression, simulate_support(load).amplitudes)
     simulated_td = trace_distance(psi, x)
     if simulated_td >= cfg.epsilon:
         raise ToleranceExceededError(simulated_td, cfg.epsilon)

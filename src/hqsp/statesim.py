@@ -1,19 +1,32 @@
-"""Dense statevector simulation of the circuit IR.
+"""Statevector simulation of the circuit IR: dense, and on the support.
 
 States are little-endian: qubit 0 is the least significant bit of the basis
-index, so ``state[5]`` is the amplitude of |...101>.  All gate kinds of the
-IR are applied natively (multi-controlled gates do not need decomposition
+index, so ``state[5]`` is the amplitude of |...101>.
+
+:func:`simulate` is the whole-circuit simulator.  All gate kinds of the IR
+are applied natively (multi-controlled gates do not need decomposition
 first); axis slicing on the ``[2]*n``-shaped view keeps every update
 vectorised.  A UCRY/UCRZ multiplexer runs in one pass over the state: its
 per-pattern rotation entries are laid onto the control axes and broadcast,
 so a cascade level costs O(2**n) however many controls it has.  Register
 width is capped at 24 qubits, which bounds the state at 256 MiB of
 complex128; a run adds one workspace of twice that size.
+
+:func:`simulate_support` runs a loader circuit (the kinds the loaders emit:
+X, CX, RY, RZ, UCRY, UCRZ) from |0...0> on its support only, as a map from
+basis index to amplitude, so a d-sparse load costs O(d) per gate instead of
+O(2**n).  X and CX map indices, RZ/UCRZ multiply phases, and RY/UCRY rotate
+the pairs (i, i ^ 2**t) of the support.  Amplitudes of magnitude at most
+:data:`SUPPORT_DROP` are dropped; the run reports its peak support and the
+squared norm it dropped.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -21,20 +34,35 @@ from .circuit import Circuit
 
 __all__ = [
     "CapacityError",
+    "UnsupportedGateError",
+    "SupportState",
     "simulate",
+    "simulate_support",
     "unitary_of",
     "fidelity",
     "trace_distance",
     "MAX_QUBITS",
     "MAX_UNITARY_QUBITS",
+    "SUPPORT_DROP",
 ]
 
 MAX_QUBITS = 24
 MAX_UNITARY_QUBITS = 8
 
 
+# simulate_support drops amplitudes at or below this magnitude: the lowered
+# Gray-code ladders of sqsp's merges leave ~1e-17 residues where exact
+# arithmetic cancels, and kept they grow the support to every pattern a
+# ladder touches
+SUPPORT_DROP = 1e-15
+
+
 class CapacityError(ValueError):
     """Register too wide for dense simulation."""
+
+
+class UnsupportedGateError(ValueError):
+    """Gate kind that the support simulator does not apply."""
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -148,16 +176,25 @@ def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
         raise ValueError(f"cannot simulate gate kind {kind!r}")
 
 
-def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Run the circuit on ``initial`` (default |0...0>) and return the state."""
+def simulate(circuit: Circuit, initial=None) -> np.ndarray:
+    """Run the circuit on ``initial`` and return the state.
+
+    ``initial`` is a dense vector (copied), a ``{basis index: amplitude}``
+    map scattered into a fresh register, such as the amplitudes of a
+    :class:`SupportState`, or None for |0...0>.
+    """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise CapacityError(
             f"{n} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap"
         )
     if initial is None:
+        initial = {0: 1.0}
+    if isinstance(initial, dict):
         psi = np.zeros(2**n, dtype=complex)
-        psi[0] = 1.0
+        if any(not 0 <= i < 2**n for i in initial):
+            raise ValueError(f"initial basis indices must lie in [0, {2**n})")
+        psi[list(initial)] = list(initial.values())
     else:
         psi = np.asarray(initial, dtype=complex).copy()
         if psi.shape != (2**n,):
@@ -168,6 +205,81 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     for g in circuit:
         _apply_gate(psi, n, g, work)
     return psi
+
+
+@dataclass(frozen=True)
+class SupportState:
+    """A :func:`simulate_support` run: the kept amplitudes by basis index,
+    the largest support any gate left, and the squared norm dropped."""
+
+    amplitudes: dict
+    peak_support: int
+    pruned_mass: float
+
+
+def _pattern_angles(g, idx: np.ndarray) -> np.ndarray:
+    """The rotation angle a UCRY/UCRZ applies at each basis index."""
+    pattern = np.zeros_like(idx)
+    for j, c in enumerate(g.controls):
+        pattern |= ((idx >> c) & 1) << j
+    return np.asarray(g.angle)[pattern]
+
+
+def _rotate_pairs(amps: dict, bit: int, lows, cos_sin) -> tuple[dict, float]:
+    """RY on each pair (lo, lo | bit); returns the kept amplitudes and the
+    squared norm of those dropped."""
+    out: dict = {}
+    dropped = 0.0
+    for lo, (c, s) in zip(lows, cos_sin):
+        hi = lo | bit
+        a0, a1 = amps.get(lo, 0.0), amps.get(hi, 0.0)
+        for i, a in ((lo, c * a0 - s * a1), (hi, s * a0 + c * a1)):
+            if abs(a) > SUPPORT_DROP:
+                out[i] = a
+            else:
+                dropped += abs(a) ** 2
+    return out, dropped
+
+
+def simulate_support(circuit: Circuit) -> SupportState:
+    """Run a loader circuit from |0...0> on its support only.
+
+    Applies X, CX, RY, RZ, UCRY and UCRZ, the kinds the loaders emit; any
+    other kind raises :class:`UnsupportedGateError`.  Amplitudes of
+    magnitude at most :data:`SUPPORT_DROP` are dropped after each rotation.
+    """
+    amps: dict = {0: 1.0 + 0.0j}
+    peak, pruned = 1, 0.0
+    for g in circuit:
+        bit = 1 << g.targets[0]
+        if g.kind == "X":
+            amps = {i ^ bit: a for i, a in amps.items()}
+        elif g.kind == "CX":
+            c = 1 << g.controls[0]
+            amps = {(i ^ bit if i & c else i): a for i, a in amps.items()}
+        elif g.kind == "RZ":
+            lo, hi = cmath.exp(-0.5j * g.angle), cmath.exp(0.5j * g.angle)
+            amps = {i: a * (hi if i & bit else lo) for i, a in amps.items()}
+        elif g.kind == "UCRZ":
+            idx = np.fromiter(amps, np.int64, len(amps))
+            half = np.where(idx & bit, 0.5, -0.5) * _pattern_angles(g, idx)
+            phases = np.exp(1j * half).tolist()
+            amps = {i: a * p for (i, a), p in zip(amps.items(), phases)}
+        elif g.kind in ("RY", "UCRY"):
+            lows = list({i & ~bit for i in amps})
+            if g.kind == "RY":
+                cos_sin = repeat((math.cos(0.5 * g.angle), math.sin(0.5 * g.angle)))
+            else:
+                half = 0.5 * _pattern_angles(g, np.array(lows, dtype=np.int64))
+                cos_sin = zip(np.cos(half).tolist(), np.sin(half).tolist())
+            amps, dropped = _rotate_pairs(amps, bit, lows, cos_sin)
+            pruned += dropped
+            peak = max(peak, len(amps))
+        else:
+            raise UnsupportedGateError(
+                f"support simulation does not apply gate kind {g.kind!r}"
+            )
+    return SupportState(amps, peak, pruned)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

@@ -21,13 +21,15 @@ from hqsp.loaders import (
     eae_real,
     sqsp,
 )
-from hqsp.loaders import _bits, _greedy_cover, _subcube_cascade
-from hqsp.pipeline import DEFAULT_PPG_RECORDING, _unit_samples
+from hqsp import loaders
+from hqsp.loaders import _bits, _greedy_cover, _merge_cost, _subcube_cascade
+from hqsp.pipeline import DEFAULT_PPG_RECORDING, _unit_samples, table1_configs
 from hqsp.signals import gen_periodic, ingest_waveform_csv
 from hqsp.statesim import fidelity, simulate
 from hqsp.transforms import (
     ABSOLUTE,
     ThresholdPolicy,
+    analyse,
     dft,
     packet_dhwt,
     read_amplitude_csv,
@@ -396,6 +398,97 @@ def test_greedy_cover_matches_loop_reference():
     assert _greedy_cover(5, np.array([], dtype=np.int64), 0, 4) == []
     with pytest.raises(RuntimeError, match="not separable"):
         _greedy_cover(0b0101, np.array([0b0100, 0b0110], dtype=np.int64), 0, 4)
+
+
+def _merge_cost_unpruned(x, y, others, span):
+    """Every kept bit's cover search: the reference for the pruned one."""
+    D = x ^ y
+    m = len(_bits(D))
+    best = None
+    for b in _bits(D):
+        spread = D ^ (1 << b)
+        anchor = x ^ spread if (x >> b) & 1 else x
+        images = np.where(others & (1 << b), others ^ spread, others)
+        cover = _greedy_cover(anchor, images, b, span)
+        cost = 2 * (m - 1) + (2 ** len(cover) if cover else 0)
+        if best is None or cost < best[0]:
+            best = (cost, b, cover, spread)
+    return best
+
+
+def _plan_merge_unpruned(y, alive_arr, amp_of, span, order, indices):
+    """``_plan_merge`` pricing every candidate up to the distance cut."""
+    dists = loaders._popcounts(alive_arr ^ y)
+    candidates = sorted((int(d), int(x)) for d, x in zip(dists, alive_arr) if x != y)
+    best = None
+    for m, x in candidates:
+        if best is not None and 2 * (m - 1) >= best[0]:
+            break
+        others = alive_arr[(alive_arr != x) & (alive_arr != y)]
+        cost, b, cover, spread = _merge_cost_unpruned(x, y, others, span)
+        if best is None or cost < best[0]:
+            best = (cost, m, x, b, cover, spread)
+    cost, m, x, b, cover, spread = best
+    step = loaders._MergeStep(b=b, spread=spread, cover=cover, pairs=[(x, y)])
+    if m == 1 and cover and loaders._is_real_pair(amp_of[x], amp_of[y]):
+        loaders._add_free_riders(step, alive_arr, amp_of, order, indices, span)
+    return step
+
+
+def _sqsp_unpruned(s: SparseState) -> Circuit:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loaders, "_plan_merge", _plan_merge_unpruned)
+        return sqsp(s)
+
+
+def test_merge_cost_matches_unpruned_reference():
+    rng = np.random.default_rng(17)
+    skipped = 0
+    for _ in range(300):
+        span = int(rng.integers(2, 11))
+        size = int(rng.integers(2, min(2**span, 40) + 1))
+        states = rng.choice(2**span, size=size, replace=False)
+        x, y, others = int(states[0]), int(states[1]), states[2:].astype(np.int64)
+        expected = _merge_cost_unpruned(x, y, others, span)
+        assert _merge_cost(x, y, others, span) == expected
+        cap = int(rng.integers(1, 2 * expected[0] + 2))
+        capped = _merge_cost(x, y, others, span, cap)
+        if expected[0] >= cap:
+            skipped += capped is None
+            assert capped is None or capped[0] >= cap
+        else:
+            assert capped == expected
+    assert skipped > 0
+
+
+def test_merge_cost_with_cap_still_raises_on_inseparable_state():
+    # 0b0100 equals the anchor off the kept bit 0; its floor must not let a
+    # cap skip the cover search that reports it
+    others = np.array([0b0110, 0b0100], dtype=np.int64)
+    with pytest.raises(RuntimeError, match="not separable"):
+        _merge_cost(0b0101, 0b0100, others, 4, cap=2)
+
+
+@given(_adversarial_supports())
+@settings(max_examples=25, deadline=None)
+def test_pruned_merge_search_matches_unpruned_on_adversarial_supports(s):
+    assert sqsp(s) == _sqsp_unpruned(s)
+
+
+def _table1_state(cfg) -> SparseState:
+    x = _unit_samples(cfg.build_signal())
+    return SparseState.from_compressed(
+        threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
+    )
+
+
+def test_pruned_merge_search_matches_unpruned_on_table1_inputs():
+    # sinc, gaussian, and the mixture at every benchmark seed
+    sinc, gaussian = table1_configs()[:2]
+    cfgs = [sinc, gaussian] + [table1_configs(seed=k)[2] for k in range(16)]
+    for cfg in cfgs:
+        s = _table1_state(cfg)
+        assert sqsp(s) == _sqsp_unpruned(s), cfg.signal_params
 
 
 # ---------------------------------------------------------------------------

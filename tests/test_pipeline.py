@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import (
     CR_VALID_HIGH,
     CR_VALID_LOW,
@@ -23,6 +24,7 @@ from hqsp.pipeline import (
     SweepCell,
     ToleranceExceededError,
     _price,
+    _unit_samples,
     build_signal,
     compression_point,
     format_table,
@@ -30,12 +32,13 @@ from hqsp.pipeline import (
     run_table1,
     run_table2,
     sweep_ppg,
+    table1_configs,
     write_records_csv,
     write_records_json,
     write_sweep_csv,
 )
 from hqsp.signals import gen_gaussian, ingest_waveform_csv
-from hqsp.statesim import simulate, trace_distance
+from hqsp.statesim import simulate, simulate_support, trace_distance
 from hqsp.transforms import (
     ABSOLUTE,
     DFT,
@@ -341,6 +344,24 @@ def test_hybrid_prepare_matches_classical_reconstruction(seed):
     compressed = threshold_normalize(packet_dhwt(x, levels), cfg.threshold)
     recon = classical_reconstruct(compressed).samples
     assert trace_distance(simulate(circuit), recon) < 1e-9
+
+
+@pytest.mark.parametrize("cfg", table1_configs(), ids=lambda c: c.label)
+def test_table1_loaders_stay_on_their_support(cfg):
+    # the loader's support run, checked against the requested amplitudes
+    # themselves up to a global phase: no 2**n vector is involved
+    x = _unit_samples(cfg.build_signal())
+    compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
+    s = SparseState.from_compressed(compressed)
+    run = simulate_support(sqsp(s))
+    assert run.peak_support <= 2 * s.d
+    assert run.pruned_mass <= 1e-28
+    want = dict(s.entries)
+    got = run.amplitudes
+    overlap = sum(np.conj(got.get(i, 0.0)) * a for i, a in want.items())
+    phase = overlap / abs(overlap)
+    for i in got.keys() | want.keys():
+        assert abs(got.get(i, 0.0) * phase - want.get(i, 0.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from hqsp.circuit import Circuit, gate
+from hqsp.loaders import SparseState, sqsp
 from hqsp.statesim import (
     MAX_QUBITS,
     CapacityError,
+    UnsupportedGateError,
     fidelity,
     simulate,
+    simulate_support,
     trace_distance,
     unitary_of,
 )
@@ -138,6 +141,13 @@ def test_simulate_rejects_wrong_initial_length():
         simulate(Circuit(2), initial=np.ones(3, dtype=complex))
 
 
+def test_simulate_scatters_a_sparse_initial_map():
+    psi = simulate(Circuit(2, [gate("CX", 0, 1)]), initial={1: 1.0})
+    np.testing.assert_allclose(psi, [0, 0, 0, 1], atol=0)
+    with pytest.raises(ValueError, match="basis indices"):
+        simulate(Circuit(2), initial={4: 1.0})
+
+
 def test_simulate_norm_preserved_on_random_circuits():
     kinds = ["H", "X", "RX", "RY", "RZ", "PHASE", "CX", "CPHASE", "SWAP"]
     for _ in range(25):
@@ -157,6 +167,90 @@ def test_simulate_norm_preserved_on_random_circuits():
             )
         psi = simulate(circuit)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Support simulation of loader circuits
+# ---------------------------------------------------------------------------
+
+_LOADER_KINDS = ["X", "CX", "RY", "RZ", "UCRY", "UCRZ"]
+
+
+def _random_loader_circuit(n: int, length: int) -> Circuit:
+    """The six loader kinds on random wires; multiplexers get 0-3 controls
+    in random (unsorted) order."""
+    circuit = Circuit(n)
+    while len(circuit) < length:
+        kind = _LOADER_KINDS[int(RNG.integers(len(_LOADER_KINDS)))]
+        k = int(RNG.integers(0, min(3, n - 1) + 1)) if kind.startswith("UC") else 0
+        arity = 2 if kind == "CX" else k + 1
+        if arity > n:
+            continue
+        qubits = [int(q) for q in RNG.choice(n, size=arity, replace=False)]
+        if kind.startswith("UC"):
+            angle = RNG.uniform(-3, 3, size=2**k)
+        elif kind in ("RY", "RZ"):
+            angle = float(RNG.uniform(-3, 3))
+        else:
+            angle = None
+        circuit.add(kind, *qubits, angle=angle)
+    return circuit
+
+
+def _assert_support_matches_dense(circuit: Circuit) -> None:
+    run = simulate_support(circuit)
+    assert len(run.amplitudes) <= run.peak_support <= 2**circuit.n_qubits
+    scattered = simulate(Circuit(circuit.n_qubits), run.amplitudes)
+    np.testing.assert_allclose(scattered, simulate(circuit), rtol=0, atol=1e-12)
+
+
+def test_support_simulation_matches_dense_on_random_loader_circuits():
+    for _ in range(60):
+        _assert_support_matches_dense(_random_loader_circuit(int(RNG.integers(1, 7)), 20))
+
+
+def _sparse_state(n: int, indices, complex_amps: bool) -> SparseState:
+    a = RNG.normal(size=len(indices))
+    if complex_amps:
+        a = a + 1j * RNG.normal(size=len(indices))
+    a = a / np.linalg.norm(a)
+    return SparseState(n, tuple(zip([int(i) for i in indices], a.tolist())))
+
+
+@pytest.mark.parametrize("complex_amps", [False, True], ids=["real", "complex"])
+def test_support_simulation_matches_dense_on_sqsp_outputs(complex_amps):
+    scattered = _sparse_state(9, RNG.choice(2**9, size=12, replace=False), complex_amps)
+    merged = sqsp(scattered)
+    assert {g.kind for g in merged} <= {"X", "CX", "RY", "RZ"}
+    # every state of a 4-bit subcube at offset 0b1000000: the cascade
+    cube = _sparse_state(7, 64 + np.arange(16), complex_amps)
+    cascade = sqsp(cube)
+    assert "UCRY" in {g.kind for g in cascade}
+    for s, circuit in ((scattered, merged), (cube, cascade)):
+        _assert_support_matches_dense(circuit)
+        run = simulate_support(circuit)
+        assert run.peak_support <= 2 * s.d
+        assert fidelity(simulate(Circuit(s.n), run.amplitudes), s.to_dense()) >= 1 - 1e-12
+
+
+def test_support_simulation_drops_residues_and_reports_them():
+    # RY(pi) twice is -1 on |0>; each rotation leaves cos(pi/2) ~ 6e-17 in
+    # the slot it empties, which is dropped
+    run = simulate_support(Circuit(1, [gate("RY", 0, angle=math.pi)] * 2))
+    assert list(run.amplitudes) == [0]
+    assert run.amplitudes[0] == pytest.approx(-1.0)
+    assert run.peak_support == 1
+    assert 0 < run.pruned_mass < 1e-30
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gate("H", 0), gate("SWAP", 0, 1), gate("CPHASE", 0, 1, angle=0.3), gate("CCX", 0, 1, 2)],
+    ids=lambda g: g.kind,
+)
+def test_support_simulation_rejects_non_loader_kinds(g):
+    with pytest.raises(UnsupportedGateError, match=g.kind):
+        simulate_support(Circuit(3, [gate("X", 0), g]))
 
 
 def test_capacity_cap_enforced():
