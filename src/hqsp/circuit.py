@@ -13,15 +13,12 @@ their Gray-code ladders, which is what every count, depth and QASM file
 describes; :func:`report` and :func:`depth` price that ladder from the
 angles without building it.
 
-Decomposition targets the base set {H, X, RX, RY, RZ, PHASE, CX}.  The
-multi-controlled gates reduce through uniformly controlled rotations
-(Gray-code multiplexers), which gives exact, ancilla-free networks with
-predictable CX budgets:
+The IR has one gate vocabulary: the ten kinds both circuit formats carry
+(H, X, RX, RY, RZ, PHASE, CX, CPHASE, SWAP, CCX) plus the two native
+multiplexers, which both formats write lowered.  Decomposition targets the
+base set {H, X, RX, RY, RZ, PHASE, CX}, exactly and without ancillas:
 
 * ``UCRY``/``UCRZ`` with k >= 1 controls cost ``2**k`` CX,
-* ``MCRY`` with k controls costs ``2**k`` CX (one-hot multiplexer),
-* ``MCX`` with k controls costs ``2**(k+1) - 2`` CX (Hadamard conjugation
-  of a phase network built from uniformly controlled RZ layers),
 * ``CCX`` uses the textbook 6-CX / 9-single-qubit T network,
 * ``SWAP`` is 3 CX, ``CPHASE`` is 2 CX plus 3 phase gates.
 """
@@ -49,11 +46,10 @@ __all__ = [
     "ucrz_gates",
     "inverse",
     "cancel_adjacent_inverses",
-    "mcx_cx_cost",
-    "mcry_cx_cost",
 ]
 
-# kind -> (n_controls, n_targets, takes_angle); None means variadic controls
+# kind -> (controls, targets, takes_angle); None means variadic controls,
+# which only the multiplexers take
 _SIGNATURES = {
     "H": (0, 1, False),
     "X": (0, 1, False),
@@ -65,8 +61,6 @@ _SIGNATURES = {
     "CPHASE": (1, 1, True),
     "SWAP": (0, 2, False),
     "CCX": (2, 1, False),
-    "MCX": (None, 1, False),
-    "MCRY": (None, 1, True),
     "UCRY": (None, 1, True),
     "UCRZ": (None, 1, True),
 }
@@ -76,7 +70,6 @@ GATE_KINDS = frozenset(_SIGNATURES)
 # uniformly controlled rotations -> the rotation their ladders are built of;
 # they take any number of controls (none included) and one angle per pattern
 _MULTIPLEXER_KINDS = {"UCRY": "RY", "UCRZ": "RZ"}
-_LISTING_KINDS = GATE_KINDS - _MULTIPLEXER_KINDS.keys()
 
 _BASE_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE", "CX"})
 _SINGLE_QUBIT_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE"})
@@ -97,11 +90,6 @@ class Gate:
     angle: float | tuple[float, ...] | None = None
 
     @property
-    def n_controls(self) -> int:
-        fixed, targets, _ = _SIGNATURES[self.kind]
-        return len(self.qubits) - targets if fixed is None else fixed
-
-    @property
     def targets(self) -> tuple[int, ...]:
         _, n_targets, _ = _SIGNATURES[self.kind]
         return self.qubits[len(self.qubits) - n_targets :]
@@ -118,11 +106,8 @@ def gate(kind: str, *qubits: int, angle=None) -> Gate:
         raise ValueError(f"unknown gate kind {kind!r}")
     n_ctrl, n_tgt, takes_angle = _SIGNATURES[kind]
     if n_ctrl is None:
-        if kind in _MULTIPLEXER_KINDS:
-            if not qubits:
-                raise ValueError(f"{kind} needs a target")
-        elif len(qubits) < 1 + n_tgt:
-            raise ValueError(f"{kind} needs at least one control")
+        if not qubits:
+            raise ValueError(f"{kind} needs a target")
     elif len(qubits) != n_ctrl + n_tgt:
         raise ValueError(f"{kind} takes {n_ctrl + n_tgt} operands, got {len(qubits)}")
     if len(set(qubits)) != len(qubits):
@@ -316,35 +301,6 @@ def ucrz_gates(controls, target: int, pattern_angles) -> list[Gate]:
     return _ucr_gates("RZ", controls, target, pattern_angles)
 
 
-def _mcphase_gates(theta: float, wires: tuple[int, ...]) -> list[Gate]:
-    """Phase ``exp(i*theta)`` applied exactly on the all-ones state of ``wires``.
-
-    Recursive layering: a one-hot uniformly controlled RZ splits the phase
-    between target values, and the residual half-angle recurses on the
-    controls.  Total cost over j wires is ``2**j - 2`` CX.
-    """
-    if len(wires) == 1:
-        return [gate("PHASE", wires[0], angle=theta)]
-    controls, target = wires[:-1], wires[-1]
-    one_hot = np.zeros(2 ** len(controls))
-    one_hot[-1] = theta
-    return ucrz_gates(controls, target, one_hot) + _mcphase_gates(theta / 2.0, controls)
-
-
-def mcx_cx_cost(k: int) -> int:
-    """CX count of the decomposed k-controlled X."""
-    if k < 1:
-        raise ValueError("MCX needs at least one control")
-    return {1: 1, 2: 6}.get(k, 2 ** (k + 1) - 2)
-
-
-def mcry_cx_cost(k: int) -> int:
-    """CX count of the decomposed k-controlled RY."""
-    if k < 0:
-        raise ValueError("negative control count")
-    return 0 if k == 0 else 2**k
-
-
 # ---------------------------------------------------------------------------
 # Decomposition to the base set
 # ---------------------------------------------------------------------------
@@ -386,19 +342,6 @@ def _decompose_gate(g: Gate) -> list[Gate]:
             gate("PHASE", b, angle=-q),
             gate("CX", a, b),
         ]
-    if g.kind == "MCX":
-        controls, target = g.controls, g.targets[0]
-        if len(controls) == 1:
-            return [gate("CX", controls[0], target)]
-        if len(controls) == 2:
-            return _decompose_gate(gate("CCX", *controls, target))
-        inner = _mcphase_gates(np.pi, controls + (target,))
-        return [gate("H", target), *inner, gate("H", target)]
-    if g.kind == "MCRY":
-        controls, target = g.controls, g.targets[0]
-        one_hot = np.zeros(2 ** len(controls))
-        one_hot[-1] = g.angle
-        return ucry_gates(controls, target, one_hot)
     if g.kind in _MULTIPLEXER_KINDS:
         return _ucr_gates(_MULTIPLEXER_KINDS[g.kind], g.controls, g.targets[0], g.angle)
     raise ValueError(f"no decomposition rule for {g.kind}")
@@ -549,6 +492,8 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
 # Export / import
 # ---------------------------------------------------------------------------
 
+# the ten kinds both formats carry: listing names are the keys, QASM names
+# the values; every other kind is lowered on the way out
 _QASM_NAMES = {
     "H": "h",
     "X": "x",
@@ -566,22 +511,21 @@ _QASM_KINDS = {v: k for k, v in _QASM_NAMES.items()}
 
 def export(circuit: Circuit, fmt: str = "qasm") -> str:
     """Serialise to OpenQASM 2.0 (subset h,x,rx,ry,rz,u1,cx,cp,swap,ccx) or
-    to a line-per-gate debug listing.  Gates outside the format are
-    decomposed on the way out: MCX and MCRY in QASM (CCX is kept as
-    ``ccx``), the UCRY/UCRZ multiplexers in both."""
+    to a line-per-gate debug listing.  Both formats carry the same ten
+    kinds; the UCRY/UCRZ multiplexers are lowered on the way out."""
     if fmt == "listing":
         header = [f"qubits {circuit.n_qubits}"]
-        kept, line = _LISTING_KINDS, _listing_line
+        line = _listing_line
     elif fmt == "qasm":
         header = [
             "OPENQASM 2.0;",
             'include "qelib1.inc";',
             f"qreg q[{circuit.n_qubits}];",
         ]
-        kept, line = _QASM_NAMES, _qasm_line
+        line = _qasm_line
     else:
         raise ValueError(f"unknown export format {fmt!r}")
-    lines = header + [line(g) for g in _lowered(circuit, kept)]
+    lines = header + [line(g) for g in _lowered(circuit, _QASM_NAMES)]
     return "\n".join(lines) + "\n"
 
 
@@ -651,7 +595,7 @@ def parse_listing(text: str) -> Circuit:
             raise ValueError("listing must start with a 'qubits N' line")
         parts = line.split()
         kind = parts[0]
-        if kind not in _LISTING_KINDS:
+        if kind not in _QASM_NAMES:
             raise ValueError(f"gate kind {kind!r} cannot appear in a listing")
         takes_angle = _SIGNATURES[kind][2]
         if takes_angle:

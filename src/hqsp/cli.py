@@ -146,8 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_level_range(text: str) -> tuple[int, ...]:
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(tok) for tok in text.split(":", 1))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty level range {text!r}")
+        return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(","))
 
 

@@ -8,16 +8,17 @@ Three loaders with very different cost regimes:
   by a uniformly controlled RZ cascade resolving relative phases; exactly
   ``2 * (2**m - 2)`` CX, global phase uncorrected.
 * :func:`sqsp` - sparse state preparation by basis-state merging.  Support
-  states are disentangled pairwise (descending Hamming weight, ties by
-  index) until one basis state remains; the preparation circuit is the
-  reversed adjoint.  Each merge aligns the pair to a single differing bit
-  with CX conjugation, separates it from the remaining support with a
-  greedy control cover C, and rotates through a Gray-code RY multiplexer
-  costing ``2**|C|`` CX.  The pair and its kept bit are the cheapest over
-  the candidates nearest in Hamming distance; a choice whose cost floor
-  (the CX conjugation plus ``2**f`` for the f cover bits some other state
-  forces, by differing from the anchor in that bit alone) cannot beat the
-  best so far skips its cover search, which leaves the choice unchanged.
+  states are disentangled pairwise (basis state 0 first, then descending
+  Hamming weight, ties by index) until one basis state remains; the
+  preparation circuit is the reversed adjoint.  Each merge aligns the pair
+  to a single differing bit with CX conjugation, separates it from the
+  remaining support with a greedy control cover C, and rotates through a
+  Gray-code RY multiplexer costing ``2**|C|`` CX.  The pair and its kept
+  bit are the cheapest over the candidates nearest in Hamming distance; a
+  choice whose cost floor (the CX conjugation plus ``2**f`` for the f cover
+  bits some other state forces, by differing from the anchor in that bit
+  alone) cannot beat the best so far skips its cover search, which leaves
+  the choice unchanged.
   The ladder cost does not depend on how many of its angle slots are used,
   so further distance-1 pairs whose cover patterns are free ride along in
   the same multiplexer at no CX cost.
@@ -219,8 +220,9 @@ def _bits(x: int) -> list[int]:
 
 
 def _popcounts(arr: np.ndarray) -> np.ndarray:
+    """Per-element bit counts as int64 on every NumPy version."""
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
+        return np.bitwise_count(arr).astype(np.int64)
     return np.array([int(v).bit_count() for v in arr], dtype=np.int64)
 
 
@@ -361,7 +363,9 @@ def sqsp(state: SparseState) -> Circuit:
     global phase.  CX cost is linear in d on the tested families (see the
     module docstring for the c * n * d bound) and never above the cascade
     over the support's bounding subcube, ``2**k - 2`` CX for k free bits,
-    doubled for complex amplitudes."""
+    doubled for complex amplitudes.  Support states are processed basis
+    state 0 first, then by descending Hamming weight, ties by index, on
+    every NumPy version."""
     n = state.n
     circ = Circuit(n)
     if state.d == 1:
@@ -385,8 +389,9 @@ def sqsp(state: SparseState) -> Circuit:
         return _subcube_circuit(*subcube)
 
     weights = _popcounts(indices)
-    # pinned processing order: descending Hamming weight, ties by index
-    order = np.lexsort((indices, -weights))
+    # the docstring's processing order, spelled out key by key so that it
+    # cannot hang on the dtype _popcounts returns
+    order = np.lexsort((indices, -weights, indices != 0))
 
     alive = {int(indices[i]): i for i in range(len(indices))}
     amp_of = {int(indices[i]): complex(amps[i]) for i in range(len(indices))}

@@ -4,13 +4,12 @@ States are little-endian: qubit 0 is the least significant bit of the basis
 index, so ``state[5]`` is the amplitude of |...101>.
 
 :func:`simulate` is the whole-circuit simulator.  All gate kinds of the IR
-are applied natively (multi-controlled gates do not need decomposition
-first); axis slicing on the ``[2]*n``-shaped view keeps every update
-vectorised.  A UCRY/UCRZ multiplexer runs in one pass over the state: its
-per-pattern rotation entries are laid onto the control axes and broadcast,
-so a cascade level costs O(2**n) however many controls it has.  Register
-width is capped at 24 qubits, which bounds the state at 256 MiB of
-complex128; a run adds one workspace of twice that size.
+are applied natively; axis slicing on the ``[2]*n``-shaped view keeps every
+update vectorised.  A UCRY/UCRZ multiplexer runs in one pass over the
+state: its per-pattern rotation entries are laid onto the control axes and
+broadcast, so a cascade level costs O(2**n) however many controls it has.
+Register width is capped at 24 qubits, which bounds the state at 256 MiB
+of complex128; a run adds one workspace of twice that size.
 
 :func:`simulate_support` runs a loader circuit (the kinds the loaders emit:
 X, CX, RY, RZ, UCRY, UCRZ) from |0...0> on its support only, as a map from
@@ -90,7 +89,7 @@ def _slots(n: int, target: int, controls) -> tuple[tuple, tuple]:
     return (*i0, ...), (*i1, ...)
 
 
-def _on_controls(values: np.ndarray, n: int, target: int, controls) -> np.ndarray:
+def _pattern_grid(values: np.ndarray, n: int, target: int, controls) -> np.ndarray:
     """Per-pattern ``values`` (``controls[j]`` is bit j of the pattern) shaped
     to broadcast over one target half of the ``[2]*n`` view."""
     k = len(controls)
@@ -161,16 +160,12 @@ def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
         np.copyto(view, swapped)
     elif kind == "CCX":
         _apply_1q(psi, n, _X, g.qubits[2], g.qubits[:2], work)
-    elif kind == "MCX":
-        _apply_1q(psi, n, _X, g.targets[0], g.controls, work)
-    elif kind == "MCRY":
-        _apply_1q(psi, n, _ry(g.angle), g.targets[0], g.controls, work)
     elif kind == "UCRY":
         half = np.asarray(g.angle) / 2.0
-        c, s = (_on_controls(f(half), n, g.targets[0], g.controls) for f in (np.cos, np.sin))
+        c, s = (_pattern_grid(f(half), n, g.targets[0], g.controls) for f in (np.cos, np.sin))
         _apply_1q(psi, n, ((c, -s), (s, c)), g.targets[0], (), work)
     elif kind == "UCRZ":
-        half = _on_controls(np.exp(0.5j * np.asarray(g.angle)), n, g.targets[0], g.controls)
+        half = _pattern_grid(np.exp(0.5j * np.asarray(g.angle)), n, g.targets[0], g.controls)
         _apply_diag(psi, n, (np.conj(half), half), g.targets[0], ())
     else:  # pragma: no cover - the IR validates kinds on construction
         raise ValueError(f"cannot simulate gate kind {kind!r}")

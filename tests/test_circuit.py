@@ -23,8 +23,6 @@ from hqsp.circuit import (
     export,
     gate,
     inverse,
-    mcry_cx_cost,
-    mcx_cx_cost,
     parse_listing,
     parse_qasm,
     report,
@@ -53,7 +51,7 @@ def test_gate_checks_operand_count():
     with pytest.raises(ValueError):
         gate("H", 0, 1)
     with pytest.raises(ValueError):
-        gate("MCX", 0)  # needs at least one control
+        gate("CCX", 0, 1, 2, 3)
 
 
 def test_gate_rejects_duplicates_and_negatives():
@@ -80,10 +78,10 @@ def test_gate_angle_rules():
 
 
 def test_gate_control_target_split():
-    g = gate("MCX", 0, 2, 4, 1)
+    g = gate("UCRY", 0, 2, 4, 1, angle=[0.0] * 8)
     assert g.controls == (0, 2, 4)
     assert g.targets == (1,)
-    assert g.n_controls == 3
+    assert gate("CCX", 3, 0, 2).controls == (3, 0)
     assert gate("SWAP", 0, 1).controls == ()
 
 
@@ -209,7 +207,7 @@ def test_multiplexer_gate_rules():
     g = gate("UCRY", 1, 2, 0, angle=np.array([0.1, 0.2, 0.3, 0.4]))
     assert g.angle == (0.1, 0.2, 0.3, 0.4)
     assert all(type(a) is float for a in g.angle)
-    assert g.controls == (1, 2) and g.targets == (0,) and g.n_controls == 2
+    assert g.controls == (1, 2) and g.targets == (0,)
     assert gate("UCRZ", 0, angle=[0.5]).controls == ()  # a level without controls
     for bad in (0.5, [0.1, 0.2], [0.1] * 8, "ab", [[0.1, 0.2], [0.3, 0.4]], [1j, 0, 0, 0]):
         with pytest.raises(ValueError, match="4 pattern angles"):
@@ -270,11 +268,10 @@ DECOMPOSED_CASES = [
     gate("SWAP", 0, 2),
     gate("CPHASE", 1, 0, angle=0.77),
     gate("CCX", 0, 1, 2),
-    gate("MCX", 0, 1, 2),
-    gate("MCX", 0, 1, 2, 3),
-    gate("MCX", 0, 1, 2, 3, 4),
-    gate("MCRY", 1, 0, angle=0.9),
-    gate("MCRY", 0, 1, 2, 3, angle=-1.4),
+    # one-hot multiplexers: RY/RZ on the target when every control is set
+    gate("UCRY", 1, 0, angle=(0.0, 0.9)),
+    gate("UCRY", 0, 1, 2, 3, angle=(0.0,) * 7 + (-1.4,)),
+    gate("UCRZ", 3, 1, 4, angle=(0.0, 0.0, 0.0, 0.6)),
 ]
 
 
@@ -299,18 +296,10 @@ def test_decomposition_cx_costs():
     assert cx_count(gate("SWAP", 0, 1)) == 3
     assert cx_count(gate("CPHASE", 0, 1, angle=0.3)) == 2
     assert cx_count(gate("CCX", 0, 1, 2)) == 6
-    for k in range(1, 6):
-        mcx = gate("MCX", *range(k), k)
-        assert cx_count(mcx) == mcx_cx_cost(k)
-        mcry = gate("MCRY", *range(k), k, angle=0.5)
-        assert cx_count(mcry) == mcry_cx_cost(k)
-
-
-def test_mcx_cost_table():
-    assert [mcx_cx_cost(k) for k in (1, 2, 3, 4)] == [1, 6, 14, 30]
-    assert mcry_cx_cost(0) == 0
-    with pytest.raises(ValueError):
-        mcx_cx_cost(0)
+    for k in range(0, 6):
+        one_hot = (0.0,) * (2**k - 1) + (0.5,)
+        ucry = gate("UCRY", *range(k), k, angle=one_hot)
+        assert cx_count(ucry) == (2**k if k else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +393,11 @@ def test_cancel_opposite_rotations():
 
 
 def test_cancel_mcx_pairs():
-    c = Circuit(4, [gate("MCX", 0, 1, 2, 3), gate("MCX", 0, 1, 2, 3)])
+    # CCX is the IR's one multi-controlled X
+    c = Circuit(3, [gate("CCX", 0, 1, 2), gate("CCX", 0, 1, 2)])
     assert cancel_adjacent_inverses(c).gates == []
-    other_target = [gate("MCX", 0, 1, 2, 3), gate("MCX", 0, 1, 3, 2)]
-    assert cancel_adjacent_inverses(Circuit(4, other_target)).gates == other_target
+    other_target = [gate("CCX", 0, 1, 2), gate("CCX", 0, 2, 1)]
+    assert cancel_adjacent_inverses(Circuit(3, other_target)).gates == other_target
 
 
 # one gate of every kind in the IR
@@ -422,8 +412,6 @@ _ONE_OF_EACH_KIND = [
     gate("CPHASE", 0, 2, angle=-0.4),
     gate("SWAP", 1, 2),
     gate("CCX", 2, 0, 1),
-    gate("MCX", 0, 1, 2),
-    gate("MCRY", 2, 1, 0, angle=1.3),
     gate("UCRY", 2, 0, 1, angle=(0.4, -1.2, 0.0, 2.5)),
     gate("UCRZ", 1, 2, angle=(0.9, -0.3)),
 ]
@@ -474,24 +462,29 @@ def test_listing_roundtrip_exact():
 
 
 def test_qasm_decomposes_nonstandard_gates():
-    c = Circuit(3, [gate("MCRY", 0, 1, 2, angle=0.8)])
+    # a one-hot multiplexer: RY(0.8) on qubit 2 when qubits 0 and 1 are set
+    c = Circuit(3, [gate("UCRY", 0, 1, 2, angle=(0.0, 0.0, 0.0, 0.8))])
     parsed = parse_qasm(export(c, "qasm"))
-    assert all(g.kind != "MCRY" for g in parsed)
+    assert all(g.kind != "UCRY" for g in parsed)
     np.testing.assert_allclose(unitary_of(parsed), unitary_of(c), atol=1e-12)
 
 
 def test_export_lowers_native_multiplexers_only():
     ucry = gate("UCRY", 0, 2, 1, angle=(0.3, 0.0, -0.8, 1.1))
     ucrz = gate("UCRZ", 2, 0, angle=(0.5, -0.5))
-    mcx = gate("MCX", 0, 1, 2)
-    c = Circuit(3, [mcx, ucry, ucrz])
+    ccx = gate("CCX", 0, 1, 2)
+    c = Circuit(3, [ccx, ucry, ucrz])
     lowered = ucry_gates((0, 2), 1, ucry.angle) + ucrz_gates((2,), 0, ucrz.angle)
-    assert parse_listing(export(c, "listing")) == Circuit(3, [mcx, *lowered])
-    assert parse_qasm(export(c, "qasm")) == decompose(c)
+    # both formats carry CCX as it is
+    expected = Circuit(3, [ccx, *lowered])
+    assert parse_listing(export(c, "listing")) == expected
+    assert parse_qasm(export(c, "qasm")) == expected
 
 
 def test_parsers_reject_native_multiplexers():
-    for line in ("UCRY 1 0 0.5 0.25", "UCRZ 0 0.5", "UCRY 1 0 (0.5, 0.25)"):
+    for line in (
+        "UCRY 1 0 0.5 0.25", "UCRZ 0 0.5", "UCRY 1 0 (0.5, 0.25)", "MCX 0 1", "MCRY 0 1 0.5"
+    ):
         with pytest.raises(ValueError, match="listing"):
             parse_listing(f"qubits 2\n{line}\n")
     for line in ("ucry(0.5) q[1],q[0];", "UCRZ(0.5) q[0];"):

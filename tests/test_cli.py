@@ -189,9 +189,12 @@ def test_circuit_file_rejects_non_finite_angle(tmp_path, capsys, command, angle)
 
 
 @pytest.mark.parametrize("command", ["simulate", "export"])
-@pytest.mark.parametrize("line", ["UCRY 1 0 0.5 0.25", "UCRZ 0 0.5"])
+@pytest.mark.parametrize(
+    "line", ["UCRY 1 0 0.5 0.25", "UCRZ 0 0.5", "MCX 0 1", "MCRY 0 1 0.5"]
+)
 def test_circuit_file_rejects_native_multiplexer(tmp_path, capsys, command, line):
-    # no export writes one: listings hold the lowered ladder
+    # no export writes one: listings hold the lowered ladder, and MCX/MCRY
+    # are no gate kinds at all
     circ = tmp_path / "c.txt"
     circ.write_text(f"qubits 2\n{line}\n")
     out = tmp_path / "c.qasm"
@@ -326,6 +329,15 @@ def test_sweep_cli(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "L,tau,mean_td,mean_cr,std_cr,in_valid_regime"
     assert len(lines) == 5  # 2 levels x 2 taus
+
+
+def test_sweep_empty_level_range_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-ppg", "--levels", "5:3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "empty level range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_missing_dataset_is_io_error(tmp_path, capsys):

@@ -491,6 +491,14 @@ def test_pruned_merge_search_matches_unpruned_on_table1_inputs():
         assert sqsp(s) == _sqsp_unpruned(s), cfg.signal_params
 
 
+def test_sqsp_order_does_not_depend_on_bitwise_count(monkeypatch):
+    # NumPy < 2 has no np.bitwise_count; its fallback must pin the same order
+    s = _table1_state(table1_configs()[0])  # sinc
+    native = sqsp(s)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert sqsp(s) == native
+
+
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------

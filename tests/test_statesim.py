@@ -74,8 +74,6 @@ def reference_unitary(n: int, g) -> np.ndarray:
         "CX": lambda: _mat_x(),
         "CPHASE": lambda: _mat_phase(g.angle),
         "CCX": lambda: _mat_x(),
-        "MCX": lambda: _mat_x(),
-        "MCRY": lambda: _mat_ry(g.angle),
     }
     mat = blocks[g.kind]()
     target = g.targets[0]
@@ -104,8 +102,6 @@ GATE_CASES = [
     gate("CPHASE", 0, 2, angle=-0.4),
     gate("SWAP", 0, 2),
     gate("CCX", 0, 2, 1),
-    gate("MCX", 1, 2, 0),
-    gate("MCRY", 0, 1, 2, angle=1.9),
 ]
 
 
