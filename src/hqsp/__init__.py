@@ -5,7 +5,7 @@ sparse coefficient vector with a cheap circuit, and decompress with a
 polynomial-depth quantum inverse transform.  See README.md for the tour.
 """
 
-from .circuit import Circuit, Gate, ResourceReport, decompose, depth, export, report
+from .circuit import Circuit, Gate, ResourceReport, decompose, export, report
 from .loaders import SparseState, dense_complex_load, eae_real, sqsp
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
 from .signals import (
@@ -39,7 +39,6 @@ __all__ = [
     "Gate",
     "ResourceReport",
     "decompose",
-    "depth",
     "export",
     "report",
     "SparseState",

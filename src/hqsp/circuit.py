@@ -10,13 +10,15 @@ number of controls, one target and a tuple of ``2**k`` pattern angles
 (``controls[j]`` is bit j of the pattern), so a whole cascade level is one
 gate for the simulator.  :func:`decompose` and :func:`export` lower them to
 their Gray-code ladders, which is what every count, depth and QASM file
-describes; :func:`report` and :func:`depth` price that ladder from the
-angles without building it.
+describes; :func:`report` prices that ladder from the angles without
+building it.
 
-The IR has one gate vocabulary: the ten kinds both circuit formats carry
+The IR has one gate vocabulary: the ten kinds OpenQASM 2 files carry
 (H, X, RX, RY, RZ, PHASE, CX, CPHASE, SWAP, CCX) plus the two native
-multiplexers, which both formats write lowered.  Decomposition targets the
-base set {H, X, RX, RY, RZ, PHASE, CX}, exactly and without ancillas:
+multiplexers, which :func:`export` writes lowered.  OpenQASM 2 is the one
+circuit file format: :func:`export` writes it and :func:`parse_qasm` reads
+it back.  Decomposition targets the base set {H, X, RX, RY, RZ, PHASE, CX},
+exactly and without ancillas:
 
 * ``UCRY``/``UCRZ`` with k >= 1 controls cost ``2**k`` CX,
 * ``CCX`` uses the textbook 6-CX / 9-single-qubit T network,
@@ -26,6 +28,7 @@ base set {H, X, RX, RY, RZ, PHASE, CX}, exactly and without ancillas:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +40,9 @@ __all__ = [
     "GATE_KINDS",
     "gate",
     "decompose",
-    "depth",
     "report",
     "export",
     "parse_qasm",
-    "parse_listing",
     "ucry_gates",
     "ucrz_gates",
     "inverse",
@@ -72,7 +73,6 @@ GATE_KINDS = frozenset(_SIGNATURES)
 _MULTIPLEXER_KINDS = {"UCRY": "RY", "UCRZ": "RZ"}
 
 _BASE_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE", "CX"})
-_SINGLE_QUBIT_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE"})
 # what the scheduler takes as it is: base gates and native multiplexers
 _SCHEDULED_KINDS = _BASE_KINDS | _MULTIPLEXER_KINDS.keys()
 
@@ -362,26 +362,23 @@ def decompose(circuit: Circuit) -> Circuit:
 
 
 def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
-    """One ASAP pass: (CX count, single-qubit count, depth) of ``gates``.
-    A native multiplexer schedules as its Gray-code ladder; every other
-    gate counts one layer across all of its operands."""
+    """One ASAP pass: (CX count, single-qubit count, depth) of ``gates``,
+    which hold base gates and native multiplexers only.  A multiplexer
+    schedules as its Gray-code ladder."""
     frontier = [0] * n_qubits
     cx = single = 0
     for g in gates:
-        qubits = g.qubits
         if g.kind in _MULTIPLEXER_KINDS:
             ladder_cx, rotations = _schedule_ladder(frontier, g)
             cx += ladder_cx
             single += rotations
-            continue
-        if len(qubits) == 1:
-            frontier[qubits[0]] += 1
-            single += g.kind in _SINGLE_QUBIT_KINDS
-            continue
-        cx += g.kind == "CX"
-        layer = 1 + max([frontier[q] for q in qubits])
-        for q in qubits:
-            frontier[q] = layer
+        elif g.kind == "CX":
+            c, t = g.qubits
+            frontier[c] = frontier[t] = 1 + max(frontier[c], frontier[t])
+            cx += 1
+        else:
+            frontier[g.qubits[0]] += 1
+            single += 1
     return cx, single, max(frontier, default=0)
 
 
@@ -412,17 +409,6 @@ def _schedule_ladder(frontier: list[int], g: Gate) -> tuple[int, int]:
         frontier[c] = start + rotations[last] + last + 1
     frontier[target] = start + rotations[-1] + cx
     return cx, rotations[-1]
-
-
-def depth(circuit: Circuit) -> int:
-    """ASAP-schedule depth with every gate counting one layer.
-
-    Native multiplexers schedule as their Gray-code ladders, as in
-    :func:`report`, so a circuit of base gates and multiplexers has the
-    depth of its decomposition; any other multi-qubit gate counts one layer
-    spanning all of its operands.
-    """
-    return _schedule(circuit.n_qubits, circuit)[2]
 
 
 def report(circuit: Circuit, stages: dict[str, Circuit] | None = None) -> ResourceReport:
@@ -492,8 +478,8 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
 # Export / import
 # ---------------------------------------------------------------------------
 
-# the ten kinds both formats carry: listing names are the keys, QASM names
-# the values; every other kind is lowered on the way out
+# the ten kinds an OpenQASM 2 file carries, by their qelib1 names; every
+# other kind is lowered on the way out
 _QASM_NAMES = {
     "H": "h",
     "X": "x",
@@ -508,32 +494,24 @@ _QASM_NAMES = {
 }
 _QASM_KINDS = {v: k for k, v in _QASM_NAMES.items()}
 
+# one statement each, without its ';'
+_QASM_HEADER = re.compile(r'OPENQASM\s+2\.0|include\s+"qelib1\.inc"')
+_QASM_QREG = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
+_QASM_GATE = re.compile(r"(\w+)\s*(?:\(([^()]*)\))?\s+([^()]+)")
+_QASM_OPERAND = re.compile(r"\s*(\w+)\s*\[\s*(\d+)\s*\]\s*")
 
-def export(circuit: Circuit, fmt: str = "qasm") -> str:
-    """Serialise to OpenQASM 2.0 (subset h,x,rx,ry,rz,u1,cx,cp,swap,ccx) or
-    to a line-per-gate debug listing.  Both formats carry the same ten
-    kinds; the UCRY/UCRZ multiplexers are lowered on the way out."""
-    if fmt == "listing":
-        header = [f"qubits {circuit.n_qubits}"]
-        line = _listing_line
-    elif fmt == "qasm":
-        header = [
-            "OPENQASM 2.0;",
-            'include "qelib1.inc";',
-            f"qreg q[{circuit.n_qubits}];",
-        ]
-        line = _qasm_line
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
-    lines = header + [line(g) for g in _lowered(circuit, _QASM_NAMES)]
+
+def export(circuit: Circuit) -> str:
+    """Serialise to OpenQASM 2.0 (subset h,x,rx,ry,rz,u1,cx,cp,swap,ccx),
+    one register ``q`` and one gate per line; the UCRY/UCRZ multiplexers
+    are written as their Gray-code ladders."""
+    lines = [
+        "OPENQASM 2.0;",
+        'include "qelib1.inc";',
+        f"qreg q[{circuit.n_qubits}];",
+        *map(_qasm_line, _lowered(circuit, _QASM_NAMES)),
+    ]
     return "\n".join(lines) + "\n"
-
-
-def _listing_line(g: Gate) -> str:
-    parts = [g.kind, *map(str, g.qubits)]
-    if g.angle is not None:
-        parts.append(repr(g.angle))
-    return " ".join(parts)
 
 
 def _qasm_line(g: Gate) -> str:
@@ -545,64 +523,43 @@ def _qasm_line(g: Gate) -> str:
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse the OpenQASM 2.0 subset produced by :func:`export`."""
+    """Parse the OpenQASM 2.0 subset produced by :func:`export`.
+
+    Every ``;``-terminated statement is read, however the lines break; one
+    ``qreg`` must precede the gates, and every operand must index it.
+    Anything else (a second register, an unclosed parenthesis, text after
+    the last ``;``) raises ``ValueError``.
+    """
+    code = "\n".join(line.split("//")[0] for line in text.splitlines())
+    *statements, rest = code.split(";")
+    if rest.strip():
+        raise ValueError(f"missing semicolon after {rest.strip()!r}")
     circuit: Circuit | None = None
-    for raw in text.splitlines():
-        line = raw.split("//")[0].strip()
-        if not line:
+    register = None
+    for statement in map(str.strip, statements):
+        if not statement or _QASM_HEADER.fullmatch(statement):
             continue
-        if line.startswith("OPENQASM") or line.startswith("include"):
+        if m := _QASM_QREG.fullmatch(statement):
+            if circuit is not None:
+                raise ValueError(f"second register in {statement!r}: one qreg only")
+            register, circuit = m[1], Circuit(int(m[2]))
             continue
-        if not line.endswith(";"):
-            raise ValueError(f"missing semicolon in {raw!r}")
-        line = line[:-1].strip()
-        if line.startswith("qreg"):
-            n = int(line[line.index("[") + 1 : line.index("]")])
-            circuit = Circuit(n)
-            continue
+        m = _QASM_GATE.fullmatch(statement)
+        if m is None:
+            raise ValueError(f"malformed statement {statement!r}")
         if circuit is None:
             raise ValueError("gate before qreg declaration")
-        head, _, operands = line.partition(" ")
-        angle = None
-        if "(" in head:
-            name, arg = head.split("(", 1)
-            angle = float(arg.rstrip(")"))
-        else:
-            name = head
+        name, arg, operands = m.groups()
         if name not in _QASM_KINDS:
             raise ValueError(f"unsupported qasm gate {name!r}")
         qubits = []
-        for tok in operands.split(","):
-            tok = tok.strip()
-            qubits.append(int(tok[tok.index("[") + 1 : tok.index("]")]))
+        for token in operands.split(","):
+            op = _QASM_OPERAND.fullmatch(token)
+            if op is None or op[1] != register:
+                raise ValueError(f"operand {token.strip()!r} is not on register {register!r}")
+            qubits.append(int(op[2]))
+        angle = None if arg is None else float(arg)
         circuit.add(_QASM_KINDS[name], *qubits, angle=angle)
     if circuit is None:
         raise ValueError("no qreg declaration found")
-    return circuit
-
-
-def parse_listing(text: str) -> Circuit:
-    """Parse the debug listing produced by ``export(c, fmt="listing")``."""
-    circuit: Circuit | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("qubits "):
-            circuit = Circuit(int(line.split()[1]))
-            continue
-        if circuit is None:
-            raise ValueError("listing must start with a 'qubits N' line")
-        parts = line.split()
-        kind = parts[0]
-        if kind not in _QASM_NAMES:
-            raise ValueError(f"gate kind {kind!r} cannot appear in a listing")
-        takes_angle = _SIGNATURES[kind][2]
-        if takes_angle:
-            qubits, angle = parts[1:-1], float(parts[-1])
-        else:
-            qubits, angle = parts[1:], None
-        circuit.add(kind, *(int(q) for q in qubits), angle=angle)
-    if circuit is None:
-        raise ValueError("empty listing")
     return circuit

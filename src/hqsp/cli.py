@@ -5,9 +5,9 @@ waveforms, ``compress`` runs the classical phase and reports (d, CR, TD),
 ``synth`` builds any of the circuit families and prices it, ``simulate``
 runs a circuit file through the state-vector simulator, ``prepare`` runs
 one experiment from a config file, ``run`` reproduces the benchmark
-tables, ``sweep-ppg`` maps the compression grid over a recording
-directory, and ``export`` converts circuit files between the line listing
-and OpenQASM.
+tables, and ``sweep-ppg`` maps the compression grid over a recording
+directory.  Circuit files are OpenQASM 2 throughout: ``synth`` writes one
+to stdout or ``--out`` and ``simulate`` reads one, whatever the suffix.
 
 Exit codes: 0 success, 1 tolerance exceeded, 2 usage or invalid values,
 3 I/O failure.
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, export, parse_listing, parse_qasm, report
+from .circuit import export, parse_qasm, report
 from .loaders import SparseState, eae_real, sqsp
 from .pipeline import (
     DEFAULT_PPG_DIR,
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", parents=common, help="run a circuit file")
-    p.add_argument("circuit", type=Path, help=".qasm or listing file")
+    p.add_argument("circuit", type=Path, help="OpenQASM 2 file")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -136,10 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated thresholds")
     p.add_argument("--mode", choices=(ABSOLUTE, FRACTION_OF_MAX), default=ABSOLUTE)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("export", parents=common, help="convert a circuit file")
-    p.add_argument("input", type=Path, help=".qasm or listing file")
-    p.set_defaults(func=cmd_export)
 
     return parser
 
@@ -228,27 +224,19 @@ def cmd_synth(args) -> int:
     if args.report:
         print(report(circuit))
     if args.out is not None:
-        fmt = "qasm" if args.out.suffix == ".qasm" else "listing"
-        text = export(circuit, fmt)
+        text = export(circuit)
         args.out.write_text(text)
-        # one line per written gate after the header; native multiplexers
-        # are written lowered, so this is not len(circuit)
-        written = text.count("\n") - (1 if fmt == "listing" else 3)
+        # one line per written gate after the three header lines; native
+        # multiplexers are written lowered, so this is not len(circuit)
+        written = text.count("\n") - 3
         print(f"wrote {written} gates to {args.out}")
     elif not args.report:
-        sys.stdout.write(export(circuit, "listing"))
+        sys.stdout.write(export(circuit))
     return 0
 
 
-def _read_circuit(path: Path) -> Circuit:
-    text = path.read_text()
-    if path.suffix == ".qasm" or text.lstrip().startswith("OPENQASM"):
-        return parse_qasm(text)
-    return parse_listing(text)
-
-
 def cmd_simulate(args) -> int:
-    circuit = _read_circuit(args.circuit)
+    circuit = parse_qasm(args.circuit.read_text())
     state = simulate(circuit)
     print(f"simulated {circuit.n_qubits} qubits, {len(circuit)} gates")
     if args.out is not None:
@@ -271,7 +259,7 @@ def cmd_prepare(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         writer = write_records_csv if args.format == "csv" else write_records_json
         writer([record], out_dir / f"{cfg.label}.{args.format}")
-        (out_dir / f"{cfg.label}.qasm").write_text(export(circuit, "qasm"))
+        (out_dir / f"{cfg.label}.qasm").write_text(export(circuit))
         print(f"wrote record and circuit to {out_dir}")
     if args.out is not None:
         writer = write_records_csv if args.format == "csv" else write_records_json
@@ -297,16 +285,6 @@ def cmd_sweep(args) -> int:
     out = args.out if args.out is not None else Path("sweep.csv")
     write_sweep_csv(cells, out)
     print(f"wrote {len(cells)} cells to {out}")
-    return 0
-
-
-def cmd_export(args) -> int:
-    circuit = _read_circuit(args.input)
-    if args.out is None:
-        raise PipelineError("export needs --out")
-    fmt = "qasm" if args.out.suffix == ".qasm" else "listing"
-    args.out.write_text(export(circuit, fmt))
-    print(f"wrote {args.out}")
     return 0
 
 

@@ -393,20 +393,20 @@ def sqsp(state: SparseState) -> Circuit:
     # cannot hang on the dtype _popcounts returns
     order = np.lexsort((indices, -weights, indices != 0))
 
-    alive = {int(indices[i]): i for i in range(len(indices))}
+    # the basis states not merged away yet, with their tracked amplitudes
     amp_of = {int(indices[i]): complex(amps[i]) for i in range(len(indices))}
     merge_steps: list[list[Gate]] = []
 
     for oi in order:
         y = int(indices[oi])
-        if y not in alive or len(alive) == 1:
+        if y not in amp_of or len(amp_of) == 1:
             continue
-        alive_arr = np.array(sorted(alive), dtype=np.int64)
+        alive_arr = np.array(sorted(amp_of), dtype=np.int64)
         step = _plan_merge(y, alive_arr, amp_of, span, order, indices)
-        merge_steps.append(_emit_merge(step, amp_of, alive))
+        merge_steps.append(_emit_merge(step, amp_of))
 
     # one basis state remains; its amplitude is a pure (ignored) global phase
-    (final_idx,) = alive
+    (final_idx,) = amp_of
     prep: list[Gate] = [gate("X", b) for b in _bits(final_idx)]
     for step_gates in reversed(merge_steps):
         for g in reversed(step_gates):
@@ -517,7 +517,7 @@ def _add_free_riders(step, alive_arr, amp_of, order, indices, span) -> None:
     step.pairs.extend(riders)
 
 
-def _emit_merge(step: _MergeStep, amp_of: dict, alive: dict) -> list[Gate]:
+def _emit_merge(step: _MergeStep, amp_of: dict) -> list[Gate]:
     """Emit disentangling gates for one (possibly batched) merge and update
     the tracked classical amplitudes."""
     b, spread, cover = step.b, step.spread, step.cover
@@ -550,7 +550,7 @@ def _emit_merge(step: _MergeStep, amp_of: dict, alive: dict) -> list[Gate]:
         anchor = x ^ spread if (x & b_bit) else x
         pattern_angles[_pattern_of(anchor, cover)] = _merge_angle(slot0, slot1, v)
         amp_of[x] = phase * math.hypot(slot0, slot1)
-        del amp_of[y], alive[y]
+        del amp_of[y]
 
     if cover:
         gates.extend(ucry_gates(tuple(cover), b, pattern_angles))

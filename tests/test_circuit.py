@@ -19,11 +19,9 @@ from hqsp.circuit import (
     Gate,
     cancel_adjacent_inverses,
     decompose,
-    depth,
     export,
     gate,
     inverse,
-    parse_listing,
     parse_qasm,
     report,
     ucry_gates,
@@ -308,10 +306,10 @@ def test_decomposition_cx_costs():
 
 
 def test_depth_parallel_vs_serial():
-    assert depth(Circuit(3, [gate("H", q) for q in range(3)])) == 1
-    assert depth(Circuit(3, [gate("CX", 0, 1), gate("CX", 1, 2)])) == 2
-    assert depth(Circuit(3, [gate("CX", 0, 1), gate("X", 2)])) == 1
-    assert depth(Circuit(2)) == 0
+    assert report(Circuit(3, [gate("H", q) for q in range(3)])).depth == 1
+    assert report(Circuit(3, [gate("CX", 0, 1), gate("CX", 1, 2)])).depth == 2
+    assert report(Circuit(3, [gate("CX", 0, 1), gate("X", 2)])).depth == 1
+    assert report(Circuit(2)).depth == 0
 
 
 @st.composite
@@ -348,9 +346,7 @@ def prefixed_multiplexers(draw):
 def test_ladder_schedule_matches_lowering(c):
     # report schedules native multiplexers in closed form; the decomposed
     # circuit is scheduled gate by gate
-    rep = report(c)
-    assert rep == report(decompose(c))
-    assert depth(c) == rep.depth
+    assert report(c) == report(decompose(c))
 
 
 def test_report_counts_and_stages():
@@ -451,20 +447,15 @@ def _sample_circuit() -> Circuit:
 
 def test_qasm_roundtrip_exact():
     c = _sample_circuit()
-    text = export(c, "qasm")
+    text = export(c)
     assert text.startswith("OPENQASM 2.0;")
     assert parse_qasm(text) == c
-
-
-def test_listing_roundtrip_exact():
-    c = _sample_circuit()
-    assert parse_listing(export(c, "listing")) == c
 
 
 def test_qasm_decomposes_nonstandard_gates():
     # a one-hot multiplexer: RY(0.8) on qubit 2 when qubits 0 and 1 are set
     c = Circuit(3, [gate("UCRY", 0, 1, 2, angle=(0.0, 0.0, 0.0, 0.8))])
-    parsed = parse_qasm(export(c, "qasm"))
+    parsed = parse_qasm(export(c))
     assert all(g.kind != "UCRY" for g in parsed)
     np.testing.assert_allclose(unitary_of(parsed), unitary_of(c), atol=1e-12)
 
@@ -475,26 +466,16 @@ def test_export_lowers_native_multiplexers_only():
     ccx = gate("CCX", 0, 1, 2)
     c = Circuit(3, [ccx, ucry, ucrz])
     lowered = ucry_gates((0, 2), 1, ucry.angle) + ucrz_gates((2,), 0, ucrz.angle)
-    # both formats carry CCX as it is
-    expected = Circuit(3, [ccx, *lowered])
-    assert parse_listing(export(c, "listing")) == expected
-    assert parse_qasm(export(c, "qasm")) == expected
+    # QASM carries CCX as it is
+    assert parse_qasm(export(c)) == Circuit(3, [ccx, *lowered])
 
 
 def test_parsers_reject_native_multiplexers():
     for line in (
-        "UCRY 1 0 0.5 0.25", "UCRZ 0 0.5", "UCRY 1 0 (0.5, 0.25)", "MCX 0 1", "MCRY 0 1 0.5"
+        "ucry(0.5) q[1],q[0];", "UCRZ(0.5) q[0];", "mcx q[0],q[1];", "mcry(0.5) q[0],q[1];"
     ):
-        with pytest.raises(ValueError, match="listing"):
-            parse_listing(f"qubits 2\n{line}\n")
-    for line in ("ucry(0.5) q[1],q[0];", "UCRZ(0.5) q[0];"):
         with pytest.raises(ValueError, match="unsupported"):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{line}\n")
-
-
-def test_export_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        export(Circuit(1), "quil")
 
 
 def test_parse_qasm_errors():
@@ -506,11 +487,11 @@ def test_parse_qasm_errors():
         parse_qasm("h q[0];")  # gate before qreg
 
 
-def test_parse_listing_errors():
-    with pytest.raises(ValueError):
-        parse_listing("H 0\n")  # missing qubits header
-    with pytest.raises(ValueError):
-        parse_listing("qubits 2\nFROB 0\n")
+def test_parse_qasm_reads_every_statement_on_a_line():
+    text = 'OPENQASM 2.0; include "qelib1.inc"; qreg q[2];\nh q[0]; x q[1];  // two\n'
+    assert parse_qasm(text) == Circuit(2, [gate("H", 0), gate("X", 1)])
+    with pytest.raises(ValueError, match="missing semicolon"):
+        parse_qasm("qreg q[2];\nh q[0]; x q[1]\n")
 
 
 @st.composite
@@ -537,8 +518,7 @@ def base_circuits(draw):
 @given(base_circuits())
 @settings(max_examples=60, deadline=None)
 def test_serialization_roundtrip_property(c):
-    assert parse_listing(export(c, "listing")) == c
-    assert parse_qasm(export(c, "qasm")) == c
+    assert parse_qasm(export(c)) == c
 
 
 # circuit-file lines: keywords and operands the parsers know, mixed with noise
@@ -559,8 +539,7 @@ _FILE_TEXT = st.one_of(st.text(), st.lists(_FILE_LINES, max_size=8).map("\n".joi
 @settings(max_examples=300, deadline=None)
 def test_circuit_parsers_raise_only_value_error(text):
     # parse only: a fuzzed width could ask the simulator for any amount of memory
-    for parse in (parse_qasm, parse_listing):
-        try:
-            parse(text)
-        except ValueError:
-            pass
+    try:
+        parse_qasm(text)
+    except ValueError:
+        pass

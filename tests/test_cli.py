@@ -7,9 +7,10 @@ capsys, so the assertions see exactly what a shell user would.
 import numpy as np
 import pytest
 
-from hqsp.circuit import decompose, parse_listing, parse_qasm
+from hqsp.circuit import decompose, parse_qasm
 from hqsp.cli import main
 from hqsp.loaders import eae_real
+from hqsp.qsynth import iqft
 from hqsp.signals import gen_gaussian, ingest_waveform_csv, save_signal_csv
 from hqsp.statesim import simulate
 from hqsp.transforms import load_compressed_csv, read_amplitude_csv
@@ -103,7 +104,7 @@ def test_compress_dft_rejects_levels(gaussian_csv, capsys):
 
 
 # ---------------------------------------------------------------------------
-# synth / simulate / export
+# synth / simulate
 # ---------------------------------------------------------------------------
 
 
@@ -114,10 +115,9 @@ def test_synth_qhwt_report(capsys):
     assert "cnot_count=126" in out and "depth=46" in out
 
 
-def test_synth_listing_on_stdout(capsys):
+def test_synth_qasm_on_stdout(capsys):
     assert main(["synth", "--plan", "iqft", "--n", "3"]) == 0
-    circuit = parse_listing(capsys.readouterr().out)
-    assert circuit.n_qubits == 3
+    assert parse_qasm(capsys.readouterr().out) == iqft(3)
 
 
 def test_synth_missing_flag_is_usage_error(capsys):
@@ -143,30 +143,35 @@ def test_synth_sqsp_index_out_of_range_is_usage_error(tmp_path, capsys):
 
 
 def test_synth_eae_and_fsl(gaussian_csv, tmp_path):
-    listing = tmp_path / "eae.txt"
-    assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(listing)]) == 0
-    assert parse_listing(listing.read_text()).n_qubits == 8
+    eae = tmp_path / "eae.txt"
+    assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(eae)]) == 0
+    assert parse_qasm(eae.read_text()).n_qubits == 8
     fsl = tmp_path / "fsl.txt"
     assert main(["synth", "--plan", "fsl", "--input", str(gaussian_csv), "--m", "4",
                  "--out", str(fsl)]) == 0
-    assert parse_listing(fsl.read_text()).n_qubits == 8
+    assert parse_qasm(fsl.read_text()).n_qubits == 8
 
 
 @pytest.mark.parametrize("suffix", [".txt", ".qasm"])
 def test_synth_out_counts_written_gates(gaussian_csv, tmp_path, capsys, suffix):
-    # the loader's multiplexers are written lowered, one line per gate
+    # QASM whatever the suffix; the loader's multiplexers are written
+    # lowered, one line per gate
     out = tmp_path / f"eae{suffix}"
     assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(out)]) == 0
-    parse = parse_qasm if suffix == ".qasm" else parse_listing
-    written = parse(out.read_text())
+    written = parse_qasm(out.read_text())
     samples = np.asarray(ingest_waveform_csv(gaussian_csv).samples, dtype=float)
     assert written == decompose(eae_real(samples))
     assert f"wrote {len(written)} gates to {out}" in capsys.readouterr().out
 
 
+def _qasm_file(tmp_path, n_qubits: int, body: str):
+    path = tmp_path / "c.qasm"
+    path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n_qubits}];\n{body}\n')
+    return path
+
+
 def test_simulate_circuit_file(tmp_path, capsys):
-    circ = tmp_path / "bell.txt"
-    circ.write_text("qubits 2\nH 0\nCX 0 1\n")
+    circ = _qasm_file(tmp_path, 2, "h q[0];\ncx q[0],q[1];")
     state_csv = tmp_path / "state.csv"
     assert main(["simulate", str(circ), "--out", str(state_csv)]) == 0
     assert "simulated 2 qubits, 2 gates" in capsys.readouterr().out
@@ -177,35 +182,61 @@ def test_simulate_circuit_file(tmp_path, capsys):
     np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
-@pytest.mark.parametrize("command", ["simulate", "export"])
+# simulate is the one command that reads a circuit file; the one-value
+# parameter keeps these cases' ids stable
+@pytest.mark.parametrize("command", ["simulate"])
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_circuit_file_rejects_non_finite_angle(tmp_path, capsys, command, angle):
-    circ = tmp_path / "c.txt"
-    circ.write_text(f"qubits 1\nRY 0 {angle}\n")
-    out = tmp_path / "c.qasm"
+    circ = _qasm_file(tmp_path, 1, f"ry({angle}) q[0];")
+    out = tmp_path / "state.csv"
     assert main([command, str(circ), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "export"])
+@pytest.mark.parametrize("command", ["simulate"])
 @pytest.mark.parametrize(
-    "line", ["UCRY 1 0 0.5 0.25", "UCRZ 0 0.5", "MCX 0 1", "MCRY 0 1 0.5"]
+    "line",
+    [
+        pytest.param("ucry(0.5,0.25) q[1],q[0];", id="UCRY 1 0 0.5 0.25"),
+        pytest.param("ucrz(0.5) q[0];", id="UCRZ 0 0.5"),
+        pytest.param("mcx q[0],q[1];", id="MCX 0 1"),
+        pytest.param("mcry(0.5) q[0],q[1];", id="MCRY 0 1 0.5"),
+    ],
 )
 def test_circuit_file_rejects_native_multiplexer(tmp_path, capsys, command, line):
-    # no export writes one: listings hold the lowered ladder, and MCX/MCRY
-    # are no gate kinds at all
-    circ = tmp_path / "c.txt"
-    circ.write_text(f"qubits 2\n{line}\n")
-    out = tmp_path / "c.qasm"
+    # export writes multiplexers as their lowered ladders, and MCX/MCRY are
+    # no gate kinds at all
+    circ = _qasm_file(tmp_path, 2, line)
+    out = tmp_path / "state.csv"
     assert main([command, str(circ), "--out", str(out)]) == 2
-    assert "listing" in capsys.readouterr().err
+    assert "unsupported qasm gate" in capsys.readouterr().err
     assert not out.exists()
 
 
+# files parse_qasm once read without an error, each losing or misreading
+# part of the circuit
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # a second register would discard every gate before it
+        ("h q[0];\nqreg q[3];\nx q[2];", "one qreg only"),
+        # a second statement on a line would be dropped, and its error with it
+        ("h q[0]; x q[2];", "exceeds register width"),
+        # an unclosed parenthesis would be read as RY(0.5)
+        ("ry(0.5 q[0];", "malformed statement"),
+        # an operand on an undeclared register would be read as q[1]
+        ("h r[1];", "not on register 'q'"),
+    ],
+    ids=["second-qreg", "second-statement", "unclosed-paren", "undeclared-register"],
+)
+def test_simulate_rejects_what_parse_qasm_cannot_read_back(tmp_path, capsys, body, message):
+    assert main(["simulate", str(_qasm_file(tmp_path, 2, body))]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_too_wide_is_usage_error(tmp_path, capsys):
-    circ = tmp_path / "wide.txt"
-    circ.write_text("qubits 30\nH 0\n")
+    circ = _qasm_file(tmp_path, 30, "h q[0];")
     assert main(["simulate", str(circ)]) == 2
     assert "dense-simulation cap" in capsys.readouterr().err
 
@@ -217,16 +248,14 @@ def test_simulate_prints_largest_amplitudes(tmp_path, capsys):
     assert "|10>" in capsys.readouterr().out
 
 
-def test_export_roundtrip(tmp_path, capsys):
-    listing = tmp_path / "c.txt"
-    listing.write_text("qubits 2\nH 0\nCX 0 1\n")
-    qasm = tmp_path / "c.qasm"
-    assert main(["export", str(listing), "--out", str(qasm)]) == 0
-    back = tmp_path / "back.txt"
-    assert main(["export", str(qasm), "--out", str(back)]) == 0
-    assert parse_listing(back.read_text()) == parse_listing(listing.read_text())
-    capsys.readouterr()
-    assert main(["export", str(listing)]) == 2  # --out is mandatory here
+def test_export_subcommand_is_gone(tmp_path, capsys):
+    # OpenQASM 2 is the one circuit file format, so there is nothing to convert
+    circ = _qasm_file(tmp_path, 1, "h q[0];")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["export", str(circ), "--out", str(tmp_path / "c.txt")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "export" in err
 
 
 # ---------------------------------------------------------------------------

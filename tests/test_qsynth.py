@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hqsp.circuit import Circuit, depth, report
+from hqsp.circuit import Circuit, report
 from hqsp.qsynth import (
     fsl_circuit,
     fsl_classical_reconstruction,
