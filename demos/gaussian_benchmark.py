@@ -26,9 +26,9 @@ def main() -> None:
 
     print(f"kept d={record.d} of 2**{record.n} coefficients (CR={record.cr:.1f})")
     print(
-        f"sparse load: {record.sqsp_report.cnot_count} CX, "
-        f"decompression: {record.decompression_report.cnot_count} CX "
-        f"(depth {record.decompression_report.depth})"
+        f"sparse load: {record.sqsp_cnot} CX, "
+        f"decompression: {record.decomp_cnot} CX "
+        f"(depth {record.decomp_depth})"
     )
     print(
         f"total: {record.total_cnot} CX vs. {record.eae_cnot} CX dense "

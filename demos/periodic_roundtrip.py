@@ -44,9 +44,11 @@ def main() -> None:
     load = sqsp(SparseState.from_compressed(spectrum))
     decompress = iqft(signal.n)
     circuit = load + decompress
-    rep = report(circuit, stages={"sqsp": load, "iqft": decompress})
+    rep = report(circuit)
     print("\nhybrid circuit:")
     print(rep)
+    for name, stage in (("sqsp", load), ("iqft", decompress)):
+        print(f"  {name}: {report(stage)}")
 
     psi = simulate(circuit)
     print(f"\ntrace distance to the input signal: {trace_distance(psi, x):.3e}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,19 +204,12 @@ class ResourceReport:
     cnot_count: int
     single_qubit_count: int
     depth: int
-    stage_breakdown: dict[str, "ResourceReport"] = field(default_factory=dict)
 
     def __str__(self) -> str:
-        lines = [
+        return (
             f"cnot_count={self.cnot_count} "
             f"single_qubit_count={self.single_qubit_count} depth={self.depth}"
-        ]
-        for name, sub in self.stage_breakdown.items():
-            lines.append(
-                f"  {name}: cnot={sub.cnot_count} "
-                f"single_qubit={sub.single_qubit_count} depth={sub.depth}"
-            )
-        return "\n".join(lines)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +404,13 @@ def _schedule_ladder(frontier: list[int], g: Gate) -> tuple[int, int]:
     return cx, rotations[-1]
 
 
-def report(circuit: Circuit, stages: dict[str, Circuit] | None = None) -> ResourceReport:
+def report(circuit: Circuit) -> ResourceReport:
     """Tally CX count, single-qubit count and ASAP depth of the decomposed
     circuit in one pass without building it: composite gates are lowered
     one at a time, and native multiplexers are priced from their angles
     without building their ladders.
-
-    ``stages`` attaches per-stage sub-reports (each stage scheduled on its
-    own); the top-level depth is that of the whole scheduled circuit.
     """
-    rep = ResourceReport(*_schedule(circuit.n_qubits, _lowered(circuit, _SCHEDULED_KINDS)))
-    if stages:
-        rep.stage_breakdown = {name: report(sub) for name, sub in stages.items()}
-    return rep
+    return ResourceReport(*_schedule(circuit.n_qubits, _lowered(circuit, _SCHEDULED_KINDS)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .pipeline import (
     run_table2,
     sweep_ppg,
     write_records_csv,
-    write_records_json,
     write_sweep_csv,
 )
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
@@ -61,25 +60,21 @@ from .transforms import (
 )
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="generator seed")
-    common.add_argument("--out", type=Path, help="output file")
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="record format"
-    )
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hqsp",
         description="hybrid classical compression + sparse quantum loading",
     )
-    common = [_common_flags()]
+    # every subcommand writes to --out; only the two that build a mixture
+    # read --seed
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, help="output file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="generator seed")
+    common, seeded = [out], [out, seed]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-signal", parents=common, help="write a benchmark waveform")
+    p = sub.add_parser("gen-signal", parents=seeded, help="write a benchmark waveform")
     p.add_argument(
         "--kind",
         required=True,
@@ -120,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", type=Path, help="flat key = value config")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("run", parents=common, help="reproduce a benchmark table")
+    p = sub.add_parser("run", parents=seeded, help="reproduce a benchmark table")
     p.add_argument("table", choices=("table1", "table2"))
     p.add_argument("--skip", choices=("ppg",), help="drop the recording row")
     p.add_argument(
@@ -146,11 +141,20 @@ def _parse_level_range(text: str) -> tuple[int, ...]:
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty level range {text!r}")
         return tuple(range(lo, hi + 1))
-    return tuple(int(tok) for tok in text.split(","))
+    return _distinct(tuple(int(tok) for tok in text.split(",")), text)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
+    return _distinct(tuple(float(tok) for tok in text.split(",")), text)
+
+
+def _distinct(values: tuple, text: str) -> tuple:
+    """``values`` if no value equals an earlier one (``0`` and ``-0`` are
+    equal); a repeat would only compute a grid cell twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"repeated value {value!r} in {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +261,11 @@ def cmd_prepare(args) -> int:
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        writer = write_records_csv if args.format == "csv" else write_records_json
-        writer([record], out_dir / f"{cfg.label}.{args.format}")
+        write_records_csv([record], out_dir / f"{cfg.label}.csv")
         (out_dir / f"{cfg.label}.qasm").write_text(export(circuit))
         print(f"wrote record and circuit to {out_dir}")
     if args.out is not None:
-        writer = write_records_csv if args.format == "csv" else write_records_json
-        writer([record], args.out)
+        write_records_csv([record], args.out)
     return 0
 
 
@@ -274,8 +276,7 @@ def cmd_run(args) -> int:
     )
     print(format_table(records))
     if args.out is not None:
-        writer = write_records_csv if args.format == "csv" else write_records_json
-        writer(records, args.out)
+        write_records_csv(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
     return 0
 

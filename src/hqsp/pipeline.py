@@ -18,8 +18,8 @@ drivers reproduce the standard comparison tables: :func:`run_table1`
 maps compression quality over a (levels, threshold) grid of waveform
 recordings, analysing each recording once, deepened level by level.
 Classical trace distances are priced from the transform by Parseval, with
-no inverse transform.  Records serialize to CSV and JSON with fixed
-formatting so reruns are byte-identical.
+no inverse transform.  Records serialize to CSV, one column per dataclass
+field, with fixed formatting so reruns are byte-identical.
 
 The input signal is always normalized to unit norm before the transform,
 so absolute thresholds refer to coefficients of a unit vector and are
@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import csv
 import inspect
-import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, ResourceReport, report
+from .circuit import Circuit, report
 from .loaders import SparseState, dense_complex_load, eae_real, sqsp
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
 from .signals import (
@@ -82,7 +81,6 @@ __all__ = [
     "build_signal",
     "compression_point",
     "write_records_csv",
-    "write_records_json",
     "write_sweep_csv",
     "DEFAULT_PPG_DIR",
     "DEFAULT_PPG_RECORDING",
@@ -156,7 +154,6 @@ class ExperimentConfig:
     label: str = ""
     signal_params: dict = field(default_factory=dict)
     csv_path: str | None = None
-    eae_baseline: bool = True
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -191,7 +188,7 @@ class ExperimentConfig:
             elif key.startswith("signal."):
                 kwargs["signal_params"][key.split(".", 1)[1]] = value
             elif key == "transform.kind":
-                kwargs["transform"] = _TRANSFORM_ALIASES.get(value, value)
+                kwargs["transform"] = value
             elif key == "transform.levels":
                 kwargs["levels"] = _exact(key, value, int)
             elif key == "threshold.mode":
@@ -200,8 +197,6 @@ class ExperimentConfig:
                 kwargs.setdefault("_tau", {})["value"] = _converted(key, value, float)
             elif key == "epsilon":
                 kwargs["epsilon"] = _converted(key, value, float)
-            elif key == "baselines.eae":
-                kwargs["eae_baseline"] = _exact(key, value, bool)
             elif key == "output.dir":
                 kwargs["output_dir"] = str(value)
             elif key == "label":
@@ -288,9 +283,6 @@ def _exact(key: str, value, kind: type):
     return value
 
 
-_TRANSFORM_ALIASES = {"packet_haar": PACKET_HAAR, "fourier": DFT}
-
-
 def _parse_flat_config(path) -> dict:
     """Flat TOML-style key/value lines; #-comments outside quotes; no
     sections; each key at most once."""
@@ -342,7 +334,10 @@ def _parse_scalar(text: str):
 
 @dataclass
 class ExperimentRecord:
-    """Metrics of one hybrid preparation, or a skip notice (``warning``)."""
+    """Metrics of one hybrid preparation, or a skip notice (``warning``).
+
+    The fields, in order, are the CSV columns, as for :class:`FslRecord`.
+    """
 
     label: str
     n: int = 0
@@ -351,8 +346,10 @@ class ExperimentRecord:
     tau_value: float = 0.0
     d: int = 0
     cr: float = 0.0
-    sqsp_report: ResourceReport | None = None
-    decompression_report: ResourceReport | None = None
+    sqsp_cnot: int = 0
+    sqsp_depth: int = 0
+    decomp_cnot: int = 0
+    decomp_depth: int = 0
     total_cnot: int = 0
     total_depth: int = 0
     eae_cnot: int | None = None
@@ -462,16 +459,8 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     if simulated_td >= cfg.epsilon:
         raise ToleranceExceededError(simulated_td, cfg.epsilon)
 
-    stages = {"sqsp": load, "decompression": decompression}
-    rep = report(circuit, stages=stages)
-
-    eae_cnot = eae_depth = cx_reduction = depth_reduction = None
-    if cfg.eae_baseline:
-        eae_rep = report(_eae_circuit(x))
-        eae_cnot, eae_depth = eae_rep.cnot_count, eae_rep.depth
-        cx_reduction = eae_cnot / rep.cnot_count
-        depth_reduction = eae_depth / rep.depth
-
+    load_rep, decomp_rep, rep = report(load), report(decompression), report(circuit)
+    eae_rep = report(_eae_circuit(x))
     record = ExperimentRecord(
         label=cfg.label,
         n=n,
@@ -480,14 +469,16 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
         tau_value=cfg.threshold.value,
         d=d,
         cr=cr,
-        sqsp_report=rep.stage_breakdown["sqsp"],
-        decompression_report=rep.stage_breakdown["decompression"],
+        sqsp_cnot=load_rep.cnot_count,
+        sqsp_depth=load_rep.depth,
+        decomp_cnot=decomp_rep.cnot_count,
+        decomp_depth=decomp_rep.depth,
         total_cnot=rep.cnot_count,
         total_depth=rep.depth,
-        eae_cnot=eae_cnot,
-        eae_depth=eae_depth,
-        cx_reduction=cx_reduction,
-        depth_reduction=depth_reduction,
+        eae_cnot=eae_rep.cnot_count,
+        eae_depth=eae_rep.depth,
+        cx_reduction=eae_rep.cnot_count / rep.cnot_count,
+        depth_reduction=eae_rep.depth / rep.depth,
         simulated_td=simulated_td,
         classical_td=classical_td,
     )
@@ -716,88 +707,33 @@ def _cell(name: str, value) -> str:
     return format(value, fmt)
 
 
-_RECORD_COLUMNS = (
-    "label", "n", "levels", "tau_mode", "tau_value", "d", "cr",
-    "sqsp_cnot", "sqsp_depth", "decomp_cnot", "decomp_depth",
-    "total_cnot", "total_depth", "eae_cnot", "eae_depth",
-    "cx_reduction", "depth_reduction", "reference_sqsp_cnot",
-    "simulated_td", "classical_td", "warning",
-)
-
-
-def _record_row(r: ExperimentRecord) -> dict:
-    if r.warning is not None:
-        return {"label": r.label, "warning": r.warning}
-    return {
-        "label": r.label,
-        "n": r.n,
-        "levels": r.levels,
-        "tau_mode": r.tau_mode,
-        "tau_value": r.tau_value,
-        "d": r.d,
-        "cr": round(r.cr, 1),
-        "sqsp_cnot": r.sqsp_report.cnot_count,
-        "sqsp_depth": r.sqsp_report.depth,
-        "decomp_cnot": r.decompression_report.cnot_count,
-        "decomp_depth": r.decompression_report.depth,
-        "total_cnot": r.total_cnot,
-        "total_depth": r.total_depth,
-        "eae_cnot": r.eae_cnot,
-        "eae_depth": r.eae_depth,
-        "cx_reduction": None if r.cx_reduction is None else round(r.cx_reduction, 2),
-        "depth_reduction": (
-            None if r.depth_reduction is None else round(r.depth_reduction, 2)
-        ),
-        "reference_sqsp_cnot": r.reference_sqsp_cnot,
-        "simulated_td": round(r.simulated_td, 4),
-        "classical_td": round(r.classical_td, 4),
-        "warning": None,
-    }
-
-
-_FSL_COLUMNS = ("label", "n", "m", "cnot", "depth", "td", "warning")
-
-
-def _fsl_row(r: FslRecord) -> dict:
-    if r.warning is not None:
-        return {"label": r.label, "warning": r.warning}
-    return {
-        "label": r.label,
-        "n": r.n,
-        "m": r.m,
-        "cnot": r.cnot,
-        "depth": r.depth,
-        "td": round(r.td, 4),
-        "warning": None,
-    }
-
-
-def _rows_of(records) -> tuple[tuple, list[dict]]:
+def _table(records) -> tuple[tuple[str, ...], list[list[str]]]:
+    """Header and formatted cells of records of one dataclass type: a
+    column per field, in field order.  A warning row fills only ``label``
+    and ``warning``."""
+    kinds = {type(r) for r in records}
+    if len(kinds) > 1:
+        names = sorted(kind.__name__ for kind in kinds)
+        raise TypeError(f"cannot serialize a mix of {', '.join(names)}")
+    if not kinds:
+        return (), []
+    kind = kinds.pop()
+    if not is_dataclass(kind):
+        raise TypeError(f"cannot serialize {kind.__name__}")
+    columns = tuple(f.name for f in fields(kind))
     rows = []
-    columns: tuple = ()
     for r in records:
-        if isinstance(r, ExperimentRecord):
-            columns, row = _RECORD_COLUMNS, _record_row(r)
-        elif isinstance(r, FslRecord):
-            columns, row = _FSL_COLUMNS, _fsl_row(r)
-        else:
-            raise TypeError(f"cannot serialize {type(r).__name__}")
-        rows.append(row)
+        shown = columns if getattr(r, "warning", None) is None else ("label", "warning")
+        rows.append([_cell(c, getattr(r, c)) if c in shown else "" for c in columns])
     return columns, rows
 
 
 def write_records_csv(records, path) -> None:
-    columns, rows = _rows_of(list(records))
+    columns, rows = _table(list(records))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(name, row.get(name)) for name in columns])
-
-
-def write_records_json(records, path) -> None:
-    _, rows = _rows_of(list(records))
-    Path(path).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        writer.writerows(rows)
 
 
 def write_sweep_csv(cells, path) -> None:
@@ -819,8 +755,7 @@ def write_sweep_csv(cells, path) -> None:
 
 def format_table(records) -> str:
     """Fixed-width text rendering of a record list for terminal output."""
-    columns, rows = _rows_of(list(records))
-    cells = [[_cell(name, row.get(name)) for name in columns] for row in rows]
+    columns, cells = _table(list(records))
     widths = [
         max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
         for i, name in enumerate(columns)

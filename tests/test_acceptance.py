@@ -157,7 +157,6 @@ def test_criterion_07_quantum_classical_agreement():
                 levels,
                 ThresholdPolicy(FRACTION_OF_MAX, tau),
                 signal_params={"N": 2**n, "seed": seed},
-                eae_baseline=False,
             )
             circuit, _ = hybrid_prepare(cfg)
             x = build_signal("mixture", {"N": 2**n, "seed": seed}).samples

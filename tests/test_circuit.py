@@ -350,15 +350,16 @@ def test_ladder_schedule_matches_lowering(c):
 
 
 def test_report_counts_and_stages():
+    # each stage is priced on its own, the whole circuit as one schedule
     stage_a = Circuit(2, [gate("H", 0), gate("CX", 0, 1)])
     stage_b = Circuit(2, [gate("SWAP", 0, 1)])
-    rep = report(stage_a + stage_b, stages={"a": stage_a, "b": stage_b})
+    rep = report(stage_a + stage_b)
     assert rep.cnot_count == 1 + 3
     assert rep.single_qubit_count == 1
-    assert rep.stage_breakdown["a"].cnot_count == 1
-    assert rep.stage_breakdown["b"].cnot_count == 3
-    assert rep.stage_breakdown["b"].depth == 3
-    assert "cnot" in str(rep)
+    assert report(stage_a).cnot_count == 1
+    assert report(stage_b).cnot_count == 3
+    assert report(stage_b).depth == 3
+    assert str(rep) == "cnot_count=4 single_qubit_count=1 depth=5"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hqsp.circuit import decompose, parse_qasm
-from hqsp.cli import main
+from hqsp.cli import build_parser, main
 from hqsp.loaders import eae_real
 from hqsp.qsynth import iqft
 from hqsp.signals import gen_gaussian, ingest_waveform_csv, save_signal_csv
@@ -268,7 +268,7 @@ def _write_prepare_config(tmp_path, epsilon: float) -> str:
     path.write_text(
         "signal.kind = gaussian\n"
         "signal.N = 1024\n"
-        "transform.kind = packet_haar\n"
+        "transform.kind = haar\n"
         "transform.levels = 7\n"
         "threshold.mode = fraction_of_max\n"
         "threshold.value = 0.01\n"
@@ -292,7 +292,7 @@ def test_prepare_writes_output_dir(tmp_path, capsys):
     conf.write_text(
         "signal.kind = gaussian\n"
         "signal.N = 256\n"
-        "transform.kind = packet_haar\n"
+        "transform.kind = haar\n"
         "transform.levels = 5\n"
         f"output.dir = {tmp_path / 'results'}\n"
     )
@@ -340,10 +340,41 @@ def test_run_table1_skipping_recording(tmp_path, capsys):
 
 
 def test_run_table_missing_recording_warns(tmp_path, capsys):
-    code = main(["run", "table2", "--skip", "ppg", "--format", "json",
-                 "--out", str(tmp_path / "t2.json")])
+    out = tmp_path / "t2.csv"
+    code = main(["run", "table2", "--skip", "ppg", "--out", str(out)])
     assert code == 0
     assert "periodic" in capsys.readouterr().out
+    assert out.read_text().splitlines()[0] == "label,n,m,cnot,depth,td,warning"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compress", "w.csv", "--levels", "5", "--tau-abs", "0.01", "--seed", "1"],
+        ["sweep-ppg", "--seed", "1"],
+        ["run", "table2", "--format", "json"],
+    ],
+    ids=["compress-seed", "sweep-seed", "run-format"],
+)
+def test_unread_flag_is_usage_error(capsys, argv):
+    # a subcommand takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "table1", "--skip", "ppg", "--seed", "3", "--out", "t1.csv"],
+        ["run", "table2", "--seed", "3", "--out", "t2.csv"],
+        ["prepare", "ppg.conf"],
+        ["sweep-ppg", "--dataset", "data/ppg", "--out", "sweep.csv"],
+    ],
+)
+def test_benchmark_command_lines_parse(argv):
+    build_parser().parse_args(argv)
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -366,6 +397,19 @@ def test_sweep_empty_level_range_is_usage_error(tmp_path, capsys):
         main(["sweep-ppg", "--levels", "5:3", "--out", str(out)])
     assert exc.value.code == 2
     assert "empty level range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--levels", "3,3"), ("--taus", "0.001,0.001"), ("--taus", "0,-0")]
+)
+def test_sweep_repeated_grid_value_is_usage_error(tmp_path, capsys, flag, value):
+    # a repeated value would only write the same cell twice
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-ppg", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "repeated value" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,8 +5,8 @@ deliberately missing recording path, which also exercises the warning
 rows; the real recording is covered by the acceptance suite.
 """
 
-import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from hqsp.pipeline import (
     sweep_ppg,
     table1_configs,
     write_records_csv,
-    write_records_json,
     write_sweep_csv,
 )
 from hqsp.signals import gen_gaussian, ingest_waveform_csv
@@ -84,12 +83,11 @@ def test_config_from_file(tmp_path):
         "signal.kind = gaussian\n"
         "signal.N = 1024\n"
         "signal.sigma = 0.5\n"
-        "transform.kind = packet_haar\n"
+        "transform.kind = haar\n"
         "transform.levels = 7\n"
         "threshold.mode = fraction_of_max\n"
         "threshold.value = 0.01\n"
         "epsilon = 0.5\n"
-        "baselines.eae = false\n"
         'label = "demo"\n'
     )
     cfg = ExperimentConfig.from_file(path)
@@ -98,10 +96,9 @@ def test_config_from_file(tmp_path):
     assert cfg.transform == PACKET_HAAR and cfg.levels == 7
     assert cfg.threshold == ThresholdPolicy(FRACTION_OF_MAX, 0.01)
     assert cfg.epsilon == 0.5
-    assert cfg.eae_baseline is False
     assert cfg.label == "demo"
     circuit, record = hybrid_prepare(cfg)
-    assert record.label == "demo" and record.eae_cnot is None
+    assert record.label == "demo"
 
 
 def test_config_from_file_csv_and_fsl(tmp_path):
@@ -110,7 +107,7 @@ def test_config_from_file_csv_and_fsl(tmp_path):
     path = tmp_path / "exp.conf"
     path.write_text(
         f"signal.csv = {wave}\n"
-        "transform.kind = fourier\n"
+        "transform.kind = dft\n"
         "threshold.value = 0.0\n"
         "threshold.mode = absolute\n"
         f"output.dir = {tmp_path}\n"
@@ -181,7 +178,8 @@ def test_config_rejects_bad_signal_params(tmp_path, lines, message):
         "transform.levels = inf",
         "epsilon = 1" + "0" * 400,
         "threshold.value = x",
-        # a level is an integer and the baseline switch a boolean, as written
+        # a level is an integer, as written; the EAE baseline always runs, so
+        # its old switch is an unknown key
         "transform.levels = 2.7",
         "transform.levels = 3.0",
         "transform.levels = true",
@@ -206,7 +204,7 @@ def test_config_rejects_unconvertible_values(tmp_path, line):
 _CONFIG_KEYS = [
     "signal.kind", "signal.csv", "signal.N", "signal.seed", "signal.sigma",
     "signal.bogus", "transform.kind", "transform.levels", "threshold.mode",
-    "threshold.value", "epsilon", "baselines.eae", "output.dir", "label", "k",
+    "threshold.value", "epsilon", "output.dir", "label", "k",
 ]
 _CONFIG_VALUES = st.one_of(
     st.sampled_from(
@@ -274,9 +272,9 @@ def test_hybrid_prepare_haar_record_consistency():
     circuit, r = hybrid_prepare(cfg)
     assert r.n == 10 and r.levels == 7
     assert math.isclose(r.cr, 2**10 / r.d, rel_tol=1e-12)
-    assert r.total_cnot == r.sqsp_report.cnot_count + r.decompression_report.cnot_count
-    assert r.decompression_report.cnot_count == 3 * sum(10 - l for l in range(1, 8))
-    assert r.decompression_report.depth == 3 * 10 + 3 * 7 - 5
+    assert r.total_cnot == r.sqsp_cnot + r.decomp_cnot
+    assert r.decomp_cnot == 3 * sum(10 - l for l in range(1, 8))
+    assert r.decomp_depth == 3 * 10 + 3 * 7 - 5
     assert r.eae_cnot == 2**10 - 2
     assert r.cx_reduction == pytest.approx(r.eae_cnot / r.total_cnot)
     assert abs(r.simulated_td - r.classical_td) < 1e-9
@@ -294,7 +292,7 @@ def test_hybrid_prepare_dft_path_is_lossless_on_periodic():
     circuit, r = hybrid_prepare(cfg)
     assert r.d == 4
     assert r.simulated_td < 1e-9
-    assert r.decompression_report.cnot_count == 68  # iqft(8) with swaps
+    assert r.decomp_cnot == 68  # iqft(8) with swaps
 
 
 def test_hybrid_prepare_tolerance_error():
@@ -337,7 +335,6 @@ def test_hybrid_prepare_matches_classical_reconstruction(seed):
         levels,
         ThresholdPolicy(FRACTION_OF_MAX, tau),
         signal_params={"N": 2**n, "seed": seed},
-        eae_baseline=False,
     )
     circuit, r = hybrid_prepare(cfg)
     x = build_signal("mixture", {"N": 2**n, "seed": seed}).samples.astype(complex)
@@ -396,9 +393,9 @@ def test_table1_rows_and_counts(table1_records):
     assert by_label["sinc"].d == 110
     assert by_label["gaussian"].d == 44
     assert by_label["mixture"].d == 114
-    assert by_label["sinc"].decompression_report.cnot_count == 285
-    assert by_label["gaussian"].decompression_report.cnot_count == 312
-    assert by_label["mixture"].decompression_report.cnot_count == 306
+    assert by_label["sinc"].decomp_cnot == 285
+    assert by_label["gaussian"].decomp_cnot == 312
+    assert by_label["mixture"].decomp_cnot == 306
     assert by_label["sinc"].total_cnot == 883
     assert by_label["gaussian"].total_cnot == 500
     assert by_label["mixture"].total_cnot == 870
@@ -618,17 +615,6 @@ def test_records_csv_formatting(table1_records, tmp_path):
     assert warning_row.split(",")[1] == ""  # warning rows carry no metrics
 
 
-def test_records_json_roundtrip(table2_records, tmp_path):
-    path = tmp_path / "t2.json"
-    write_records_json(table2_records, path)
-    rows = json.loads(path.read_text())
-    assert rows[0]["label"] == "periodic" and rows[0]["cnot"] == 576
-    assert rows[0]["td"] == 0.0
-    assert rows[-1]["label"] == "ppg" and "warning" in rows[-1]
-    write_records_json(table2_records, tmp_path / "again.json")
-    assert path.read_text() == (tmp_path / "again.json").read_text()
-
-
 def test_format_table_renders_all_rows(table1_records):
     text = format_table(table1_records)
     lines = text.splitlines()
@@ -640,3 +626,41 @@ def test_format_table_renders_all_rows(table1_records):
 def test_serializers_reject_unknown_types(tmp_path):
     with pytest.raises(TypeError):
         write_records_csv([object()], tmp_path / "x.csv")
+
+
+def test_serializers_reject_mixed_record_types(tmp_path):
+    # one header cannot describe two schemas; the record of the other type
+    # would be written under the wrong columns
+    fsl = FslRecord("periodic", 8, 7, 576, 100, 0.0)
+    mixed = [fsl, ExperimentRecord(label="e", warning="x"), fsl]
+    path = tmp_path / "mixed.csv"
+    with pytest.raises(TypeError, match="ExperimentRecord, FslRecord"):
+        write_records_csv(mixed, path)
+    with pytest.raises(TypeError):
+        format_table(mixed)
+    write_records_csv([fsl, FslRecord("ppg", warning="x")], path)
+    assert path.read_text().splitlines() == [
+        "label,n,m,cnot,depth,td,warning",
+        "periodic,8,7,576,100,0.0000,",
+        "ppg,,,,,,x",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, header",
+    [
+        (
+            ExperimentRecord,
+            "label,n,levels,tau_mode,tau_value,d,cr,sqsp_cnot,sqsp_depth,"
+            "decomp_cnot,decomp_depth,total_cnot,total_depth,eae_cnot,eae_depth,"
+            "cx_reduction,depth_reduction,reference_sqsp_cnot,simulated_td,"
+            "classical_td,warning",
+        ),
+        (FslRecord, "label,n,m,cnot,depth,td,warning"),
+    ],
+)
+def test_record_fields_are_the_csv_columns(tmp_path, kind, header):
+    path = tmp_path / "r.csv"
+    write_records_csv([kind(label="x", warning="skipped")], path)
+    assert path.read_text().splitlines()[0] == header
+    assert header.split(",") == [f.name for f in fields(kind)]
