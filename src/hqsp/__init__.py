@@ -9,7 +9,6 @@ from .circuit import Circuit, Gate, ResourceReport, decompose, export, report
 from .loaders import SparseState, dense_complex_load, eae_real, sqsp
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
 from .signals import (
-    MixtureSpec,
     Signal,
     gen_gaussian,
     gen_gaussian_mixture,
@@ -50,7 +49,6 @@ __all__ = [
     "fsl_coefficients",
     "fsl_circuit",
     "Signal",
-    "MixtureSpec",
     "gen_periodic",
     "gen_piecewise",
     "gen_sinc",

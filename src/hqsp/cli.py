@@ -31,6 +31,7 @@ from .pipeline import (
     ExperimentConfig,
     PipelineError,
     ToleranceExceededError,
+    _GENERATORS,
     _price,
     _unit_samples,
     build_signal,
@@ -65,22 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hqsp",
         description="hybrid classical compression + sparse quantum loading",
     )
-    # every subcommand writes to --out; only the two that build a mixture
-    # read --seed
+    # every subcommand writes to --out
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, help="output file")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="generator seed")
-    common, seeded = [out], [out, seed]
+    common = [out]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-signal", parents=seeded, help="write a benchmark waveform")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=("periodic", "piecewise", "sinc", "gaussian", "mixture"),
-    )
+    p = sub.add_parser("gen-signal", parents=common, help="write a benchmark waveform")
+    p.add_argument("--kind", required=True, choices=tuple(_GENERATORS))
     p.add_argument("--n-samples", type=int, help="length (power of two)")
+    p.add_argument("--seed", type=int, help="generator seed (mixture)")
     p.set_defaults(func=cmd_gen_signal)
 
     p = sub.add_parser("compress", parents=common, help="transform + threshold a CSV")
@@ -115,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", type=Path, help="flat key = value config")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("run", parents=seeded, help="reproduce a benchmark table")
+    p = sub.add_parser("run", parents=common, help="reproduce a benchmark table")
     p.add_argument("table", choices=("table1", "table2"))
+    p.add_argument("--seed", type=int, default=0, help="mixture seed")
     p.add_argument("--skip", choices=("ppg",), help="drop the recording row")
     p.add_argument(
         "--ppg-csv", type=Path, default=DEFAULT_PPG_RECORDING, help="recording path"
@@ -163,12 +159,11 @@ def _distinct(values: tuple, text: str) -> tuple:
 
 
 def cmd_gen_signal(args) -> int:
-    params = {}
-    if args.n_samples is not None:
-        params["N"] = args.n_samples
-    if args.kind == "mixture":
-        params["seed"] = args.seed
-    signal = build_signal(args.kind, params)
+    # only the flags given, so one the generator does not take is an error
+    flags = {"N": args.n_samples, "seed": args.seed}
+    signal = build_signal(
+        args.kind, {name: value for name, value in flags.items() if value is not None}
+    )
     if args.out is None:
         for v in np.asarray(signal.samples).real:
             print(f"{float(v)!r}")

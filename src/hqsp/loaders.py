@@ -57,6 +57,7 @@ __all__ = [
     "sqsp",
     "eae_real",
     "dense_complex_load",
+    "dense_load",
     "SQSP_COST_CONSTANT",
 ]
 
@@ -294,12 +295,24 @@ def _cover_floors(images: np.ndarray, anchors: list[int], b_bits: np.ndarray) ->
     return np.where(masks.all(axis=1), 2.0 ** np.maximum(1, _popcounts(forced)), -np.inf)
 
 
-def _subcube_cascade(indices, amps, cube_bits: list[int], is_real: bool) -> list[Gate]:
+def _is_real(amps) -> bool:
+    """Whether every imaginary part of ``amps`` is below ``_REAL_EPS``."""
+    return bool(np.all(np.abs(np.imag(amps)) < _REAL_EPS))
+
+
+def dense_load(amplitudes) -> Circuit:
+    """Dense exact load of a unit vector: :func:`eae_real` on its real part
+    when :func:`_is_real`, else :func:`dense_complex_load`."""
+    amps = np.asarray(amplitudes)
+    return eae_real(amps.real) if _is_real(amps) else dense_complex_load(amps)
+
+
+def _subcube_cascade(indices, amps, cube_bits: list[int]) -> list[Gate]:
     """Amplitude cascade over the support's bounding subcube.
 
     The support is re-coordinatized onto the cube's free bits (ascending),
-    padded with zero amplitudes, and loaded by :func:`eae_real` or
-    :func:`dense_complex_load`; gate qubits are mapped back afterwards.
+    padded with zero amplitudes, and loaded by :func:`dense_load`; gate
+    qubits are mapped back afterwards.
     """
     k = len(cube_bits)
     coords = np.zeros(len(indices), dtype=np.int64)
@@ -307,18 +320,17 @@ def _subcube_cascade(indices, amps, cube_bits: list[int], is_real: bool) -> list
         coords |= ((indices >> b) & 1) << j
     v = np.zeros(2**k, dtype=complex)
     v[coords] = amps
-    load = eae_real(v.real) if is_real else dense_complex_load(v)
     return [
         Gate(g.kind, tuple(cube_bits[q] for q in g.qubits), g.angle)
-        for g in load
+        for g in dense_load(v)
     ]
 
 
-def _subcube_circuit(n: int, base: int, indices, amps, cube_bits, is_real) -> Circuit:
+def _subcube_circuit(n: int, base: int, indices, amps, cube_bits) -> Circuit:
     """The X gates setting ``base``, then the subcube cascade as native
     levels, or lowered and peephole-cancelled when that finds a CX pair."""
     circ = Circuit(n).extend(gate("X", b) for b in _bits(base))
-    levels = _subcube_cascade(indices, amps, cube_bits, is_real)
+    levels = _subcube_cascade(indices, amps, cube_bits)
     circ.extend(levels)
     if _lowered_pair_meets(levels):
         return cancel_adjacent_inverses(decompose(circ))
@@ -382,9 +394,8 @@ def sqsp(state: SparseState) -> Circuit:
     # occupied, so load the bounding subcube with a plain cascade instead
     base = int(np.bitwise_and.reduce(indices))
     cube_bits = _bits(int(np.bitwise_or.reduce(indices)) ^ base)
-    is_real = bool(np.all(np.abs(amps.imag) < _REAL_EPS))
-    dense_cx = (2 ** len(cube_bits) - 2) * (1 if is_real else 2)
-    subcube = (n, base, indices, amps, cube_bits, is_real)
+    dense_cx = (2 ** len(cube_bits) - 2) * (1 if _is_real(amps) else 2)
+    subcube = (n, base, indices, amps, cube_bits)
     if dense_cx < _MERGE_CX_PER_STATE * state.d:
         return _subcube_circuit(*subcube)
 

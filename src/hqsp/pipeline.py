@@ -38,10 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, report
-from .loaders import SparseState, dense_complex_load, eae_real, sqsp
+from .loaders import SparseState, dense_load, sqsp
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
 from .signals import (
-    MixtureSpec,
     Signal,
     gen_gaussian,
     gen_gaussian_mixture,
@@ -132,6 +131,18 @@ _GENERATORS = {
     "piecewise": gen_piecewise,
     "sinc": gen_sinc,
     "gaussian": gen_gaussian,
+    "mixture": gen_gaussian_mixture,
+}
+
+# each generator's keyword parameters and defaults: the signal.* keys it
+# takes, and the type each value must have
+_SIGNAL_DEFAULTS = {
+    kind: {
+        p.name: p.default
+        for p in inspect.signature(generator).parameters.values()
+        if p.default is not p.empty
+    }
+    for kind, generator in _GENERATORS.items()
 }
 
 
@@ -216,28 +227,18 @@ class ExperimentConfig:
         return build_signal(self.signal, self.signal_params, csv_path=self.csv_path)
 
 
-# the mixture's own parameters; the rest go to gen_gaussian_mixture
-_MIXTURE_DEFAULTS = {"N": 2**15, "seed": 0, "K": 12}
-
-
 def build_signal(kind: str, params: dict | None = None, csv_path=None) -> Signal:
     """Instantiate a benchmark signal by generator name, or ingest a CSV
-    (``kind="csv"``).  ``params`` is forwarded to the generator; the
-    mixture consumes ``N``, ``seed`` and ``K`` itself."""
+    (``kind="csv"``).  ``params`` is forwarded to the generator as keywords
+    after the checks of :func:`_check_signal_params`, whose failures raise
+    :class:`PipelineError`."""
     params = dict(params or {})
+    _check_signal_params(kind, params)
     if kind == "csv":
         if not csv_path:
             raise PipelineError("csv signal needs a path")
         return ingest_waveform_csv(csv_path)
-    if kind == "mixture":
-        params = {**_MIXTURE_DEFAULTS, **params}
-        spec = MixtureSpec.sample(int(params.pop("seed")), K=int(params.pop("K")))
-        return gen_gaussian_mixture(int(params.pop("N")), spec, **params)
-    try:
-        generator = _GENERATORS[kind]
-    except KeyError:
-        raise PipelineError(f"unknown signal generator {kind!r}") from None
-    return generator(**params)
+    return _GENERATORS[kind](**params)
 
 
 _PARAM_TYPES = {float: numbers.Real, int: numbers.Integral}
@@ -246,23 +247,19 @@ _PARAM_TYPES = {float: numbers.Real, int: numbers.Integral}
 def _check_signal_params(kind, params: dict) -> None:
     """Reject a ``signal.*`` parameter that the generator behind ``kind``
     does not take, or whose value is not of its default's type (an int may
-    stand for a float)."""
-    defaults = {}
-    if kind != "csv":
-        generator = gen_gaussian_mixture if kind == "mixture" else _GENERATORS.get(kind)
-        if generator is None:
-            raise PipelineError(f"unknown signal generator {kind!r}")
-        for p in inspect.signature(generator).parameters.values():
-            if p.default is not p.empty:
-                defaults[p.name] = p.default
-        if kind == "mixture":
-            defaults.update(_MIXTURE_DEFAULTS)
+    stand for a float, but a bool is no int: ``signal.K = true`` is not
+    one component)."""
+    defaults = {} if kind == "csv" else _SIGNAL_DEFAULTS.get(kind)
+    if defaults is None:
+        raise PipelineError(f"unknown signal generator {kind!r}")
     for name, value in params.items():
         if name not in defaults:
             raise PipelineError(f"{kind} signal takes no parameter signal.{name}")
         default = defaults[name]
         expected = _PARAM_TYPES.get(type(default), type(default))
-        if not isinstance(value, expected):
+        if not isinstance(value, expected) or (
+            type(default) is int and isinstance(value, bool)
+        ):
             raise PipelineError(
                 f"signal.{name} must be {type(default).__name__}, got {value!r}"
             )
@@ -416,12 +413,6 @@ def _decompression_circuit(n: int, cfg: ExperimentConfig) -> Circuit:
     return inverse_packet_qhwt(n, cfg.levels)
 
 
-def _eae_circuit(x: np.ndarray) -> Circuit:
-    if np.all(np.abs(x.imag) < 1e-12):
-        return eae_real(x.real)
-    return dense_complex_load(x)
-
-
 def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     """Run one experiment: compress classically, load and decompress on the
     register, simulate, and price everything.
@@ -460,7 +451,7 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
         raise ToleranceExceededError(simulated_td, cfg.epsilon)
 
     load_rep, decomp_rep, rep = report(load), report(decompression), report(circuit)
-    eae_rep = report(_eae_circuit(x))
+    eae_rep = report(dense_load(x))
     record = ExperimentRecord(
         label=cfg.label,
         n=n,
@@ -547,16 +538,17 @@ def run_table1(
     return records
 
 
-# (label, n, m) rows priced by run_table2; signals as in table 1 plus the
-# exactly sparse pair
-_TABLE2_ROWS = (
-    ("periodic", 8, 7),
-    ("piecewise", 10, 7),
-    ("sinc", 15, 6),
-    ("gaussian", 15, 5),
-    ("mixture", 15, 6),
-    ("ppg", 16, 12),
-)
+def _table2_rows(seed: int) -> tuple:
+    """(label, n, m, signal params) rows priced by :func:`run_table2`;
+    signals as in table 1 plus the exactly sparse pair."""
+    return (
+        ("periodic", 8, 7, {}),
+        ("piecewise", 10, 7, {}),
+        ("sinc", 15, 6, {}),
+        ("gaussian", 15, 5, {}),
+        ("mixture", 15, 6, {"seed": seed}),
+        ("ppg", 16, 12, {}),
+    )
 
 
 def run_table2(
@@ -566,7 +558,7 @@ def run_table2(
     2**(m+1) lowest-frequency modes, synthesize the loader, and report CX
     count, depth, and simulated trace distance to the original."""
     records = []
-    for label, n, m in _TABLE2_ROWS:
+    for label, n, m, params in _table2_rows(seed):
         if label == "ppg":
             if skip_ppg:
                 continue
@@ -580,8 +572,7 @@ def run_table2(
                 continue
             signal = build_signal("csv", csv_path=ppg_csv)
         else:
-            params = {"N": 2**n, "seed": seed} if label == "mixture" else {"N": 2**n}
-            signal = build_signal(label, params)
+            signal = build_signal(label, {"N": 2**n, **params})
         if signal.n != n:
             records.append(
                 FslRecord(
@@ -591,7 +582,7 @@ def run_table2(
             )
             continue
         x = _unit_samples(signal)
-        circuit = fsl_circuit(fsl_coefficients(Signal(x, label), m), n, m)
+        circuit = fsl_circuit(fsl_coefficients(Signal(x), m), n, m)
         rep = report(circuit)
         td = trace_distance(simulate(circuit), x)
         records.append(FslRecord(label, n, m, rep.cnot_count, rep.depth, td))

@@ -1,22 +1,22 @@
 """Benchmark signal generators and waveform ingestion.
 
 Every public constructor returns a unit-norm :class:`Signal` whose length is
-an exact power of two.  Generators are pure functions of their arguments;
-the mixture generator draws its noise from a seeded NumPy ``default_rng``
-(PCG64), so identical seeds give bitwise-identical signals on any platform.
+an exact power of two.  Generators are pure functions of their keyword
+arguments; the mixture generator draws its components and its noise from a
+seeded NumPy ``default_rng`` (PCG64), so identical seeds give identical
+signals.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Signal",
-    "MixtureSpec",
     "InvalidLengthError",
     "DegenerateSignalError",
     "NonNumericCellError",
@@ -35,6 +35,9 @@ PERIODIC_A = 0.41099
 PERIODIC_B = 0.57539
 
 DEFAULT_BLOCK_VALUES = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+
+# standard deviation of the mixture's additive white noise
+MIXTURE_NOISE_STD = 0.001
 
 
 class InvalidLengthError(ValueError):
@@ -58,8 +61,6 @@ class Signal:
     """Unit-norm amplitude vector of power-of-two length (n = log2 length)."""
 
     samples: np.ndarray
-    label: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -81,14 +82,15 @@ class Signal:
         return float(np.linalg.norm(self.samples))
 
 
-def _normalized(values: np.ndarray, label: str, **metadata) -> Signal:
+def _normalized(values: np.ndarray, label: str) -> Signal:
+    """``values`` scaled to unit norm; ``label`` names the signal in errors."""
     with np.errstate(over="ignore"):  # reported below, not warned about
         norm = np.linalg.norm(values)
     if norm == 0:
         raise DegenerateSignalError(f"{label}: zero-energy signal")
     if not np.isfinite(norm):
         raise DegenerateSignalError(f"{label}: signal energy overflows")
-    return Signal(values / norm, label=label, metadata=metadata)
+    return Signal(values / norm)
 
 
 def _check_pow2(N: int, minimum: int = 2) -> int:
@@ -138,7 +140,7 @@ def gen_sinc(N: int = 32768, t_min: float = -10.0, t_max: float = 10.0) -> Signa
     if not t_min < 0.0 < t_max:
         raise ValueError("sinc grid must straddle t = 0")
     t = np.linspace(t_min, t_max, N)
-    return _normalized(np.sinc(t), "sinc", t_min=t_min, t_max=t_max)
+    return _normalized(np.sinc(t), "sinc")
 
 
 def gen_gaussian(
@@ -153,65 +155,37 @@ def gen_gaussian(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.linspace(x_min, x_max, N)
-    return _normalized(
-        np.exp(-((x - mu) ** 2) / (2.0 * sigma**2)), "gaussian", mu=mu, sigma=sigma
-    )
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Parameters of a K-component Gaussian mixture with additive noise."""
-
-    K: int
-    centers: tuple
-    widths: tuple
-    amplitudes: tuple
-    noise_std: float = 0.001
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise DegenerateSignalError("mixture needs at least one component")
-        for name in ("centers", "widths", "amplitudes"):
-            values = tuple(float(v) for v in getattr(self, name))
-            if len(values) != self.K:
-                raise ValueError(f"{name} must hold K={self.K} values")
-            object.__setattr__(self, name, values)
-        if any(w <= 0 for w in self.widths):
-            raise ValueError("widths must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
-
-    @classmethod
-    def sample(cls, seed: int, K: int = 12, noise_std: float = 0.001) -> "MixtureSpec":
-        """Draw component parameters from the benchmark ranges: centers in
-        [-4.5, 4.5], widths in [0.12, 0.60], amplitudes in [0.30, 1.00]."""
-        rng = np.random.default_rng(seed)
-        return cls(
-            K=K,
-            centers=tuple(rng.uniform(-4.5, 4.5, K)),
-            widths=tuple(rng.uniform(0.12, 0.60, K)),
-            amplitudes=tuple(rng.uniform(0.30, 1.00, K)),
-            noise_std=noise_std,
-            seed=seed,
-        )
+    return _normalized(np.exp(-((x - mu) ** 2) / (2.0 * sigma**2)), "gaussian")
 
 
 def gen_gaussian_mixture(
-    N: int,
-    spec: MixtureSpec,
+    N: int = 32768,
+    seed: int = 0,
+    K: int = 12,
     x_min: float = -5.0,
     x_max: float = 5.0,
 ) -> Signal:
-    """Sum of Gaussians plus seeded white noise, normalized."""
+    """Sum of K Gaussians plus white noise of standard deviation
+    :data:`MIXTURE_NOISE_STD`, normalized.
+
+    ``default_rng(seed)`` draws the components from the benchmark ranges:
+    the K centers in [-4.5, 4.5], then the K widths in [0.12, 0.60], then
+    the K amplitudes in [0.30, 1.00].  The noise comes from a fresh
+    ``default_rng(seed)``.
+    """
     _check_pow2(N)
+    if K < 1:
+        raise DegenerateSignalError("mixture needs at least one component")
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-4.5, 4.5, K)
+    widths = rng.uniform(0.12, 0.60, K)
+    amplitudes = rng.uniform(0.30, 1.00, K)
     x = np.linspace(x_min, x_max, N)
     f = np.zeros(N)
-    for a, mu, sigma in zip(spec.amplitudes, spec.centers, spec.widths):
+    for a, mu, sigma in zip(amplitudes, centers, widths):
         f += a * np.exp(-((x - mu) ** 2) / (2.0 * sigma**2))
-    if spec.noise_std > 0:
-        f = f + np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, N)
-    return _normalized(f, "mixture", seed=spec.seed, K=spec.K)
+    f = f + np.random.default_rng(seed).normal(0.0, MIXTURE_NOISE_STD, N)
+    return _normalized(f, "mixture")
 
 
 def _next_pow2(m: int) -> int:
@@ -220,9 +194,8 @@ def _next_pow2(m: int) -> int:
 
 def ingest_waveform_csv(path) -> Signal:
     """Read the first CSV column, zero-pad it to the next power of two,
-    and normalize.  A single non-numeric header line is skipped; the
-    original sample count is kept in ``metadata['original_length']``.
-    A cell that is not a finite number raises :class:`NonNumericCellError`."""
+    and normalize.  A single non-numeric header line is skipped.  A cell
+    that is not a finite number raises :class:`NonNumericCellError`."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     if rows and not _is_number(rows[0][0]):
@@ -235,12 +208,9 @@ def ingest_waveform_csv(path) -> Signal:
         values = None
     if values is None or not np.isfinite(values).all():
         values = _checked_cells(path, rows)  # raises, naming the first bad row
-    original = len(values)
-    padded = np.zeros(_next_pow2(original))
-    padded[:original] = values
-    sig = _normalized(padded, f"waveform:{path}")
-    sig.metadata["original_length"] = original
-    return sig
+    padded = np.zeros(_next_pow2(len(values)))
+    padded[: len(values)] = values
+    return _normalized(padded, f"waveform:{path}")
 
 
 def _checked_cells(path, rows) -> list[float]:

@@ -147,7 +147,7 @@ def idft(X: CompressedVector) -> Signal:
         raise WrongTransformError(f"cannot idft a {X.descriptor.kind!r} vector")
     n = len(X.coefficients)
     samples = np.fft.ifft(X.coefficients) * math.sqrt(n)
-    return Signal(samples, label="idft")
+    return Signal(samples)
 
 
 def _haar_level(values: np.ndarray, block: int) -> np.ndarray:
@@ -200,7 +200,7 @@ def packet_idhwt(X: CompressedVector) -> Signal:
     n = X.n
     for level in range(levels, 0, -1):
         out = _haar_level_inverse(out, 2 ** (n - level + 1))
-    return Signal(out, label="packet_idhwt")
+    return Signal(out)
 
 
 def threshold_normalize(X: CompressedVector, policy: ThresholdPolicy) -> CompressedVector:

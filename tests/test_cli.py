@@ -53,6 +53,13 @@ def test_gen_signal_mixture_uses_seed(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("kind", ["periodic", "piecewise", "sinc", "gaussian"])
+def test_gen_signal_seed_without_a_seeded_generator_is_rejected(kind, capsys):
+    # only the mixture takes a seed; elsewhere it is an invalid value
+    assert main(["gen-signal", "--kind", kind, "--seed", "5"]) == 2
+    assert "takes no parameter signal.seed" in capsys.readouterr().err
+
+
 def test_compress_reports_and_writes(gaussian_csv, tmp_path, capsys):
     out = tmp_path / "coeffs.csv"
     code = main(

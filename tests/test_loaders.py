@@ -218,11 +218,11 @@ def _subcube_trial_lowering(s: SparseState) -> Circuit:
     """The subcube path as it once chose its output: lower the whole
     cascade and keep the native levels unless the peephole pass then
     finds a pair.  The reference for reading that off the angles."""
-    base, bits, is_real = _support_cube(s)
+    base, bits, _ = _support_cube(s)
     indices = np.array([i for i, _ in s.entries], dtype=np.int64)
     amps = np.array([a for _, a in s.entries], dtype=complex)
     circ = Circuit(s.n).extend(gate("X", b) for b in _bits(base))
-    circ.extend(_subcube_cascade(indices, amps, bits, is_real))
+    circ.extend(_subcube_cascade(indices, amps, bits))
     lowered = decompose(circ)
     kept = cancel_adjacent_inverses(lowered)
     return circ if len(kept) == len(lowered) else kept

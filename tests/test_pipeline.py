@@ -160,6 +160,7 @@ def test_config_rejects_duplicate_key(tmp_path):
         ('signal.kind = sinc\nsignal.N = "abc"\n', r"signal\.N must be int"),
         ("signal.kind = gaussian\nsignal.sigma = true\nsignal.mu = x\n", r"signal\.mu"),
         ("signal.kind = mixture\nsignal.seed = 1.5\n", r"signal\.seed must be int"),
+        ("signal.kind = mixture\nsignal.K = true\n", r"signal\.K must be int"),
         ("signal.kind = mixture\nsignal.spec = 1\n", r"signal\.spec"),
         ("signal.csv = w.csv\nsignal.N = 8\n", r"signal\.N"),
         ("signal.kind = chirp\n", "unknown signal generator"),
@@ -254,6 +255,24 @@ def test_build_signal_dispatch(tmp_path):
         build_signal("chirp")
     with pytest.raises(PipelineError):
         build_signal("csv")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("gaussian", {"seed": 5}),
+        ("mixture", {"spec": 1}),
+        ("mixture", {"N": 256.0}),
+        ("mixture", {"K": True}),
+        ("csv", {"N": 256}),
+    ],
+)
+def test_build_signal_rejects_bad_params_with_pipeline_error(kind, params, tmp_path):
+    # the public builder runs the same check as a signal.* config key
+    wave = tmp_path / "w.csv"
+    wave.write_text("1.0\n2.0\n")
+    with pytest.raises(PipelineError, match="signal\\."):
+        build_signal(kind, params, csv_path=wave)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from hqsp.signals import (
     DegenerateSignalError,
     EmptyColumnError,
     InvalidLengthError,
-    MixtureSpec,
     NonNumericCellError,
     Signal,
     gen_gaussian,
@@ -42,7 +41,7 @@ def test_signal_requires_power_of_two_vector():
         Signal(np.ones((4, 2)))
     with pytest.raises(InvalidLengthError):
         Signal(np.ones(1))
-    s = Signal(np.ones(8) / math.sqrt(8), label="flat")
+    s = Signal(np.ones(8) / math.sqrt(8))
     assert s.n == 3
     assert math.isclose(s.norm, 1.0, rel_tol=1e-12)
 
@@ -59,7 +58,7 @@ def test_signal_requires_power_of_two_vector():
         lambda: gen_piecewise(2**10),
         lambda: gen_sinc(2**12),
         lambda: gen_gaussian(2**12),
-        lambda: gen_gaussian_mixture(2**12, MixtureSpec.sample(seed=0)),
+        lambda: gen_gaussian_mixture(N=2**12, seed=0),
     ],
     ids=["periodic", "piecewise", "sinc", "gaussian", "mixture"],
 )
@@ -115,21 +114,34 @@ def test_gaussian_parameters():
 
 
 def test_mixture_is_seed_deterministic():
-    spec = MixtureSpec.sample(seed=5)
-    a = gen_gaussian_mixture(2**10, spec)
-    b = gen_gaussian_mixture(2**10, MixtureSpec.sample(seed=5))
+    a = gen_gaussian_mixture(N=2**10, seed=5)
+    b = gen_gaussian_mixture(N=2**10, seed=5)
     assert np.array_equal(a.samples, b.samples)
-    c = gen_gaussian_mixture(2**10, MixtureSpec.sample(seed=6))
+    c = gen_gaussian_mixture(N=2**10, seed=6)
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_mixture_spec_validation():
-    with pytest.raises(ValueError):
-        MixtureSpec(K=2, centers=(0.0,), widths=(0.2, 0.2), amplitudes=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        MixtureSpec(K=1, centers=(0.0,), widths=(0.0,), amplitudes=(1.0,))
+def test_mixture_needs_a_component():
     with pytest.raises(DegenerateSignalError):
-        MixtureSpec(K=0, centers=(), widths=(), amplitudes=())
+        gen_gaussian_mixture(N=2**10, K=0)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_mixture_draws_components_then_fresh_noise(seed):
+    # the benchmark mixture, drawn step by step: centers, widths and
+    # amplitudes from one default_rng(seed), noise from a fresh one
+    N, K = 256, 5
+    rng = np.random.default_rng(seed)
+    centers = tuple(float(v) for v in rng.uniform(-4.5, 4.5, K))
+    widths = tuple(float(v) for v in rng.uniform(0.12, 0.60, K))
+    amplitudes = tuple(float(v) for v in rng.uniform(0.30, 1.00, K))
+    x = np.linspace(-5.0, 5.0, N)
+    f = np.zeros(N)
+    for a, mu, sigma in zip(amplitudes, centers, widths):
+        f += a * np.exp(-((x - mu) ** 2) / (2.0 * sigma**2))
+    f = f + np.random.default_rng(seed).normal(0.0, 0.001, N)
+    expected = f / np.linalg.norm(f)
+    assert np.array_equal(gen_gaussian_mixture(N=N, seed=seed, K=K).samples, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +158,6 @@ def test_ingest_pads_to_next_power_of_two(tmp_path):
     path = _write(tmp_path / "w.csv", "".join(f"{v}\n" for v in [3.0, 4.0, 0.0, 0.0, 5.0]))
     s = ingest_waveform_csv(path)
     assert len(s.samples) == 8
-    assert s.metadata["original_length"] == 5
     expected = np.array([3, 4, 0, 0, 5, 0, 0, 0], dtype=float)
     np.testing.assert_allclose(s.samples, expected / np.linalg.norm(expected))
 
@@ -203,7 +214,7 @@ def _ingest_row_by_row(path):
         values.append(value)
     padded = np.zeros(1 << max(1, (len(values) - 1).bit_length()))
     padded[: len(values)] = values
-    return _normalized(padded, f"waveform:{path}"), len(values)
+    return _normalized(padded, f"waveform:{path}")
 
 
 _NUMBER = st.one_of(
@@ -232,7 +243,7 @@ def test_ingest_matches_row_by_row_parse(tmp_path, rows, newline):
     # rows: the same samples bit for bit, or the same error and message
     path = _write(tmp_path / "w.csv", "".join(row + newline for row in rows))
     try:
-        expected, original = _ingest_row_by_row(path)
+        expected = _ingest_row_by_row(path)
     except ValueError as err:
         with pytest.raises(type(err)) as raised:
             ingest_waveform_csv(path)
@@ -240,7 +251,6 @@ def test_ingest_matches_row_by_row_parse(tmp_path, rows, newline):
         return
     s = ingest_waveform_csv(path)
     assert s.samples.tobytes() == expected.samples.tobytes()
-    assert s.metadata["original_length"] == original
 
 
 @given(st.integers(min_value=1, max_value=70))

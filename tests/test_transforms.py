@@ -40,7 +40,7 @@ RNG = np.random.default_rng(11)
 
 
 def _signal(samples) -> Signal:
-    return Signal(np.asarray(samples, dtype=complex), label="test")
+    return Signal(np.asarray(samples, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
