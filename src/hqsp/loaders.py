@@ -14,14 +14,17 @@ Three loaders with very different cost regimes:
   to a single differing bit with CX conjugation, separates it from the
   remaining support with a greedy control cover C, and rotates through a
   Gray-code RY multiplexer costing ``2**|C|`` CX.  The pair and its kept
-  bit are the cheapest over the candidates nearest in Hamming distance; a
-  choice whose cost floor (the CX conjugation plus ``2**f`` for the f cover
-  bits some other state forces, by differing from the anchor in that bit
-  alone) cannot beat the best so far skips its cover search, which leaves
-  the choice unchanged.
+  bit are the cheapest over the candidates nearest in Hamming distance.
+  They are priced in blocks: one NumPy pass over a chunk of a distance
+  group gives each (candidate, kept bit) a cost floor (the CX conjugation
+  plus ``2**f`` for the f cover bits some other state forces, by differing
+  from the anchor in that bit alone), and only a choice whose floor can
+  beat the best so far runs its cover search, which leaves the choice
+  unchanged.
   The ladder cost does not depend on how many of its angle slots are used,
   so further distance-1 pairs whose cover patterns are free ride along in
-  the same multiplexer at no CX cost.
+  the same multiplexer at no CX cost; one pass scores every bit the cover
+  could grow by to recruit more of them.
   When the support is dense inside its bounding subcube (where covers stop
   being small), the synthesizer switches to an amplitude cascade over the
   cube's free bits at ``2**k - 2`` CX (doubled for complex amplitudes)
@@ -249,52 +252,6 @@ def _greedy_cover(anchor: int, targets: np.ndarray, b: int, span: int) -> list[i
     return sorted(cover)
 
 
-def _merge_cost(x: int, y: int, others: np.ndarray, span: int, cap=math.inf):
-    """Cheapest (cost, b, cover, spread) over the choice of kept bit b, or
-    None when no choice costs less than ``cap``.
-
-    A b whose cost floor (:func:`_cover_floors`) is at or above the cost to
-    beat, ``cap`` or the best b priced so far, skips its cover search:
-    under the strict ``<`` it could not win, so the result is the unpruned
-    search's.
-    """
-    D = int(x ^ y)
-    bits = _bits(D)
-    m = len(bits)
-    # one row per kept bit b: the other states aligned by CX conjugation
-    # (those with bit b set get the spread D ^ b flipped), and x's image
-    b_bits = np.array([1 << b for b in bits], dtype=np.int64)[:, None]
-    images = np.where(others & b_bits, others ^ (D ^ b_bits), others)
-    anchors = [x ^ D ^ (1 << b) if (x >> b) & 1 else x for b in bits]
-    floors = 2 * (m - 1) + _cover_floors(images, anchors, b_bits)
-    best = None
-    for i, b in enumerate(bits):
-        if floors[i] >= (min(cap, best[0]) if best else cap):
-            continue
-        cover = _greedy_cover(anchors[i], images[i], b, span)
-        cost = 2 * (m - 1) + (2 ** len(cover) if cover else 0)
-        if best is None or cost < best[0]:
-            best = (cost, b, cover, D ^ (1 << b))
-    return best
-
-
-def _cover_floors(images: np.ndarray, anchors: list[int], b_bits: np.ndarray) -> np.ndarray:
-    """Per row, a lower bound on the ladder cost of a cover separating the
-    anchor from the row's images off bit b.
-
-    An image differing from the anchor in one bit alone forces that bit
-    into the cover, so a cover holds the f distinct forced bits, and at
-    least one bit when any image remains: ``2**max(1, f)``.  An image
-    differing nowhere is inseparable; its row's floor is -inf, so the
-    cover search still runs and raises.
-    """
-    if images.shape[1] == 0:
-        return np.zeros(len(anchors))
-    masks = (images ^ np.array(anchors, dtype=np.int64)[:, None]) & ~b_bits
-    forced = np.bitwise_or.reduce(np.where(masks & (masks - 1), 0, masks), axis=1)
-    return np.where(masks.all(axis=1), 2.0 ** np.maximum(1, _popcounts(forced)), -np.inf)
-
-
 def _is_real(amps) -> bool:
     """Whether every imaginary part of ``amps`` is below ``_REAL_EPS``."""
     return bool(np.all(np.abs(np.imag(amps)) < _REAL_EPS))
@@ -363,7 +320,9 @@ def _merge_angle(a0, a1, kept_value: int) -> float:
     return 2.0 * math.atan2(a0, a1)
 
 
-def _pattern_of(state: int, cover: list[int]) -> int:
+def _pattern_of(state, cover: list[int]):
+    """The bits of ``state`` (an int or an int64 array) at ``cover``,
+    packed low to high."""
     p = 0
     for j, c in enumerate(cover):
         p |= ((state >> c) & 1) << j
@@ -438,27 +397,80 @@ class _MergeStep:
     pairs: list[tuple[int, int]]  # (kept x, removed y)
 
 
+# the most mask elements one pricing block holds
+_BLOCK_ELEMENTS = 4096
+
+
 def _plan_merge(y, alive_arr, amp_of, span, order, indices) -> _MergeStep:
-    dists = _popcounts(alive_arr ^ y)
-    candidates = sorted(
-        (int(d), int(x)) for d, x in zip(dists, alive_arr) if x != y
-    )
-    best = None  # (cost, dist, x, b, cover, spread)
-    for m, x in candidates:
-        if best is not None and 2 * (m - 1) >= best[0]:
+    """The cheapest merge of ``y`` into another alive state x, with its
+    free riders.
+
+    Candidates go by Hamming distance m to y, then by index, and the first
+    (x, kept bit b) of least cost wins.  Each distance group is priced in
+    blocks of :func:`_price_block`, built one at a time, so the walk stops
+    before building the block whose floor cannot beat the best so far: 2(m-1)
+    for the CX conjugation, plus 2 for a one-bit cover when other states
+    remain.
+    """
+    others = alive_arr[alive_arr != y]
+    dists = _popcounts(others ^ y)
+    ladder_floor = 2 if len(others) > 1 else 0
+
+    def blocks():
+        for m in sorted(set(dists.tolist())):
+            group = others[dists == m]
+            size = max(1, _BLOCK_ELEMENTS // (m * len(others)))
+            for start in range(0, len(group), size):
+                yield m, group[start : start + size]
+
+    best, cap = None, math.inf  # best is (cost, x, b, cover), cap its cost
+    for m, xs in blocks():
+        if 2 * (m - 1) + ladder_floor >= cap:
             break
-        others = alive_arr[(alive_arr != x) & (alive_arr != y)]
-        priced = _merge_cost(x, y, others, span, best[0] if best else math.inf)
-        if priced is None:  # nothing under the best so far
-            continue
-        cost, b, cover, spread = priced
-        if best is None or cost < best[0]:
-            best = (cost, m, x, b, cover, spread)
-    cost, m, x, b, cover, spread = best
-    step = _MergeStep(b=b, spread=spread, cover=cover, pairs=[(x, y)])
-    if m == 1 and cover and _is_real_pair(amp_of[x], amp_of[y]):
+        best = _price_block(y, xs, others, span, cap) or best
+        cap = best[0]
+    cost, x, b, cover = best
+    step = _MergeStep(b=b, spread=x ^ y ^ (1 << b), cover=cover, pairs=[(x, y)])
+    if not step.spread and cover and _is_real_pair(amp_of[x], amp_of[y]):
         _add_free_riders(step, alive_arr, amp_of, order, indices, span)
     return step
+
+
+def _price_block(y: int, xs: np.ndarray, others: np.ndarray, span: int, cap=math.inf):
+    """Cheapest (cost, x, b, cover) over merging ``y`` into each of ``xs``,
+    candidates in order and kept bits b ascending, that costs less than
+    ``cap``; None when none does.
+
+    ``others`` holds every state but y, the ``xs`` among them.  The block
+    has one row per (x, b).  After the CX conjugation, a state z must be
+    separated from whichever of x and y it agrees with on bit b, so its
+    column holds ``(z ^ x) & ~b`` or ``(z ^ y) & ~b``; x's own column holds
+    -1.  A difference of one bit forces that bit into the cover, so a row's
+    floor is 2(m-1) plus ``2**max(1, f)`` for its f forced bits (nothing
+    without other states).  Only a row whose floor is under the best so far
+    runs the greedy cover search, so the result is the unpruned search's.
+    A zero difference cannot be separated: its row's floor is -inf, so the
+    search runs and raises.
+    """
+    spreads = xs ^ y
+    rows, b = np.nonzero((spreads[:, None] >> np.arange(span)) & 1)
+    x, b_bits = xs[rows][:, None], (np.int64(1) << b)[:, None]
+    masks = np.where((others ^ x) & b_bits, others ^ y, others ^ x) & ~b_bits
+    masks[others == x] = -1
+    forced = np.bitwise_or.reduce(np.where(masks & (masks - 1), 0, masks), axis=1)
+    cover_floor = np.where(masks.all(axis=1), 2.0 ** np.maximum(1, _popcounts(forced)), -np.inf)
+    conj = 2 * (_popcounts(spreads) - 1)[rows]
+    floors = conj + (cover_floor if len(others) > 1 else 0)
+    best = None
+    for r in np.flatnonzero(floors < cap):
+        if floors[r] >= cap:
+            continue
+        # the row's differences are its targets as seen from an anchor of 0
+        cover = _greedy_cover(0, masks[r][masks[r] >= 0], int(b[r]), span)
+        cost = int(conj[r]) + (2 ** len(cover) if cover else 0)
+        if cost < cap:
+            best, cap = (cost, int(xs[rows[r]]), int(b[r]), cover), cost
+    return best
 
 
 def _is_real_pair(a, c) -> bool:
@@ -473,9 +485,7 @@ _RIDER_CX_ESTIMATE = 4
 def _rider_pairs(cover, b, alive_arr, amp_of, order, indices, seed):
     """Distance-1 pairs that fit unused pattern slots of this cover."""
     b_bit = 1 << b
-    pats = np.zeros(len(alive_arr), dtype=np.int64)
-    for j, c in enumerate(cover):
-        pats |= ((alive_arr >> c) & 1) << j
+    pats = _pattern_of(alive_arr, cover)
     uniq, counts = np.unique(pats, return_counts=True)
     count_of = dict(zip(uniq.tolist(), counts.tolist()))
     pat_of = dict(zip(alive_arr.tolist(), pats.tolist()))
@@ -499,6 +509,29 @@ def _rider_pairs(cover, b, alive_arr, amp_of, order, indices, seed):
     return riders
 
 
+def _rider_scores(cover, b, alive_arr, amp_of, seed, span) -> np.ndarray:
+    """Per trial bit c < span, the number of riders that :func:`_rider_pairs`
+    finds under ``cover`` plus c; 0 for b, which is never a cover bit.
+
+    A pair {z, z | b} of alive states with real amplitudes, outside
+    ``seed``, rides when no other alive state shares its pattern: when
+    every other state sharing its pattern under ``cover`` differs from z in
+    bit c.  The AND of those differences marks each such c, and every c
+    when no state shares the pattern.
+    """
+    b_bit = 1 << b
+    reps = np.array([
+        z for z in alive_arr.tolist()
+        if not z & b_bit and z not in seed and z | b_bit in amp_of
+        and _is_real_pair(amp_of[z], amp_of[z | b_bit])
+    ], dtype=np.int64)
+    shared = _pattern_of(alive_arr, cover) == _pattern_of(reps, cover)[:, None]
+    shared &= (alive_arr | b_bit) != (reps | b_bit)[:, None]
+    rides = np.bitwise_and.reduce(np.where(shared, alive_arr ^ reps[:, None], -1), axis=1)
+    rides &= ~b_bit
+    return ((rides[:, None] >> np.arange(span)) & 1).sum(axis=0)
+
+
 def _add_free_riders(step, alive_arr, amp_of, order, indices, span) -> None:
     """Fold further distance-1 pairs into the pinned pair's multiplexer.
 
@@ -507,25 +540,20 @@ def _add_free_riders(step, alive_arr, amp_of, order, indices, span) -> None:
     ride along for free.  When the support is locally dense the slots are
     all taken; growing the cover by one bit doubles the ladder but also
     doubles the slots, so growth is accepted while each extra bit recruits
-    enough new riders to beat merging them individually later.
+    enough new riders to beat merging them individually later.  Every trial
+    bit is scored in one pass (:func:`_rider_scores`); the riders are listed
+    once, for the final cover.
     """
-    seed = (step.pairs[0][0], step.pairs[0][1])
-    args = (alive_arr, amp_of, order, indices)
-    riders = _rider_pairs(step.cover, step.b, *args, seed)
+    seed = step.pairs[0]
     while True:
-        best_gain, best_bit, best_riders = 0, None, None
-        for c in range(span):
-            if c == step.b or c in step.cover:
-                continue
-            trial = _rider_pairs(sorted(step.cover + [c]), step.b, *args, seed)
-            if len(trial) - len(riders) > best_gain:
-                best_gain = len(trial) - len(riders)
-                best_bit, best_riders = c, trial
-        if best_bit is None or 2 ** len(step.cover) >= _RIDER_CX_ESTIMATE * best_gain:
+        scores = _rider_scores(step.cover, step.b, alive_arr, amp_of, seed, span)
+        # adding a cover bit leaves the cover as it is: its score is today's
+        gains = scores - scores[step.cover[0]]
+        c = int(gains.argmax())
+        if gains[c] <= 0 or 2 ** len(step.cover) >= _RIDER_CX_ESTIMATE * gains[c]:
             break
-        step.cover = sorted(step.cover + [best_bit])
-        riders = best_riders
-    step.pairs.extend(riders)
+        step.cover = sorted(step.cover + [c])
+    step.pairs.extend(_rider_pairs(step.cover, step.b, alive_arr, amp_of, order, indices, seed))
 
 
 def _emit_merge(step: _MergeStep, amp_of: dict) -> list[Gate]:

@@ -247,8 +247,8 @@ _PARAM_TYPES = {float: numbers.Real, int: numbers.Integral}
 def _check_signal_params(kind, params: dict) -> None:
     """Reject a ``signal.*`` parameter that the generator behind ``kind``
     does not take, or whose value is not of its default's type (an int may
-    stand for a float, but a bool is no int: ``signal.K = true`` is not
-    one component)."""
+    stand for a float, but a bool is no number: ``signal.K = true`` is not
+    one component, nor ``signal.sigma = true`` a width of 1.0)."""
     defaults = {} if kind == "csv" else _SIGNAL_DEFAULTS.get(kind)
     if defaults is None:
         raise PipelineError(f"unknown signal generator {kind!r}")
@@ -258,7 +258,7 @@ def _check_signal_params(kind, params: dict) -> None:
         default = defaults[name]
         expected = _PARAM_TYPES.get(type(default), type(default))
         if not isinstance(value, expected) or (
-            type(default) is int and isinstance(value, bool)
+            type(default) in _PARAM_TYPES and isinstance(value, bool)
         ):
             raise PipelineError(
                 f"signal.{name} must be {type(default).__name__}, got {value!r}"

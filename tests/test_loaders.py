@@ -22,7 +22,8 @@ from hqsp.loaders import (
     sqsp,
 )
 from hqsp import loaders
-from hqsp.loaders import _bits, _greedy_cover, _merge_cost, _subcube_cascade
+from hqsp.loaders import _bits, _greedy_cover, _price_block, _rider_pairs, _rider_scores
+from hqsp.loaders import _subcube_cascade
 from hqsp.pipeline import DEFAULT_PPG_RECORDING, _unit_samples, table1_configs
 from hqsp.signals import gen_periodic, ingest_waveform_csv
 from hqsp.statesim import fidelity, simulate
@@ -416,8 +417,30 @@ def _merge_cost_unpruned(x, y, others, span):
     return best
 
 
+def _add_free_riders_loop(step, alive_arr, amp_of, order, indices, span):
+    """Per-bit rider loop: the reference for the one-pass rider scoring."""
+    seed = step.pairs[0]
+    args = (alive_arr, amp_of, order, indices)
+    riders = _rider_pairs(step.cover, step.b, *args, seed)
+    while True:
+        best_gain, best_bit, best_riders = 0, None, None
+        for c in range(span):
+            if c == step.b or c in step.cover:
+                continue
+            trial = _rider_pairs(sorted(step.cover + [c]), step.b, *args, seed)
+            if len(trial) - len(riders) > best_gain:
+                best_gain = len(trial) - len(riders)
+                best_bit, best_riders = c, trial
+        if best_bit is None or 2 ** len(step.cover) >= loaders._RIDER_CX_ESTIMATE * best_gain:
+            break
+        step.cover = sorted(step.cover + [best_bit])
+        riders = best_riders
+    step.pairs.extend(riders)
+
+
 def _plan_merge_unpruned(y, alive_arr, amp_of, span, order, indices):
-    """``_plan_merge`` pricing every candidate up to the distance cut."""
+    """``_plan_merge`` pricing every candidate one at a time up to the
+    distance cut, with the per-bit rider loop."""
     dists = loaders._popcounts(alive_arr ^ y)
     candidates = sorted((int(d), int(x)) for d, x in zip(dists, alive_arr) if x != y)
     best = None
@@ -431,7 +454,7 @@ def _plan_merge_unpruned(y, alive_arr, amp_of, span, order, indices):
     cost, m, x, b, cover, spread = best
     step = loaders._MergeStep(b=b, spread=spread, cover=cover, pairs=[(x, y)])
     if m == 1 and cover and loaders._is_real_pair(amp_of[x], amp_of[y]):
-        loaders._add_free_riders(step, alive_arr, amp_of, order, indices, span)
+        _add_free_riders_loop(step, alive_arr, amp_of, order, indices, span)
     return step
 
 
@@ -441,24 +464,50 @@ def _sqsp_unpruned(s: SparseState) -> Circuit:
         return sqsp(s)
 
 
+def _price_one(x, y, others, span, cap=math.inf):
+    """The block pricer on the single candidate x."""
+    return _price_block(y, np.array([x]), np.concatenate(([x], others)), span, cap)
+
+
 def test_merge_cost_matches_unpruned_reference():
     rng = np.random.default_rng(17)
-    skipped = 0
+    skipped = kept = 0
     for _ in range(300):
         span = int(rng.integers(2, 11))
         size = int(rng.integers(2, min(2**span, 40) + 1))
         states = rng.choice(2**span, size=size, replace=False)
         x, y, others = int(states[0]), int(states[1]), states[2:].astype(np.int64)
-        expected = _merge_cost_unpruned(x, y, others, span)
-        assert _merge_cost(x, y, others, span) == expected
-        cap = int(rng.integers(1, 2 * expected[0] + 2))
-        capped = _merge_cost(x, y, others, span, cap)
-        if expected[0] >= cap:
-            skipped += capped is None
-            assert capped is None or capped[0] >= cap
+        cost, b, cover, _ = _merge_cost_unpruned(x, y, others, span)
+        expected = (cost, x, b, cover)
+        assert _price_one(x, y, others, span) == expected
+        cap = int(rng.integers(1, 2 * cost + 2))
+        capped = _price_one(x, y, others, span, cap)
+        if cost >= cap:
+            skipped += 1
+            assert capped is None
         else:
+            kept += 1
             assert capped == expected
-    assert skipped > 0
+    assert skipped > 0 and kept > 0
+
+
+def test_block_pricing_matches_one_candidate_at_a_time():
+    # a whole distance group in one block: the first (x, b) of least cost
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        span = int(rng.integers(3, 10))
+        size = int(rng.integers(3, min(2**span, 40) + 1))
+        states = rng.choice(2**span, size=size, replace=False).astype(np.int64)
+        y, others = int(states[0]), np.sort(states[1:])
+        dists = loaders._popcounts(others ^ y)
+        xs = others[dists == dists[int(rng.integers(len(others)))]]
+        cap = math.inf if rng.random() < 0.5 else int(rng.integers(1, 4 * span))
+        expected = None
+        for x in xs.tolist():
+            cost, b, cover, _ = _merge_cost_unpruned(x, y, others[others != x], span)
+            if cost < (expected[0] if expected else cap):
+                expected = (cost, x, b, cover)
+        assert _price_block(y, xs, others, span, cap) == expected
 
 
 def test_merge_cost_with_cap_still_raises_on_inseparable_state():
@@ -466,7 +515,33 @@ def test_merge_cost_with_cap_still_raises_on_inseparable_state():
     # cap skip the cover search that reports it
     others = np.array([0b0110, 0b0100], dtype=np.int64)
     with pytest.raises(RuntimeError, match="not separable"):
-        _merge_cost(0b0101, 0b0100, others, 4, cap=2)
+        _price_one(0b0101, 0b0100, others, 4, cap=2)
+
+
+def test_rider_scores_match_the_per_bit_rider_search():
+    rng = np.random.default_rng(29)
+    scored = 0
+    for _ in range(200):
+        span = int(rng.integers(3, 10))
+        size = int(rng.integers(4, min(2**span, 60) + 1))
+        alive = np.sort(rng.choice(2**span, size=size, replace=False)).astype(np.int64)
+        b = int(rng.integers(span))
+        x = int(alive[int(rng.integers(size))])
+        if x ^ (1 << b) not in alive:
+            continue
+        seed = (x, x ^ (1 << b))
+        real = rng.random(size) < 0.8
+        amp_of = {int(z): complex(1.0, 0.0 if r else 1.0) for z, r in zip(alive, real)}
+        others = [c for c in range(span) if c != b]
+        cover = sorted(rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False).tolist())
+        order = rng.permutation(size)
+        scores = _rider_scores(cover, b, alive, amp_of, seed, span)
+        assert scores[b] == 0
+        for c in others:
+            trial = sorted(set(cover) | {c})
+            assert scores[c] == len(_rider_pairs(trial, b, alive, amp_of, order, alive, seed))
+        scored += 1
+    assert scored > 50
 
 
 @given(_adversarial_supports())

@@ -158,7 +158,8 @@ def test_config_rejects_duplicate_key(tmp_path):
     [
         ("signal.kind = sinc\nsignal.bogus = 3\n", r"signal\.bogus"),
         ('signal.kind = sinc\nsignal.N = "abc"\n', r"signal\.N must be int"),
-        ("signal.kind = gaussian\nsignal.sigma = true\nsignal.mu = x\n", r"signal\.mu"),
+        ("signal.kind = gaussian\nsignal.sigma = true\nsignal.mu = x\n", r"signal\.sigma must be float"),
+        ("signal.kind = gaussian\nsignal.mu = x\n", r"signal\.mu must be float"),
         ("signal.kind = mixture\nsignal.seed = 1.5\n", r"signal\.seed must be int"),
         ("signal.kind = mixture\nsignal.K = true\n", r"signal\.K must be int"),
         ("signal.kind = mixture\nsignal.spec = 1\n", r"signal\.spec"),
@@ -265,6 +266,7 @@ def test_build_signal_dispatch(tmp_path):
         ("mixture", {"N": 256.0}),
         ("mixture", {"K": True}),
         ("csv", {"N": 256}),
+        ("gaussian", {"N": 256, "sigma": True}),
     ],
 )
 def test_build_signal_rejects_bad_params_with_pipeline_error(kind, params, tmp_path):
