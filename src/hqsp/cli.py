@@ -32,11 +32,11 @@ from .pipeline import (
     PipelineError,
     ToleranceExceededError,
     _GENERATORS,
-    _price,
     _unit_samples,
     build_signal,
     format_table,
     hybrid_prepare,
+    price_thresholds,
     run_table1,
     run_table2,
     sweep_ppg,
@@ -186,12 +186,11 @@ def cmd_compress(args) -> int:
     except ValueError as err:
         # the descriptor's levels are the --levels flag here
         raise PipelineError(str(err).replace("levels", "--levels")) from None
-    X = analyse(x, descriptor)
-    compressed = threshold_normalize(X, _threshold_from_args(args))
-    d, cr, td = _price(X, compressed)
+    X, policy = analyse(x, descriptor), _threshold_from_args(args)
+    d, cr, td = next(price_thresholds(X, (policy,)))
     print(f"d={d} CR={cr:.1f} TD={td:.4f}")
     if args.out is not None:
-        save_compressed_csv(compressed, args.out)
+        save_compressed_csv(threshold_normalize(X, policy), args.out)
         print(f"wrote coefficients to {args.out}")
     return 0
 

@@ -32,6 +32,7 @@ import csv
 import inspect
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -79,6 +80,7 @@ __all__ = [
     "sweep_ppg",
     "build_signal",
     "compression_point",
+    "price_thresholds",
     "write_records_csv",
     "write_sweep_csv",
     "DEFAULT_PPG_DIR",
@@ -418,13 +420,13 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     register, simulate, and price everything.
 
     The classical TD is priced from the transform by Parseval (see
-    :func:`_price`) right after thresholding, so the transform is released
-    before the loader and the simulator allocate.  The loader is simulated
-    on its support (:func:`hqsp.statesim.simulate_support`), which is
-    scattered into one dense register; only the decompression runs through
-    the dense :func:`hqsp.statesim.simulate`.  The simulated TD is the
-    residual-form trace distance of that full register to the input, and
-    the record checks that the two agree.
+    :func:`price_thresholds`) right after the analysis, so the transform
+    is released before the loader and the simulator allocate.  The loader
+    is simulated on its support (:func:`hqsp.statesim.simulate_support`),
+    which is scattered into one dense register; only the decompression
+    runs through the dense :func:`hqsp.statesim.simulate`.  The simulated
+    TD is the residual-form trace distance of that full register to the
+    input, and the record checks that the two agree.
 
     Raises :class:`ToleranceExceededError` when the prepared state is
     farther than ``cfg.epsilon`` from the input in trace distance, and
@@ -436,8 +438,8 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     n = signal.n
 
     X = analyse(x, cfg.descriptor)
+    d, cr, classical_td = next(price_thresholds(X, (cfg.threshold,)))
     compressed = threshold_normalize(X, cfg.threshold)
-    d, cr, classical_td = _price(X, compressed)
     del X  # released before the loader and the simulator allocate
     load = sqsp(SparseState.from_compressed(compressed))
     decompression = _decompression_circuit(n, cfg)
@@ -597,30 +599,31 @@ DEFAULT_SWEEP_LEVELS = tuple(range(8, 15))
 DEFAULT_SWEEP_TAUS = (0.0, 0.001, 0.002, 0.0041, 0.008, 0.02)
 
 
-def _price(X: CompressedVector, compressed: CompressedVector) -> tuple[int, float, float]:
-    """(d, CR, TD) of ``compressed``, the thresholded transform ``X``.
+def price_thresholds(X: CompressedVector, policies) -> Iterator[tuple[int, float, float]]:
+    """(d, CR, TD) of thresholding ``X`` by each policy in turn, from one
+    pass over its magnitudes; no thresholded vector is built.
 
-    Both transforms are orthonormal and thresholding is the only
-    approximation, so by Parseval the trace distance between the
-    reconstruction and the input is the root of the share of ``X``'s
-    energy in the coefficients ``compressed`` zeroed: nothing is
-    inverse-transformed.
+    Each policy drops the coefficients ``ThresholdPolicy.dropped`` names,
+    the ones :func:`hqsp.transforms.threshold_normalize` zeroes, and raises
+    ``EmptySupportError`` as it does.  By Parseval (both transforms are
+    orthonormal), the TD of the reconstruction is the root of the dropped
+    share of the energy.
     """
-    energy = np.abs(X.coefficients) ** 2
-    dropped = energy[compressed.coefficients == 0].sum()
-    return (
-        compressed.d,
-        compression_ratio(2**compressed.n, compressed.d),
-        math.sqrt(min(1.0, float(dropped / energy.sum()))),
-    )
+    mag = np.abs(X.coefficients)
+    energy = mag**2
+    total = energy.sum()
+    for policy in policies:
+        dropped = policy.dropped(mag)
+        d = len(mag) - int(np.count_nonzero(dropped))
+        td = math.sqrt(min(1.0, float(energy[dropped].sum() / total)))
+        yield d, compression_ratio(len(mag), d), td
 
 
 def compression_point(
     signal: Signal, levels: int, policy: ThresholdPolicy
 ) -> tuple[int, float, float]:
     """(d, CR, TD) of one classical compression, without any synthesis."""
-    X = packet_dhwt(_unit_samples(signal), levels)
-    return _price(X, threshold_normalize(X, policy))
+    return next(price_thresholds(packet_dhwt(_unit_samples(signal), levels), (policy,)))
 
 
 def sweep_ppg(
@@ -635,11 +638,13 @@ def sweep_ppg(
 
     Each recording is analysed once: one running packet Haar analysis per
     recording is deepened level by level in lockstep, holding one level at
-    a time, and every tau is priced from the levels the grid names.  Cells
-    come out in the caller's grid order (levels, then tau); each equals the
-    mean and standard deviation of :func:`compression_point` over the
-    recordings in file-name order.  A level outside ``[1, n]`` for some
-    recording raises ``ValueError`` as :func:`packet_dhwt` does.
+    a time, and at each level the grid names, :func:`price_thresholds`
+    prices every tau over one recording at a time.  Cells come out in the
+    caller's grid order (levels, then tau); each equals the mean and
+    standard deviation of :func:`compression_point` over the recordings in
+    file-name order, and a bad tau raises what that order meets first.  A
+    level outside ``[1, n]`` for some recording raises ``ValueError`` as
+    :func:`packet_dhwt` does.
     """
     paths = sorted(Path(dataset_dir).glob("*.csv"))
     if not paths:
@@ -650,16 +655,25 @@ def sweep_ppg(
         for x in units:
             _check_levels(int(math.log2(len(x))), level)
     analyses = [packet_analysis(x) for x in units]
-    coeffs: list = [None] * len(units)
     cells = {}
     for level in range(1, max(levels, default=0) + 1):
-        for i, analysis in enumerate(analyses):
-            coeffs[i] = next(analysis)  # drops this recording's previous level
+        rows, failures = [], []  # one row of (d, CR, TD) per tau, per recording
+        for analysis in analyses:
+            X = next(analysis)  # drops this recording's previous level
+            if level not in levels:
+                continue
+            rows.append(row := [])
+            try:  # each policy is built as it is priced, as in grid order
+                for point in price_thresholds(X, (ThresholdPolicy(mode, t) for t in taus)):
+                    row.append(point)
+            except ValueError as err:
+                failures.append((len(row), err))
+        if failures:  # grid order meets the first bad tau before any later one
+            raise min(failures, key=lambda failure: failure[0])[1]
         if level not in levels:
             continue
         for j, tau in enumerate(taus):  # by position: 0.0 and -0.0 are two cells
-            policy = ThresholdPolicy(mode, tau)
-            points = [_price(X, threshold_normalize(X, policy)) for X in coeffs]
+            points = [row[j] for row in rows]
             crs = np.array([cr for _, cr, _ in points])
             mean_cr = float(crs.mean())
             cells[level, j] = SweepCell(

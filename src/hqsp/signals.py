@@ -195,37 +195,29 @@ def _next_pow2(m: int) -> int:
 def ingest_waveform_csv(path) -> Signal:
     """Read the first CSV column, zero-pad it to the next power of two,
     and normalize.  A single non-numeric header line is skipped.  A cell
-    that is not a finite number raises :class:`NonNumericCellError`."""
+    that is not a finite number raises :class:`NonNumericCellError`.  The
+    cells are cast in one NumPy call, as ``float()`` casts each one."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
-    if rows and not _is_number(rows[0][0]):
-        rows = rows[1:]
-    if not rows:
+        cells = [row[0] for row in csv.reader(fh) if "".join(row).strip()]
+    if cells and not _is_number(cells[0]):
+        cells = cells[1:]
+    if not cells:
         raise EmptyColumnError(f"{path}: no data rows")
     try:
-        values = np.array([float(row[0]) for row in rows])
+        values = np.array(cells, dtype=float)
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
-        values = _checked_cells(path, rows)  # raises, naming the first bad row
+        for lineno, cell in enumerate(cells, start=1):  # name the first bad row
+            cell = cell.strip()
+            if not (_is_number(cell) and math.isfinite(float(cell))):
+                raise NonNumericCellError(
+                    f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
+                )
+        values = [float(cell.strip()) for cell in cells]  # strip() drops \x1c, float() not
     padded = np.zeros(_next_pow2(len(values)))
     padded[: len(values)] = values
     return _normalized(padded, f"waveform:{path}")
-
-
-def _checked_cells(path, rows) -> list[float]:
-    """The first cells of ``rows`` as floats, row by row; the first one that
-    is not a finite number raises :class:`NonNumericCellError`."""
-    values = []
-    for lineno, row in enumerate(rows, start=1):
-        cell = row[0].strip()
-        value = float(cell) if _is_number(cell) else math.nan
-        if not math.isfinite(value):
-            raise NonNumericCellError(
-                f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
-            )
-        values.append(value)
-    return values
 
 
 def _is_number(cell: str) -> bool:

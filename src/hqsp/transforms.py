@@ -94,10 +94,24 @@ class ThresholdPolicy:
         if self.mode == FRACTION_OF_MAX and self.value > 1:
             raise ValueError("fraction-of-max threshold must be <= 1")
 
-    def cutoff(self, coefficients: np.ndarray) -> float:
+    def cutoff(self, magnitudes: np.ndarray) -> float:
         if self.mode == ABSOLUTE:
             return self.value
-        return self.value * float(np.max(np.abs(coefficients)))
+        return self.value * float(np.max(magnitudes))
+
+    def dropped(self, magnitudes: np.ndarray) -> np.ndarray:
+        """Mask of the coefficients this policy zeroes, from their
+        magnitudes: those strictly below the cutoff, and the zeros.  Raises
+        :class:`EmptySupportError` when it leaves none."""
+        cutoff = self.cutoff(magnitudes)
+        dropped = magnitudes < cutoff if cutoff > 0 else magnitudes == 0
+        if dropped.all():
+            if not magnitudes.any():
+                raise EmptySupportError("input vector has no nonzero coefficients")
+            raise EmptySupportError(
+                f"threshold {self.mode}={self.value} prunes every coefficient"
+            )
+        return dropped
 
 
 @dataclass(frozen=True)
@@ -206,16 +220,8 @@ def packet_idhwt(X: CompressedVector) -> Signal:
 def threshold_normalize(X: CompressedVector, policy: ThresholdPolicy) -> CompressedVector:
     """Zero coefficients with |X_k| strictly below the cutoff, renormalize."""
     coeffs = X.coefficients
-    if not np.any(coeffs):
-        raise EmptySupportError("input vector has no nonzero coefficients")
-    cutoff = policy.cutoff(coeffs)
-    kept = np.where(np.abs(coeffs) < cutoff, 0.0, coeffs)
-    norm = np.linalg.norm(kept)
-    if norm == 0:
-        raise EmptySupportError(
-            f"threshold {policy.mode}={policy.value} prunes every coefficient"
-        )
-    return CompressedVector(kept / norm, X.descriptor, threshold_applied=policy)
+    kept = np.where(policy.dropped(np.abs(coeffs)), 0.0, coeffs)
+    return CompressedVector(kept / np.linalg.norm(kept), X.descriptor, threshold_applied=policy)
 
 
 def compression_ratio(N: int, d: int) -> float:

@@ -4,6 +4,8 @@ Tests drive :func:`hqsp.cli.main` in process and read stdout/stderr via
 capsys, so the assertions see exactly what a shell user would.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hqsp.statesim import simulate
 from hqsp.transforms import load_compressed_csv, read_amplitude_csv
 
 RNG = np.random.default_rng(31)
+PPG_DIR = Path(__file__).resolve().parent.parent / "data" / "ppg"
 
 
 @pytest.fixture()
@@ -396,6 +399,15 @@ def test_sweep_cli(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "L,tau,mean_td,mean_cr,std_cr,in_valid_regime"
     assert len(lines) == 5  # 2 levels x 2 taus
+
+
+def test_sweep_threshold_that_prunes_everything_is_invalid_input(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    code = main(["sweep-ppg", "--dataset", str(PPG_DIR), "--levels", "8:8",
+                 "--taus", "10", "--out", str(out)])
+    assert code == 2
+    assert "threshold absolute=10.0 prunes every coefficient" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_level_range_is_usage_error(tmp_path, capsys):

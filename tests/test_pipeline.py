@@ -6,7 +6,9 @@ rows; the real recording is covered by the acceptance suite.
 """
 
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +25,13 @@ from hqsp.pipeline import (
     PipelineError,
     SweepCell,
     ToleranceExceededError,
-    _price,
+    DEFAULT_SWEEP_TAUS,
     _unit_samples,
     build_signal,
     compression_point,
     format_table,
     hybrid_prepare,
+    price_thresholds,
     run_table1,
     run_table2,
     sweep_ppg,
@@ -43,16 +46,20 @@ from hqsp.transforms import (
     DFT,
     FRACTION_OF_MAX,
     PACKET_HAAR,
+    CompressedVector,
     EmptySupportError,
     ThresholdPolicy,
     TransformDescriptor,
     analyse,
     classical_reconstruct,
+    compression_ratio,
+    packet_analysis,
     packet_dhwt,
     threshold_normalize,
 )
 
 RNG = np.random.default_rng(29)
+PPG_DIR = Path(__file__).resolve().parent.parent / "data" / "ppg"
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +507,104 @@ def _priced_compressions(draw):
     return x, X, policy, cut
 
 
+def _reference_price(X, policy):
+    """(d, CR, TD) as the pipeline priced a threshold before the one-pass
+    pricer: threshold and renormalise the whole vector, then take the
+    Parseval share of the energy in the coefficients it zeroed.  The oracle
+    for price_thresholds, values and error messages alike."""
+    coeffs = X.coefficients
+    if not np.any(coeffs):
+        raise EmptySupportError("input vector has no nonzero coefficients")
+    if policy.mode == ABSOLUTE:
+        cutoff = policy.value
+    else:
+        cutoff = policy.value * float(np.max(np.abs(coeffs)))
+    kept = np.where(np.abs(coeffs) < cutoff, 0.0, coeffs)
+    norm = np.linalg.norm(kept)
+    if norm == 0:
+        raise EmptySupportError(
+            f"threshold {policy.mode}={policy.value} prunes every coefficient"
+        )
+    compressed = kept / norm
+    energy = np.abs(coeffs) ** 2
+    dropped = energy[compressed == 0].sum()
+    d = int(np.count_nonzero(compressed))
+    return (
+        d,
+        compression_ratio(len(coeffs), d),
+        math.sqrt(min(1.0, float(dropped / energy.sum()))),
+    )
+
+
+_ORACLE_POLICIES = [
+    *(ThresholdPolicy(ABSOLUTE, t) for t in (0.0, -0.0, *DEFAULT_SWEEP_TAUS)),
+    *(ThresholdPolicy(FRACTION_OF_MAX, f) for f in (0.0, 0.005, 0.009, 0.05, 1.0)),
+]
+
+
+def _assert_prices_match_the_reference(X):
+    priced = []
+    for policy in _ORACLE_POLICIES:
+        try:
+            want = _reference_price(X, policy)
+        except EmptySupportError as err:  # e.g. a large tau at a shallow level
+            with pytest.raises(EmptySupportError, match=f"^{re.escape(str(err))}$"):
+                next(price_thresholds(X, [policy]))
+            continue
+        priced.append(policy)
+        got = next(price_thresholds(X, [policy]))
+        # bit for bit: ints and floats compare exactly, and so do their types
+        assert got == want and [type(v) for v in got] == [int, float, float]
+    # one magnitude pass prices them all alike
+    assert list(price_thresholds(X, priced)) == [_reference_price(X, p) for p in priced]
+
+
+@pytest.mark.skipif(not any(PPG_DIR.glob("*.csv")), reason="no recordings under data/ppg")
+@pytest.mark.parametrize("name", ["recording01", "recording02", "recording03"])
+def test_price_matches_the_reference_on_every_ppg_level(name):
+    # levels 1-16 of each recording, one packet analysis deepened in place
+    x = _unit_samples(ingest_waveform_csv(PPG_DIR / f"{name}.csv"))
+    for X in packet_analysis(x):
+        _assert_prices_match_the_reference(X)
+
+
+@pytest.mark.parametrize("kind", ["sinc", "gaussian", "mixture"])
+@pytest.mark.parametrize(
+    "descriptor",
+    [TransformDescriptor(DFT), *(TransformDescriptor(PACKET_HAAR, L) for L in (1, 10, 13, 15))],
+    ids=lambda d: f"{d.kind}{d.levels or ''}",
+)
+def test_price_matches_the_reference_on_the_benchmark_signals(kind, descriptor):
+    x = _unit_samples(build_signal(kind))
+    _assert_prices_match_the_reference(analyse(x, descriptor))
+
+
+@pytest.mark.parametrize(
+    "coeffs, policy",
+    [
+        (np.zeros(8), ThresholdPolicy(ABSOLUTE, 0.0)),
+        (np.zeros(8), ThresholdPolicy(FRACTION_OF_MAX, 0.5)),
+        (np.full(4, 0.5), ThresholdPolicy(ABSOLUTE, 0.6)),
+        (np.full(4, 0.5), ThresholdPolicy(ABSOLUTE, 10.0)),
+    ],
+)
+def test_price_empty_support_message_matches_the_reference(coeffs, policy):
+    X = CompressedVector(coeffs, TransformDescriptor(DFT))
+    with pytest.raises(EmptySupportError) as want:
+        _reference_price(X, policy)
+    with pytest.raises(EmptySupportError) as got:
+        list(price_thresholds(X, [ThresholdPolicy(ABSOLUTE, 0.0), policy]))
+    assert str(got.value) == str(want.value)
+
+
 @given(_priced_compressions())
 @settings(max_examples=300, deadline=None)
 def test_price_is_parseval(case):
     # the TD priced from the coefficients is that of the inverse transform
     x, X, policy, cut = case
+    [(d, cr, td)] = price_thresholds(X, [policy])
+    assert (d, cr, td) == _reference_price(X, policy)
     compressed = threshold_normalize(X, policy)
-    d, cr, td = _price(X, compressed)
     reconstruction = classical_reconstruct(compressed).samples
     assert abs(td - trace_distance(reconstruction, x)) <= 1e-12
     assert d == compressed.d and cr == 2**compressed.n / d
@@ -608,6 +706,31 @@ def test_sweep_over_recordings_of_different_lengths(tmp_path):
     assert cells == _compression_point_cells(tmp_path, levels, taus)
     with pytest.raises(ValueError, match=r"1 <= L <= 7, got 8"):
         sweep_ppg(levels=(2, 8), taus=taus, dataset_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [("mid", 2.0), ("mid", -1.0), (-1.0, "mid"), (0.0, 2.0), (0.0, "mid")],
+    ids=["prune-prune", "prune-invalid", "invalid-prune", "zero-prune", "zero-mid"],
+)
+def test_sweep_raises_the_error_grid_order_meets_first(tmp_path, taus):
+    # at level 3 a.csv has the larger peak coefficient: "mid" prunes every
+    # coefficient of b.csv alone, so only the grid's own order names the
+    # error of the first tau that fails on some recording
+    (tmp_path / "a.csv").write_text("".join(f"{v}\n" for v in np.ones(64)))
+    noise = np.random.default_rng(3).normal(size=64)
+    (tmp_path / "b.csv").write_text("".join(f"{v}\n" for v in noise))
+    peak_a, peak_b = (
+        np.abs(packet_dhwt(_unit_samples(ingest_waveform_csv(p)), 3).coefficients).max()
+        for p in sorted(tmp_path.glob("*.csv"))
+    )
+    assert peak_b < peak_a < 1.0
+    taus = tuple((peak_a + peak_b) / 2 if t == "mid" else t for t in taus)
+    with pytest.raises(ValueError) as want:
+        _compression_point_cells(tmp_path, (3,), taus)
+    with pytest.raises(ValueError) as got:
+        sweep_ppg(levels=(3,), taus=taus, dataset_dir=tmp_path)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_sweep_requires_recordings(tmp_path):

@@ -222,26 +222,43 @@ _NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:.3e}"),
     st.integers(min_value=-(10**20), max_value=10**20).map(str),
 )
-_PAD = st.sampled_from(["", " ", "\t", "  ", "\u00a0", "\u2003"])
-_CELL = st.one_of(
+# \x0c, \x1c, \x85 and \u2028 end a line for str.splitlines() but not for
+# csv, which keeps them inside the row
+_PAD = st.sampled_from(
+    ["", " ", "\t", "  ", "\u00a0", "\u2003", "\x0c", "\x1c", "\x85", "\u2028"]
+)
+_PLAIN_CELL = st.one_of(
     st.tuples(_PAD, _NUMBER, _PAD).map("".join),
     st.sampled_from(["", " ", "\t", "x", "ppg", "1e999", "-0.0", "1_000", "0x10",
                      "nan", "-inf", "1e-320", "+3", ".5", "5.", "1e", "--1", "\u0661\u0662"]),
-    st.text(alphabet=" \t0123456789.eE+-_xn", max_size=6),
+    st.text(alphabet=" \t0123456789.eE+-_xn\x0c\x1c\x85\u2028", max_size=6),
 )
+# quoted cells, which may hold a comma, a doubled quote or a line break
+_QUOTED_CELL = st.one_of(
+    _PLAIN_CELL,
+    st.sampled_from(["1,5", '2""', "3\n", "4\r\n5", ",", ""]),
+).map(lambda cell: '"' + cell.replace('"', '""') + '"')
+_CELL = st.one_of(_PLAIN_CELL, _QUOTED_CELL)
 _ROW = st.lists(_CELL, min_size=1, max_size=3).map(",".join)
 
 
-@given(st.lists(_ROW, max_size=12), st.sampled_from(["\n", "\r\n"]))
+# one-column files of plain cells take the one-call NumPy parse, the rest csv
+_ROWS = st.one_of(st.lists(_PLAIN_CELL, max_size=12), st.lists(_ROW, max_size=12))
+
+
+@given(_ROWS, st.sampled_from(["\n", "\r\n", "\r"]))
 @settings(
     max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_ingest_matches_row_by_row_parse(tmp_path, rows, newline):
-    # numeric, blank, whitespace-only, multi-column and blank-first-cell
-    # rows: the same samples bit for bit, or the same error and message
-    path = _write(tmp_path / "w.csv", "".join(row + newline for row in rows))
+    # numeric, blank, whitespace-only, multi-column, quoted and
+    # blank-first-cell rows, ended by any csv line break: the same samples
+    # bit for bit, or the same error and message
+    path = tmp_path / "w.csv"
+    with open(path, "w", newline="") as fh:  # the line breaks as given
+        fh.write("".join(row + newline for row in rows))
     try:
         expected = _ingest_row_by_row(path)
     except ValueError as err:

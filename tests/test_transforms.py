@@ -203,6 +203,23 @@ def test_threshold_zero_keeps_everything():
     assert out.d == np.count_nonzero(coeffs)
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [ThresholdPolicy(ABSOLUTE, t) for t in (0.0, -0.0, 0.2, 0.3)]
+    + [ThresholdPolicy(FRACTION_OF_MAX, f) for f in (0.0, 0.5)],
+    ids=repr,
+)
+def test_dropped_is_what_threshold_normalize_zeroes(policy):
+    # the zeros count as dropped at every cutoff; what is kept is the input
+    # over the norm of the coefficients at or above the cutoff
+    coeffs = np.array([0.5, -0.3j, 0.2, 0.0, 0.3, -0.0, 0.1 + 0.1j, 0.0])
+    mag = np.abs(coeffs)
+    out = threshold_normalize(_vector(coeffs), policy).coefficients
+    assert np.array_equal(policy.dropped(mag), out == 0)
+    kept = np.where(mag < policy.cutoff(mag), 0.0, coeffs)
+    assert np.array_equal(out, kept / np.linalg.norm(kept))
+
+
 def test_threshold_empty_support_errors():
     with pytest.raises(EmptySupportError):
         threshold_normalize(_vector(np.zeros(4)), ThresholdPolicy(ABSOLUTE, 0.0))
