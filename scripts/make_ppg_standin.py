@@ -68,7 +68,7 @@ def pulse_train(seed: int, hr: float, rate_mod: float, noise: float) -> np.ndarr
 def shape_spectrum(x: np.ndarray, target_d: int, td_target: float) -> np.ndarray:
     """Rescale the sub-threshold residual and stabilize the retained set."""
     unit = x / np.linalg.norm(x)
-    coeffs = transforms.packet_dhwt(signals.Signal(unit, "ppg"), LEVELS).coefficients
+    coeffs = transforms.packet_dhwt(signals.Signal(unit), LEVELS).coefficients
     c = coeffs.real.copy()
     mags = np.abs(c)
     eligible = np.arange(len(c)) <= MAX_KEPT_INDEX
@@ -95,7 +95,7 @@ def shape_spectrum(x: np.ndarray, target_d: int, td_target: float) -> np.ndarray
 
 def operating_point(x: np.ndarray):
     unit = x / np.linalg.norm(x)
-    cv = transforms.packet_dhwt(signals.Signal(unit, "ppg"), LEVELS)
+    cv = transforms.packet_dhwt(signals.Signal(unit), LEVELS)
     cvt = transforms.threshold_normalize(
         cv, transforms.ThresholdPolicy(transforms.ABSOLUTE, TAU_ABS)
     )

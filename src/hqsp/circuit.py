@@ -147,6 +147,16 @@ def _pattern_angles(kind: str, angle, k: int) -> tuple[float, ...]:
     return tuple(values.tolist())
 
 
+def _pattern_of(state, bits):
+    """The multiplexer pattern of ``state`` (an int or an int64 array) over
+    the wires ``bits``: bit j of the pattern is bit ``bits[j]`` of the state.
+    With no bits it is 0, an array of zeros for an array."""
+    p = state & 0
+    for j, c in enumerate(bits):
+        p |= ((state >> c) & 1) << j
+    return p
+
+
 class Circuit:
     """Ordered gate list on a fixed-width qubit register (qubit 0 = LSB)."""
 

@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive range lo:hi or comma list")
     p.add_argument("--taus", type=_parse_float_list, default=DEFAULT_SWEEP_TAUS,
                    help="comma-separated thresholds")
-    p.add_argument("--mode", choices=(ABSOLUTE, FRACTION_OF_MAX), default=ABSOLUTE)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -276,7 +275,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cells = sweep_ppg(args.levels, args.taus, dataset_dir=args.dataset, mode=args.mode)
+    cells = sweep_ppg(args.levels, args.taus, dataset_dir=args.dataset)
     out = args.out if args.out is not None else Path("sweep.csv")
     write_sweep_csv(cells, out)
     print(f"wrote {len(cells)} cells to {out}")

@@ -23,8 +23,10 @@ Three loaders with very different cost regimes:
   unchanged.
   The ladder cost does not depend on how many of its angle slots are used,
   so further distance-1 pairs whose cover patterns are free ride along in
-  the same multiplexer at no CX cost; one pass scores every bit the cover
-  could grow by to recruit more of them.
+  the same multiplexer at no CX cost.  One NumPy pass over the alive
+  states holds the rider rule: it scores every bit the cover could grow by
+  to recruit more of them, and its last run lists the riders.  Patterns
+  are the IR's (:func:`hqsp.circuit._pattern_of`).
   When the support is dense inside its bounding subcube (where covers stop
   being small), the synthesizer switches to an amplitude cascade over the
   cube's free bits at ``2**k - 2`` CX (doubled for complex amplitudes)
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, cancel_adjacent_inverses, decompose, gate, inverse
-from .circuit import _kept_walk, ucry_gates
+from .circuit import _kept_walk, _pattern_of, ucry_gates
 
 __all__ = [
     "SparseState",
@@ -112,10 +114,9 @@ class SparseState:
         return len(self.entries)
 
     @classmethod
-    def from_compressed(cls, compressed, n: int | None = None) -> "SparseState":
+    def from_compressed(cls, compressed) -> "SparseState":
         indices, values = compressed.support()
-        return cls(n if n is not None else compressed.n,
-                   tuple(zip(indices.tolist(), values.tolist())))
+        return cls(compressed.n, tuple(zip(indices.tolist(), values.tolist())))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(2**self.n, dtype=complex)
@@ -230,16 +231,16 @@ def _popcounts(arr: np.ndarray) -> np.ndarray:
     return np.array([int(v).bit_count() for v in arr], dtype=np.int64)
 
 
-def _greedy_cover(anchor: int, targets: np.ndarray, b: int, span: int) -> list[int]:
-    """Smallest-effort control set separating ``anchor`` from ``targets``.
+def _greedy_cover(targets: np.ndarray, b: int, span: int) -> list[int]:
+    """Smallest-effort control set separating one state from others.
 
-    ``targets`` is an int64 array; the returned bits (below ``span``, never
-    ``b``) make the anchor's pattern unique against every target.  Greedy
-    by maximum kills over the matrix of bits where each target differs from
-    the anchor; ``argmax`` takes the first maximum, so ties go to the lower
-    bit index.
+    ``targets`` is an int64 array of each other state's difference from
+    it; the returned bits (below ``span``, never ``b``) make its pattern
+    unique against every one.  Greedy by maximum kills over the matrix of
+    difference bits; ``argmax`` takes the first maximum, so ties go to the
+    lower bit index.
     """
-    differs = ((targets ^ anchor)[:, None] >> np.arange(span)) & 1
+    differs = (targets[:, None] >> np.arange(span)) & 1
     differs[:, b] = 0
     cover: list[int] = []
     while len(differs):
@@ -271,12 +272,8 @@ def _subcube_cascade(indices, amps, cube_bits: list[int]) -> list[Gate]:
     padded with zero amplitudes, and loaded by :func:`dense_load`; gate
     qubits are mapped back afterwards.
     """
-    k = len(cube_bits)
-    coords = np.zeros(len(indices), dtype=np.int64)
-    for j, b in enumerate(cube_bits):
-        coords |= ((indices >> b) & 1) << j
-    v = np.zeros(2**k, dtype=complex)
-    v[coords] = amps
+    v = np.zeros(2 ** len(cube_bits), dtype=complex)
+    v[_pattern_of(indices, cube_bits)] = amps
     return [
         Gate(g.kind, tuple(cube_bits[q] for q in g.qubits), g.angle)
         for g in dense_load(v)
@@ -318,15 +315,6 @@ def _merge_angle(a0, a1, kept_value: int) -> float:
     if kept_value == 0:
         return -2.0 * math.atan2(a1, a0)
     return 2.0 * math.atan2(a0, a1)
-
-
-def _pattern_of(state, cover: list[int]):
-    """The bits of ``state`` (an int or an int64 array) at ``cover``,
-    packed low to high."""
-    p = 0
-    for j, c in enumerate(cover):
-        p |= ((state >> c) & 1) << j
-    return p
 
 
 def sqsp(state: SparseState) -> Circuit:
@@ -372,7 +360,7 @@ def sqsp(state: SparseState) -> Circuit:
         if y not in amp_of or len(amp_of) == 1:
             continue
         alive_arr = np.array(sorted(amp_of), dtype=np.int64)
-        step = _plan_merge(y, alive_arr, amp_of, span, order, indices)
+        step = _plan_merge(y, alive_arr, amp_of, span)
         merge_steps.append(_emit_merge(step, amp_of))
 
     # one basis state remains; its amplitude is a pure (ignored) global phase
@@ -401,7 +389,7 @@ class _MergeStep:
 _BLOCK_ELEMENTS = 4096
 
 
-def _plan_merge(y, alive_arr, amp_of, span, order, indices) -> _MergeStep:
+def _plan_merge(y, alive_arr, amp_of, span) -> _MergeStep:
     """The cheapest merge of ``y`` into another alive state x, with its
     free riders.
 
@@ -432,7 +420,7 @@ def _plan_merge(y, alive_arr, amp_of, span, order, indices) -> _MergeStep:
     cost, x, b, cover = best
     step = _MergeStep(b=b, spread=x ^ y ^ (1 << b), cover=cover, pairs=[(x, y)])
     if not step.spread and cover and _is_real_pair(amp_of[x], amp_of[y]):
-        _add_free_riders(step, alive_arr, amp_of, order, indices, span)
+        _add_free_riders(step, alive_arr, amp_of, span)
     return step
 
 
@@ -465,8 +453,7 @@ def _price_block(y: int, xs: np.ndarray, others: np.ndarray, span: int, cap=math
     for r in np.flatnonzero(floors < cap):
         if floors[r] >= cap:
             continue
-        # the row's differences are its targets as seen from an anchor of 0
-        cover = _greedy_cover(0, masks[r][masks[r] >= 0], int(b[r]), span)
+        cover = _greedy_cover(masks[r][masks[r] >= 0], int(b[r]), span)
         cost = int(conj[r]) + (2 ** len(cover) if cover else 0)
         if cost < cap:
             best, cap = (cost, int(xs[rows[r]]), int(b[r]), cover), cost
@@ -482,42 +469,15 @@ def _is_real_pair(a, c) -> bool:
 _RIDER_CX_ESTIMATE = 4
 
 
-def _rider_pairs(cover, b, alive_arr, amp_of, order, indices, seed):
-    """Distance-1 pairs that fit unused pattern slots of this cover."""
-    b_bit = 1 << b
-    pats = _pattern_of(alive_arr, cover)
-    uniq, counts = np.unique(pats, return_counts=True)
-    count_of = dict(zip(uniq.tolist(), counts.tolist()))
-    pat_of = dict(zip(alive_arr.tolist(), pats.tolist()))
-    riders = []
-    in_batch = set(seed)
-    for oi in order:
-        z = int(indices[oi])
-        if z not in pat_of or z in in_batch:
-            continue
-        w = z ^ b_bit
-        if w not in pat_of or w in in_batch:
-            continue
-        if not _is_real_pair(amp_of[z], amp_of[w]):
-            continue
-        # z and w share a pattern (b is never a cover bit); a count of two
-        # means the slot is theirs alone and the rotation touches nobody else
-        if count_of[pat_of[z]] != 2:
-            continue
-        riders.append((w, z))
-        in_batch.update((w, z))
-    return riders
+def _riders(cover, b, alive_arr, amp_of, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs that may ride along under ``cover``, as ``(reps, rides)``.
 
-
-def _rider_scores(cover, b, alive_arr, amp_of, seed, span) -> np.ndarray:
-    """Per trial bit c < span, the number of riders that :func:`_rider_pairs`
-    finds under ``cover`` plus c; 0 for b, which is never a cover bit.
-
-    A pair {z, z | b} of alive states with real amplitudes, outside
-    ``seed``, rides when no other alive state shares its pattern: when
-    every other state sharing its pattern under ``cover`` differs from z in
-    bit c.  The AND of those differences marks each such c, and every c
-    when no state shares the pattern.
+    ``reps`` holds the low state z of each pair {z, z | b} of alive states
+    with real amplitudes outside ``seed``; ``rides`` holds, per rep, the AND
+    of its differences from the other alive states that share its pattern,
+    with bit b cleared.  The pair rides under ``cover`` when no other state
+    shares its pattern (``rides == ~b``), and under ``cover`` plus a bit c
+    when every one that does differs from z in c (bit c of ``rides`` set).
     """
     b_bit = 1 << b
     reps = np.array([
@@ -528,11 +488,10 @@ def _rider_scores(cover, b, alive_arr, amp_of, seed, span) -> np.ndarray:
     shared = _pattern_of(alive_arr, cover) == _pattern_of(reps, cover)[:, None]
     shared &= (alive_arr | b_bit) != (reps | b_bit)[:, None]
     rides = np.bitwise_and.reduce(np.where(shared, alive_arr ^ reps[:, None], -1), axis=1)
-    rides &= ~b_bit
-    return ((rides[:, None] >> np.arange(span)) & 1).sum(axis=0)
+    return reps, rides & ~b_bit
 
 
-def _add_free_riders(step, alive_arr, amp_of, order, indices, span) -> None:
+def _add_free_riders(step, alive_arr, amp_of, span) -> None:
     """Fold further distance-1 pairs into the pinned pair's multiplexer.
 
     The UCRY ladder costs 2**|C| CX no matter how many of its angle slots
@@ -540,20 +499,22 @@ def _add_free_riders(step, alive_arr, amp_of, order, indices, span) -> None:
     ride along for free.  When the support is locally dense the slots are
     all taken; growing the cover by one bit doubles the ladder but also
     doubles the slots, so growth is accepted while each extra bit recruits
-    enough new riders to beat merging them individually later.  Every trial
-    bit is scored in one pass (:func:`_rider_scores`); the riders are listed
-    once, for the final cover.
+    enough new riders to beat merging them individually later.  One
+    :func:`_riders` pass per cover scores every trial bit, and the last
+    pass lists the riders, each as (kept z, removed z | b).
     """
     seed = step.pairs[0]
+    b_bit = 1 << step.b
     while True:
-        scores = _rider_scores(step.cover, step.b, alive_arr, amp_of, seed, span)
+        reps, rides = _riders(step.cover, step.b, alive_arr, amp_of, seed)
+        scores = ((rides[:, None] >> np.arange(span)) & 1).sum(axis=0)
         # adding a cover bit leaves the cover as it is: its score is today's
         gains = scores - scores[step.cover[0]]
         c = int(gains.argmax())
         if gains[c] <= 0 or 2 ** len(step.cover) >= _RIDER_CX_ESTIMATE * gains[c]:
             break
         step.cover = sorted(step.cover + [c])
-    step.pairs.extend(_rider_pairs(step.cover, step.b, alive_arr, amp_of, order, indices, seed))
+    step.pairs.extend((z, z | b_bit) for z in reps[rides == ~b_bit].tolist())
 
 
 def _emit_merge(step: _MergeStep, amp_of: dict) -> list[Gate]:

@@ -203,13 +203,13 @@ class ExperimentConfig:
             elif key == "transform.kind":
                 kwargs["transform"] = value
             elif key == "transform.levels":
-                kwargs["levels"] = _exact(key, value, int)
+                kwargs["levels"] = _typed(key, value, int)
             elif key == "threshold.mode":
                 kwargs.setdefault("_tau", {})["mode"] = value
             elif key == "threshold.value":
-                kwargs.setdefault("_tau", {})["value"] = _converted(key, value, float)
+                kwargs.setdefault("_tau", {})["value"] = _typed(key, value, float)
             elif key == "epsilon":
-                kwargs["epsilon"] = _converted(key, value, float)
+                kwargs["epsilon"] = _typed(key, value, float)
             elif key == "output.dir":
                 kwargs["output_dir"] = str(value)
             elif key == "label":
@@ -243,42 +243,39 @@ def build_signal(kind: str, params: dict | None = None, csv_path=None) -> Signal
     return _GENERATORS[kind](**params)
 
 
-_PARAM_TYPES = {float: numbers.Real, int: numbers.Integral}
-
-
 def _check_signal_params(kind, params: dict) -> None:
     """Reject a ``signal.*`` parameter that the generator behind ``kind``
-    does not take, or whose value is not of its default's type (an int may
-    stand for a float, but a bool is no number: ``signal.K = true`` is not
-    one component, nor ``signal.sigma = true`` a width of 1.0)."""
+    does not take, or whose value :func:`_typed` rejects for its default's
+    type."""
     defaults = {} if kind == "csv" else _SIGNAL_DEFAULTS.get(kind)
     if defaults is None:
         raise PipelineError(f"unknown signal generator {kind!r}")
     for name, value in params.items():
         if name not in defaults:
             raise PipelineError(f"{kind} signal takes no parameter signal.{name}")
-        default = defaults[name]
-        expected = _PARAM_TYPES.get(type(default), type(default))
-        if not isinstance(value, expected) or (
-            type(default) in _PARAM_TYPES and isinstance(value, bool)
-        ):
-            raise PipelineError(
-                f"signal.{name} must be {type(default).__name__}, got {value!r}"
-            )
+        _typed(f"signal.{name}", value, type(defaults[name]))
 
 
-def _converted(key: str, value, kind: type):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise PipelineError(f"{key} must be {kind.__name__}, got {value!r}") from None
+_NUMBER_TYPES = {float: numbers.Real, int: numbers.Integral}
 
 
-def _exact(key: str, value, kind: type):
-    """``value`` as parsed, if it is of ``kind`` exactly (a bool is no int
-    and a float no int, so nothing is truncated or coerced)."""
-    if type(value) is not kind:
+def _typed(key: str, value, kind: type):
+    """``value`` as a ``kind``, the one typing rule of config values.
+
+    An int may stand for a float, but a bool or a string is no number
+    (``signal.K = true`` is not one component, nor ``epsilon = "0.5"`` a
+    tolerance) and a float is no int, so nothing is truncated.  A
+    float-typed value goes through ``float()``, so an int too large for
+    one is rejected here rather than where it is used.
+    """
+    expected = _NUMBER_TYPES.get(kind, kind)
+    if not isinstance(value, expected) or (isinstance(value, bool) and kind is not bool):
         raise PipelineError(f"{key} must be {kind.__name__}, got {value!r}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise PipelineError(f"{key} is too large for a float: {value!r}") from None
     return value
 
 
@@ -630,11 +627,10 @@ def sweep_ppg(
     levels=DEFAULT_SWEEP_LEVELS,
     taus=DEFAULT_SWEEP_TAUS,
     dataset_dir=DEFAULT_PPG_DIR,
-    mode: str = ABSOLUTE,
 ) -> list[SweepCell]:
-    """Mean TD and CR statistics per (levels, tau) cell across every
-    recording CSV in ``dataset_dir``, flagging cells whose mean CR falls in
-    the useful band [15, 235].
+    """Mean TD and CR statistics per (levels, tau) cell, tau an absolute
+    threshold, across every recording CSV in ``dataset_dir``, flagging
+    cells whose mean CR falls in the useful band [15, 235].
 
     Each recording is analysed once: one running packet Haar analysis per
     recording is deepened level by level in lockstep, holding one level at
@@ -664,7 +660,7 @@ def sweep_ppg(
                 continue
             rows.append(row := [])
             try:  # each policy is built as it is priced, as in grid order
-                for point in price_thresholds(X, (ThresholdPolicy(mode, t) for t in taus)):
+                for point in price_thresholds(X, (ThresholdPolicy(ABSOLUTE, t) for t in taus)):
                     row.append(point)
             except ValueError as err:
                 failures.append((len(row), err))

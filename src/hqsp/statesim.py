@@ -29,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, _pattern_of
 
 __all__ = [
     "CapacityError",
@@ -214,10 +214,7 @@ class SupportState:
 
 def _pattern_angles(g, idx: np.ndarray) -> np.ndarray:
     """The rotation angle a UCRY/UCRZ applies at each basis index."""
-    pattern = np.zeros_like(idx)
-    for j, c in enumerate(g.controls):
-        pattern |= ((idx >> c) & 1) << j
-    return np.asarray(g.angle)[pattern]
+    return np.asarray(g.angle)[_pattern_of(idx, g.controls)]
 
 
 def _rotate_pairs(amps: dict, bit: int, lows, cos_sin) -> tuple[dict, float]:

@@ -314,7 +314,13 @@ def test_prepare_writes_output_dir(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line, key", [("signal.bogus = 3", "signal.bogus"), ('signal.N = "abc"', "signal.N")]
+    "line, key",
+    [
+        ("signal.bogus = 3", "signal.bogus"),
+        ('signal.N = "abc"', "signal.N"),
+        # an int too large for a float is an invalid value, not a crash
+        ("signal.t_max = 1" + "0" * 400, "signal.t_max"),
+    ],
 )
 def test_prepare_rejects_bad_signal_param(tmp_path, capsys, line, key):
     conf = tmp_path / "exp.conf"
@@ -325,7 +331,11 @@ def test_prepare_rejects_bad_signal_param(tmp_path, capsys, line, key):
 
 @pytest.mark.parametrize(
     "line, key",
-    [("transform.levels = 2.7", "transform.levels"), ("baselines.eae = no", "baselines.eae")],
+    [
+        ("transform.levels = 2.7", "transform.levels"),
+        ("baselines.eae = no", "baselines.eae"),
+        ("epsilon = true", "epsilon"),
+    ],
 )
 def test_prepare_rejects_coerced_value(tmp_path, capsys, line, key):
     conf = tmp_path / "exp.conf"
@@ -362,9 +372,10 @@ def test_run_table_missing_recording_warns(tmp_path, capsys):
     [
         ["compress", "w.csv", "--levels", "5", "--tau-abs", "0.01", "--seed", "1"],
         ["sweep-ppg", "--seed", "1"],
+        ["sweep-ppg", "--mode", "absolute"],
         ["run", "table2", "--format", "json"],
     ],
-    ids=["compress-seed", "sweep-seed", "run-format"],
+    ids=["compress-seed", "sweep-seed", "sweep-mode", "run-format"],
 )
 def test_unread_flag_is_usage_error(capsys, argv):
     # a subcommand takes only the flags it reads

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqsp.circuit import Circuit, cancel_adjacent_inverses, decompose, gate, report
+from hqsp.circuit import Circuit, _pattern_of, cancel_adjacent_inverses, decompose, gate, report
 from hqsp.loaders import (
     SQSP_COST_CONSTANT,
     ComplexAmplitudeError,
@@ -22,7 +22,7 @@ from hqsp.loaders import (
     sqsp,
 )
 from hqsp import loaders
-from hqsp.loaders import _bits, _greedy_cover, _price_block, _rider_pairs, _rider_scores
+from hqsp.loaders import _add_free_riders, _bits, _greedy_cover, _price_block, _riders
 from hqsp.loaders import _subcube_cascade
 from hqsp.pipeline import DEFAULT_PPG_RECORDING, _unit_samples, table1_configs
 from hqsp.signals import gen_periodic, ingest_waveform_csv
@@ -392,13 +392,13 @@ def test_greedy_cover_matches_loop_reference():
             # a target equal to the anchor off bit b cannot be separated
             raised += 1
             with pytest.raises(RuntimeError, match="not separable"):
-                _greedy_cover(anchor, targets, b, span)
+                _greedy_cover(targets ^ anchor, b, span)
             continue
-        assert _greedy_cover(anchor, targets, b, span) == expected
+        assert _greedy_cover(targets ^ anchor, b, span) == expected
     assert 0 < raised < 400
-    assert _greedy_cover(5, np.array([], dtype=np.int64), 0, 4) == []
+    assert _greedy_cover(np.array([], dtype=np.int64), 0, 4) == []
     with pytest.raises(RuntimeError, match="not separable"):
-        _greedy_cover(0b0101, np.array([0b0100, 0b0110], dtype=np.int64), 0, 4)
+        _greedy_cover(np.array([0b0100, 0b0110], dtype=np.int64) ^ 0b0101, 0, 4)
 
 
 def _merge_cost_unpruned(x, y, others, span):
@@ -410,24 +410,55 @@ def _merge_cost_unpruned(x, y, others, span):
         spread = D ^ (1 << b)
         anchor = x ^ spread if (x >> b) & 1 else x
         images = np.where(others & (1 << b), others ^ spread, others)
-        cover = _greedy_cover(anchor, images, b, span)
+        cover = _greedy_cover(images ^ anchor, b, span)
         cost = 2 * (m - 1) + (2 ** len(cover) if cover else 0)
         if best is None or cost < best[0]:
             best = (cost, b, cover, spread)
     return best
 
 
-def _add_free_riders_loop(step, alive_arr, amp_of, order, indices, span):
+def _rider_pairs(cover, b, alive_arr, amp_of, seed):
+    """Distance-1 pairs that fit unused pattern slots of this cover, met in
+    sqsp's processing order: the per-order reference for :func:`_riders`.
+
+    Basis state 0 comes first in that order but never rides: sqsp merges
+    it away in its first step, as part of the seed.
+    """
+    b_bit = 1 << b
+    order = np.lexsort((alive_arr, -loaders._popcounts(alive_arr), alive_arr != 0))
+    pats = _pattern_of(alive_arr, cover)
+    uniq, counts = np.unique(pats, return_counts=True)
+    count_of = dict(zip(uniq.tolist(), counts.tolist()))
+    pat_of = dict(zip(alive_arr.tolist(), pats.tolist()))
+    riders = []
+    in_batch = set(seed)
+    for z in alive_arr[order].tolist():
+        if z in in_batch:
+            continue
+        w = z ^ b_bit
+        if w not in pat_of or w in in_batch:
+            continue
+        if not loaders._is_real_pair(amp_of[z], amp_of[w]):
+            continue
+        # z and w share a pattern (b is never a cover bit); a count of two
+        # means the slot is theirs alone and the rotation touches nobody else
+        if count_of[pat_of[z]] != 2:
+            continue
+        riders.append((w, z))
+        in_batch.update((w, z))
+    return riders
+
+
+def _add_free_riders_loop(step, alive_arr, amp_of, span):
     """Per-bit rider loop: the reference for the one-pass rider scoring."""
     seed = step.pairs[0]
-    args = (alive_arr, amp_of, order, indices)
-    riders = _rider_pairs(step.cover, step.b, *args, seed)
+    riders = _rider_pairs(step.cover, step.b, alive_arr, amp_of, seed)
     while True:
         best_gain, best_bit, best_riders = 0, None, None
         for c in range(span):
             if c == step.b or c in step.cover:
                 continue
-            trial = _rider_pairs(sorted(step.cover + [c]), step.b, *args, seed)
+            trial = _rider_pairs(sorted(step.cover + [c]), step.b, alive_arr, amp_of, seed)
             if len(trial) - len(riders) > best_gain:
                 best_gain = len(trial) - len(riders)
                 best_bit, best_riders = c, trial
@@ -438,7 +469,7 @@ def _add_free_riders_loop(step, alive_arr, amp_of, order, indices, span):
     step.pairs.extend(riders)
 
 
-def _plan_merge_unpruned(y, alive_arr, amp_of, span, order, indices):
+def _plan_merge_unpruned(y, alive_arr, amp_of, span):
     """``_plan_merge`` pricing every candidate one at a time up to the
     distance cut, with the per-bit rider loop."""
     dists = loaders._popcounts(alive_arr ^ y)
@@ -454,7 +485,7 @@ def _plan_merge_unpruned(y, alive_arr, amp_of, span, order, indices):
     cost, m, x, b, cover, spread = best
     step = loaders._MergeStep(b=b, spread=spread, cover=cover, pairs=[(x, y)])
     if m == 1 and cover and loaders._is_real_pair(amp_of[x], amp_of[y]):
-        _add_free_riders_loop(step, alive_arr, amp_of, order, indices, span)
+        _add_free_riders_loop(step, alive_arr, amp_of, span)
     return step
 
 
@@ -520,11 +551,12 @@ def test_merge_cost_with_cap_still_raises_on_inseparable_state():
 
 def test_rider_scores_match_the_per_bit_rider_search():
     rng = np.random.default_rng(29)
-    scored = 0
+    scored = listed = 0
     for _ in range(200):
         span = int(rng.integers(3, 10))
-        size = int(rng.integers(4, min(2**span, 60) + 1))
-        alive = np.sort(rng.choice(2**span, size=size, replace=False)).astype(np.int64)
+        size = int(rng.integers(4, min(2**span - 1, 60) + 1))
+        # state 0 is merged away before any rider search, as in sqsp
+        alive = np.sort(rng.choice(np.arange(1, 2**span), size=size, replace=False)).astype(np.int64)
         b = int(rng.integers(span))
         x = int(alive[int(rng.integers(size))])
         if x ^ (1 << b) not in alive:
@@ -534,14 +566,22 @@ def test_rider_scores_match_the_per_bit_rider_search():
         amp_of = {int(z): complex(1.0, 0.0 if r else 1.0) for z, r in zip(alive, real)}
         others = [c for c in range(span) if c != b]
         cover = sorted(rng.choice(others, size=int(rng.integers(1, len(others) + 1)), replace=False).tolist())
-        order = rng.permutation(size)
-        scores = _rider_scores(cover, b, alive, amp_of, seed, span)
-        assert scores[b] == 0
+        _, rides = _riders(cover, b, alive, amp_of, seed)
+        assert not np.any(rides & (1 << b))
         for c in others:
             trial = sorted(set(cover) | {c})
-            assert scores[c] == len(_rider_pairs(trial, b, alive, amp_of, order, alive, seed))
+            scores = int(np.count_nonzero(rides & (1 << c)))
+            assert scores == len(_rider_pairs(trial, b, alive, amp_of, seed))
+        # the listed riders are the reference's under the final cover, each
+        # oriented (kept, removed) as in the processing order
+        step = loaders._MergeStep(b=b, spread=0, cover=cover, pairs=[seed])
+        _add_free_riders(step, alive, amp_of, span)
+        reference = _rider_pairs(step.cover, b, alive, amp_of, seed)
+        assert set(step.pairs[1:]) == set(reference)
+        assert len(step.pairs) == len(reference) + 1
+        listed += len(reference)
         scored += 1
-    assert scored > 50
+    assert scored > 50 and listed > 50
 
 
 @given(_adversarial_supports())

@@ -170,6 +170,8 @@ def test_config_rejects_duplicate_key(tmp_path):
         ("signal.kind = mixture\nsignal.seed = 1.5\n", r"signal\.seed must be int"),
         ("signal.kind = mixture\nsignal.K = true\n", r"signal\.K must be int"),
         ("signal.kind = mixture\nsignal.spec = 1\n", r"signal\.spec"),
+        ("signal.kind = gaussian\nsignal.sigma = 1" + "0" * 400 + "\n", r"signal\.sigma"),
+        ("signal.kind = gaussian\nsignal.x_max = 1" + "0" * 400 + "\n", r"signal\.x_max"),
         ("signal.csv = w.csv\nsignal.N = 8\n", r"signal\.N"),
         ("signal.kind = chirp\n", "unknown signal generator"),
     ],
@@ -187,6 +189,9 @@ def test_config_rejects_bad_signal_params(tmp_path, lines, message):
         "transform.levels = inf",
         "epsilon = 1" + "0" * 400,
         "threshold.value = x",
+        "threshold.value = true",
+        'threshold.value = "0.5"',
+        "epsilon = true",
         # a level is an integer, as written; the EAE baseline always runs, so
         # its old switch is an unknown key
         "transform.levels = 2.7",
@@ -198,7 +203,8 @@ def test_config_rejects_bad_signal_params(tmp_path, lines, message):
         "baselines.eae = 0",
     ],
     ids=[
-        "levels-inf", "epsilon-overflow", "threshold-text", "levels-fraction",
+        "levels-inf", "epsilon-overflow", "threshold-text", "threshold-bool",
+        "threshold-quoted", "epsilon-bool", "levels-fraction",
         "levels-float", "levels-bool", "levels-text", "eae-text", "eae-quoted",
         "eae-int",
     ],
