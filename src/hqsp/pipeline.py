@@ -265,17 +265,20 @@ def _typed(key: str, value, kind: type):
     An int may stand for a float, but a bool or a string is no number
     (``signal.K = true`` is not one component, nor ``epsilon = "0.5"`` a
     tolerance) and a float is no int, so nothing is truncated.  A
-    float-typed value goes through ``float()``, so an int too large for
-    one is rejected here rather than where it is used.
+    float-typed value goes through ``float()`` and must be finite, so an int
+    too large for one, a NaN or an infinity is rejected here rather than
+    where it is used.
     """
     expected = _NUMBER_TYPES.get(kind, kind)
     if not isinstance(value, expected) or (isinstance(value, bool) and kind is not bool):
         raise PipelineError(f"{key} must be {kind.__name__}, got {value!r}")
     if kind is float:
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise PipelineError(f"{key} is too large for a float: {value!r}") from None
+        if not math.isfinite(value):
+            raise PipelineError(f"{key} must be finite, got {value!r}")
     return value
 
 

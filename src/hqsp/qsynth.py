@@ -7,7 +7,8 @@ per level in increasing block size, each block a descending SWAP chain
 followed by a Hadamard on qubit 0.  Closed-form costs (decomposed):
 
 * iqft(n) with swaps: n(n-1) CX from the CPHASE ladder + 3*floor(n/2).
-* inverse_packet_qhwt(n, L): 3 * sum_{l=1..L} (n-l) CX, depth 3n + 3L - 5.
+* inverse_packet_qhwt(n, L): 3 * sum_{l=1..L} (n-l) CX; depth 3n + 3L - 5
+  for L <= n-1, and 6n - 7 at L = n, whose last block is H on qubit 0.
 
 The FSL approximates a signal by its 2**(m+1) lowest-frequency Fourier
 modes: a dense complex load on m+1 qubits, a CX fan from the sign qubit
@@ -56,10 +57,11 @@ def inverse_packet_qhwt(n: int, L: int) -> Circuit:
 
     Blocks run in increasing size m = n-L+1 .. n; each block is the SWAP
     chain (m-1, m-2), ..., (1, 0) followed by H on qubit 0, which is the
-    transpose of one analysis level restricted to the low m qubits.
+    transpose of one analysis level restricted to the low m qubits.  At
+    L = n the first block (m = 1) is H on qubit 0 alone.
     """
-    if L < 1 or n - L + 1 < 2:
-        raise ValueError(f"need 1 <= L <= n-1, got n={n}, L={L}")
+    if not 1 <= L <= n:
+        raise ValueError(f"need 1 <= L <= n, got n={n}, L={L}")
     circ = Circuit(n)
     for m in range(n - L + 1, n + 1):
         for j in range(m - 1, 0, -1):

@@ -89,7 +89,8 @@ def _normalized(values: np.ndarray, label: str) -> Signal:
     if norm == 0:
         raise DegenerateSignalError(f"{label}: zero-energy signal")
     if not np.isfinite(norm):
-        raise DegenerateSignalError(f"{label}: signal energy overflows")
+        fault = "non-finite samples" if np.isnan(norm) else "signal energy overflows"
+        raise DegenerateSignalError(f"{label}: {fault}")
     return Signal(values / norm)
 
 

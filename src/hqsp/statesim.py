@@ -1,31 +1,29 @@
 """Statevector simulation of the circuit IR: dense, and on the support.
 
 States are little-endian: qubit 0 is the least significant bit of the basis
-index, so ``state[5]`` is the amplitude of |...101>.
+index, so ``state[5]`` is the amplitude of |...101>.  Both simulators state
+each gate family once, on the gate's own target and controls: X/CX/CCX,
+PHASE/CPHASE, and the rotations, RY and RZ being UCRY and UCRZ with no
+controls.
 
-:func:`simulate` is the whole-circuit simulator.  All gate kinds of the IR
-are applied natively; axis slicing on the ``[2]*n``-shaped view keeps every
-update vectorised.  A UCRY/UCRZ multiplexer runs in one pass over the
-state: its per-pattern rotation entries are laid onto the control axes and
-broadcast, so a cascade level costs O(2**n) however many controls it has.
-Register width is capped at 24 qubits, which bounds the state at 256 MiB
-of complex128; a run adds one workspace of twice that size.
+:func:`simulate` is the whole-circuit simulator.  Axis slicing on the
+``[2]*n``-shaped view keeps every update vectorised; a multiplexer's
+per-pattern rotation entries are laid onto the control axes and broadcast,
+so a cascade level costs O(2**n) however many controls it has.  Register
+width is capped at 24 qubits, which bounds the state at 256 MiB of
+complex128; a run adds one workspace of twice that size.
 
-:func:`simulate_support` runs a loader circuit (the kinds the loaders emit:
-X, CX, RY, RZ, UCRY, UCRZ) from |0...0> on its support only, as a map from
-basis index to amplitude, so a d-sparse load costs O(d) per gate instead of
-O(2**n).  X and CX map indices, RZ/UCRZ multiply phases, and RY/UCRY rotate
-the pairs (i, i ^ 2**t) of the support.  Amplitudes of magnitude at most
-:data:`SUPPORT_DROP` are dropped; the run reports its peak support and the
-squared norm it dropped.
+:func:`simulate_support` runs a loader circuit (X, CX, RY, RZ, UCRY, UCRZ)
+from |0...0> on its support only, an index array and an amplitude array,
+so a d-sparse load costs O(d log d) per gate instead of O(2**n).
+Amplitudes of magnitude at most :data:`SUPPORT_DROP` are dropped; the run
+reports its peak support and the squared norm it dropped.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -67,11 +65,6 @@ class UnsupportedGateError(ValueError):
 def _rx(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
@@ -134,39 +127,28 @@ def _apply_diag(psi: np.ndarray, n: int, phases: tuple, target: int, controls) -
 
 
 def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
-    kind = g.kind
+    kind, target, controls = g.kind, g.targets[0], g.controls
     if kind == "H":
-        _apply_1q(psi, n, _H, g.qubits[0], (), work)
-    elif kind == "X":
-        _apply_1q(psi, n, _X, g.qubits[0], (), work)
+        _apply_1q(psi, n, _H, target, (), work)
     elif kind == "RX":
-        _apply_1q(psi, n, _rx(g.angle), g.qubits[0], (), work)
-    elif kind == "RY":
-        _apply_1q(psi, n, _ry(g.angle), g.qubits[0], (), work)
-    elif kind == "RZ":
-        half = np.exp(0.5j * g.angle)
-        _apply_diag(psi, n, (np.conj(half), half), g.qubits[0], ())
-    elif kind == "PHASE":
-        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), g.qubits[0], ())
-    elif kind == "CX":
-        _apply_1q(psi, n, _X, g.qubits[1], (g.qubits[0],), work)
-    elif kind == "CPHASE":
-        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), g.qubits[1], (g.qubits[0],))
+        _apply_1q(psi, n, _rx(g.angle), target, (), work)
+    elif kind in ("X", "CX", "CCX"):
+        _apply_1q(psi, n, _X, target, controls, work)
+    elif kind in ("PHASE", "CPHASE"):
+        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), target, controls)
+    elif kind in ("RY", "UCRY"):
+        half = np.atleast_1d(g.angle) / 2.0
+        c, s = (_pattern_grid(f(half), n, target, controls) for f in (np.cos, np.sin))
+        _apply_1q(psi, n, ((c, -s), (s, c)), target, (), work)
+    elif kind in ("RZ", "UCRZ"):
+        half = _pattern_grid(np.exp(0.5j * np.atleast_1d(g.angle)), n, target, controls)
+        _apply_diag(psi, n, (np.conj(half), half), target, ())
     elif kind == "SWAP":
         a, b = g.qubits
         view = psi.reshape([2] * n)
         swapped = work[:2].reshape([2] * n)
         np.copyto(swapped, np.swapaxes(view, n - 1 - a, n - 1 - b))
         np.copyto(view, swapped)
-    elif kind == "CCX":
-        _apply_1q(psi, n, _X, g.qubits[2], g.qubits[:2], work)
-    elif kind == "UCRY":
-        half = np.asarray(g.angle) / 2.0
-        c, s = (_pattern_grid(f(half), n, g.targets[0], g.controls) for f in (np.cos, np.sin))
-        _apply_1q(psi, n, ((c, -s), (s, c)), g.targets[0], (), work)
-    elif kind == "UCRZ":
-        half = _pattern_grid(np.exp(0.5j * np.asarray(g.angle)), n, g.targets[0], g.controls)
-        _apply_diag(psi, n, (np.conj(half), half), g.targets[0], ())
     else:  # pragma: no cover - the IR validates kinds on construction
         raise ValueError(f"cannot simulate gate kind {kind!r}")
 
@@ -212,25 +194,9 @@ class SupportState:
     pruned_mass: float
 
 
-def _pattern_angles(g, idx: np.ndarray) -> np.ndarray:
-    """The rotation angle a UCRY/UCRZ applies at each basis index."""
-    return np.asarray(g.angle)[_pattern_of(idx, g.controls)]
-
-
-def _rotate_pairs(amps: dict, bit: int, lows, cos_sin) -> tuple[dict, float]:
-    """RY on each pair (lo, lo | bit); returns the kept amplitudes and the
-    squared norm of those dropped."""
-    out: dict = {}
-    dropped = 0.0
-    for lo, (c, s) in zip(lows, cos_sin):
-        hi = lo | bit
-        a0, a1 = amps.get(lo, 0.0), amps.get(hi, 0.0)
-        for i, a in ((lo, c * a0 - s * a1), (hi, s * a0 + c * a1)):
-            if abs(a) > SUPPORT_DROP:
-                out[i] = a
-            else:
-                dropped += abs(a) ** 2
-    return out, dropped
+def _angles(g, idx: np.ndarray) -> np.ndarray:
+    """The angle an RY, RZ, UCRY or UCRZ applies at each basis index."""
+    return np.atleast_1d(g.angle)[_pattern_of(idx, g.controls)]
 
 
 def simulate_support(circuit: Circuit) -> SupportState:
@@ -239,39 +205,37 @@ def simulate_support(circuit: Circuit) -> SupportState:
     Applies X, CX, RY, RZ, UCRY and UCRZ, the kinds the loaders emit; any
     other kind raises :class:`UnsupportedGateError`.  Amplitudes of
     magnitude at most :data:`SUPPORT_DROP` are dropped after each rotation.
+    The kept amplitudes come out in ascending index order.
     """
-    amps: dict = {0: 1.0 + 0.0j}
+    idx = np.zeros(1, dtype=np.int64)
+    amp = np.ones(1, dtype=complex)
     peak, pruned = 1, 0.0
     for g in circuit:
         bit = 1 << g.targets[0]
         if g.kind == "X":
-            amps = {i ^ bit: a for i, a in amps.items()}
+            idx = idx ^ bit
         elif g.kind == "CX":
-            c = 1 << g.controls[0]
-            amps = {(i ^ bit if i & c else i): a for i, a in amps.items()}
-        elif g.kind == "RZ":
-            lo, hi = cmath.exp(-0.5j * g.angle), cmath.exp(0.5j * g.angle)
-            amps = {i: a * (hi if i & bit else lo) for i, a in amps.items()}
-        elif g.kind == "UCRZ":
-            idx = np.fromiter(amps, np.int64, len(amps))
-            half = np.where(idx & bit, 0.5, -0.5) * _pattern_angles(g, idx)
-            phases = np.exp(1j * half).tolist()
-            amps = {i: a * p for (i, a), p in zip(amps.items(), phases)}
+            idx = np.where(idx & (1 << g.controls[0]), idx ^ bit, idx)
+        elif g.kind in ("RZ", "UCRZ"):
+            amp = amp * np.exp(np.where(idx & bit, 0.5j, -0.5j) * _angles(g, idx))
         elif g.kind in ("RY", "UCRY"):
-            lows = list({i & ~bit for i in amps})
-            if g.kind == "RY":
-                cos_sin = repeat((math.cos(0.5 * g.angle), math.sin(0.5 * g.angle)))
-            else:
-                half = 0.5 * _pattern_angles(g, np.array(lows, dtype=np.int64))
-                cos_sin = zip(np.cos(half).tolist(), np.sin(half).tolist())
-            amps, dropped = _rotate_pairs(amps, bit, lows, cos_sin)
-            pruned += dropped
-            peak = max(peak, len(amps))
+            lows, pair = np.unique(idx & ~bit, return_inverse=True)
+            # row 0 holds each pair's amplitude at lo, row 1 at lo | bit
+            slots = np.zeros((2, len(lows)), dtype=complex)
+            slots[(idx >> g.targets[0]) & 1, pair.ravel()] = amp
+            half = 0.5 * _angles(g, lows)
+            c, s = np.cos(half), np.sin(half)
+            idx = np.concatenate([lows, lows | bit])
+            amp = np.concatenate([c * slots[0] - s * slots[1], s * slots[0] + c * slots[1]])
+            keep = np.abs(amp) > SUPPORT_DROP
+            pruned += float(np.sum(np.abs(amp[~keep]) ** 2))
+            idx, amp = idx[keep], amp[keep]
+            peak = max(peak, len(idx))
         else:
             raise UnsupportedGateError(
                 f"support simulation does not apply gate kind {g.kind!r}"
             )
-    return SupportState(amps, peak, pruned)
+    return SupportState(dict(sorted(zip(idx.tolist(), amp.tolist()))), peak, pruned)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

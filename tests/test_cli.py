@@ -90,12 +90,15 @@ def test_compress_rejects_non_finite_threshold(gaussian_csv, capsys, flag, value
     assert capsys.readouterr().out == ""
 
 
+# pytest would capture a NumPy warning rather than let it reach stderr, so
+# any warning fails the test instead
+@pytest.mark.filterwarnings("error")
 def test_compress_rejects_overflowing_samples(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("1e308\n1e308\n1\n2\n")
     assert main(["compress", str(path), "--levels", "1"]) == 2
     err = capsys.readouterr().err
-    assert "overflows" in err and "Warning" not in err
+    assert "overflows" in err
 
 
 def test_compress_dft(gaussian_csv, capsys):
@@ -327,6 +330,19 @@ def test_prepare_rejects_bad_signal_param(tmp_path, capsys, line, key):
     conf.write_text(f"signal.kind = sinc\n{line}\ntransform.levels = 3\n")
     assert main(["prepare", str(conf)]) == 2
     assert key in capsys.readouterr().err
+
+
+# pytest would capture a NumPy warning rather than let it reach stderr, so
+# any warning fails the test instead
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "line, key", [("signal.sigma = nan", "signal.sigma"), ("signal.x_max = inf", "signal.x_max")]
+)
+def test_prepare_rejects_non_finite_signal_param(tmp_path, capsys, line, key):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"signal.kind = gaussian\nsignal.N = 256\n{line}\ntransform.levels = 3\n")
+    assert main(["prepare", str(conf)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,9 @@ def test_config_rejects_duplicate_key(tmp_path):
         ("signal.kind = mixture\nsignal.spec = 1\n", r"signal\.spec"),
         ("signal.kind = gaussian\nsignal.sigma = 1" + "0" * 400 + "\n", r"signal\.sigma"),
         ("signal.kind = gaussian\nsignal.x_max = 1" + "0" * 400 + "\n", r"signal\.x_max"),
+        ("signal.kind = gaussian\nsignal.sigma = nan\n", r"signal\.sigma must be finite"),
+        ("signal.kind = gaussian\nsignal.mu = inf\n", r"signal\.mu must be finite"),
+        ("signal.kind = gaussian\nsignal.x_max = inf\n", r"signal\.x_max must be finite"),
         ("signal.csv = w.csv\nsignal.N = 8\n", r"signal\.N"),
         ("signal.kind = chirp\n", "unknown signal generator"),
     ],

@@ -82,7 +82,7 @@ def _analysis_matrix(n: int, L: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-@pytest.mark.parametrize("n,L", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 5), (6, 1)])
+@pytest.mark.parametrize("n,L", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 5), (6, 1), (1, 1), (4, 4)])
 def test_inverse_packet_qhwt_inverts_analysis(n, L):
     u = unitary_of(inverse_packet_qhwt(n, L))
     np.testing.assert_allclose(u, _analysis_matrix(n, L).T, atol=1e-10)
@@ -90,18 +90,18 @@ def test_inverse_packet_qhwt_inverts_analysis(n, L):
 
 def test_inverse_packet_qhwt_costs():
     for n in range(2, 17):
-        for L in range(1, n):
+        for L in range(1, n + 1):
             circ = inverse_packet_qhwt(n, L)
             rep = report(circ)
             assert rep.cnot_count == 3 * sum(n - l for l in range(1, L + 1))
-            assert rep.depth == 3 * n + 3 * L - 5
+            assert rep.depth == (3 * n + 3 * L - 5 if L < n else 6 * n - 7)
 
 
 def test_inverse_packet_qhwt_validation():
     with pytest.raises(ValueError):
         inverse_packet_qhwt(4, 0)
     with pytest.raises(ValueError):
-        inverse_packet_qhwt(4, 4)  # final block would be a single qubit
+        inverse_packet_qhwt(4, 5)  # more levels than qubits
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,11 @@ def test_piecewise_structure():
         gen_piecewise(64, block_values=(0.0,) * 8)
 
 
+def test_generator_reports_non_finite_samples():
+    with pytest.raises(DegenerateSignalError, match="non-finite samples"):
+        gen_gaussian(2**10, sigma=math.nan)
+
+
 def test_sinc_grid_and_peak():
     s = gen_sinc(2**10, t_min=-10.0, t_max=10.0)
     t = np.linspace(-10.0, 10.0, 2**10)

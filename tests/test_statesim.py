@@ -5,15 +5,19 @@ from the textbook 2x2 blocks, with explicit little-endian bit twiddling,
 sharing no code with the axis-slicing kernels under test.
 """
 
+import cmath
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from hqsp.circuit import Circuit, gate
 from hqsp.loaders import SparseState, sqsp
+from hqsp.pipeline import table1_configs
 from hqsp.statesim import (
     MAX_QUBITS,
+    SUPPORT_DROP,
     CapacityError,
     UnsupportedGateError,
     fidelity,
@@ -22,7 +26,7 @@ from hqsp.statesim import (
     trace_distance,
     unitary_of,
 )
-from hqsp.transforms import read_amplitude_csv, write_amplitude_csv
+from hqsp.transforms import analyse, read_amplitude_csv, threshold_normalize, write_amplitude_csv
 
 RNG = np.random.default_rng(2024)
 
@@ -193,8 +197,79 @@ def _random_loader_circuit(n: int, length: int) -> Circuit:
     return circuit
 
 
-def _assert_support_matches_dense(circuit: Circuit) -> None:
+def _rotate_pairs(amps: dict, bit: int, lows, cos_sin) -> tuple[dict, float]:
+    """RY on each pair (lo, lo | bit); returns the kept amplitudes and the
+    squared norm of those dropped."""
+    out: dict = {}
+    dropped = 0.0
+    for lo, (c, s) in zip(lows, cos_sin):
+        hi = lo | bit
+        a0, a1 = amps.get(lo, 0.0), amps.get(hi, 0.0)
+        for i, a in ((lo, c * a0 - s * a1), (hi, s * a0 + c * a1)):
+            if abs(a) > SUPPORT_DROP:
+                out[i] = a
+            else:
+                dropped += abs(a) ** 2
+    return out, dropped
+
+
+def _simulate_support_reference(circuit: Circuit) -> tuple[dict, int, float]:
+    """Support simulation as a dict walk, one amplitude at a time, with each
+    rotation kind spelled out: (amplitudes, peak support, pruned mass)."""
+
+    def angle_at(g, i):
+        return g.angle[sum(((i >> c) & 1) << j for j, c in enumerate(g.controls))]
+
+    amps: dict = {0: 1.0 + 0.0j}
+    peak, pruned = 1, 0.0
+    for g in circuit:
+        bit = 1 << g.targets[0]
+        if g.kind == "X":
+            amps = {i ^ bit: a for i, a in amps.items()}
+        elif g.kind == "CX":
+            c = 1 << g.controls[0]
+            amps = {(i ^ bit if i & c else i): a for i, a in amps.items()}
+        elif g.kind == "RZ":
+            lo, hi = cmath.exp(-0.5j * g.angle), cmath.exp(0.5j * g.angle)
+            amps = {i: a * (hi if i & bit else lo) for i, a in amps.items()}
+        elif g.kind == "UCRZ":
+            amps = {
+                i: a * cmath.exp((0.5j if i & bit else -0.5j) * angle_at(g, i))
+                for i, a in amps.items()
+            }
+        else:
+            assert g.kind in ("RY", "UCRY")
+            lows = list({i & ~bit for i in amps})
+            if g.kind == "RY":
+                cos_sin = repeat((math.cos(0.5 * g.angle), math.sin(0.5 * g.angle)))
+            else:
+                half = [0.5 * angle_at(g, lo) for lo in lows]
+                cos_sin = [(math.cos(h), math.sin(h)) for h in half]
+            amps, dropped = _rotate_pairs(amps, bit, lows, cos_sin)
+            pruned += dropped
+            peak = max(peak, len(amps))
+    return amps, peak, pruned
+
+
+def _assert_support_matches_reference(circuit: Circuit):
     run = simulate_support(circuit)
+    amps, peak, pruned = _simulate_support_reference(circuit)
+    assert list(run.amplitudes) == sorted(amps)
+    assert run.peak_support == peak
+    for i, a in amps.items():
+        assert abs(run.amplitudes[i] - a) <= 1e-15
+    # after an RZ or UCRZ the two may round a complex product differently
+    # (NumPy fuses a multiply-add where the CPU has one), and the residues a
+    # rotation then drops are rounding noise of their own size; an amplitude
+    # dropped in error would carry more than SUPPORT_DROP**2
+    phased = any(g.kind in ("RZ", "UCRZ") for g in circuit)
+    floor = SUPPORT_DROP**2 if phased else 0.0
+    assert math.isclose(run.pruned_mass, pruned, rel_tol=1e-9, abs_tol=floor)
+    return run
+
+
+def _assert_support_matches_dense(circuit: Circuit) -> None:
+    run = _assert_support_matches_reference(circuit)
     assert len(run.amplitudes) <= run.peak_support <= 2**circuit.n_qubits
     scattered = simulate(Circuit(circuit.n_qubits), run.amplitudes)
     np.testing.assert_allclose(scattered, simulate(circuit), rtol=0, atol=1e-12)
@@ -227,6 +302,25 @@ def test_support_simulation_matches_dense_on_sqsp_outputs(complex_amps):
         run = simulate_support(circuit)
         assert run.peak_support <= 2 * s.d
         assert fidelity(simulate(Circuit(s.n), run.amplitudes), s.to_dense()) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("label", ["sinc", "gaussian"])
+def test_support_simulation_matches_reference_on_table1_loaders(label):
+    cfg = next(c for c in table1_configs() if c.label == label)
+    x = cfg.build_signal().samples
+    compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
+    _assert_support_matches_reference(sqsp(SparseState.from_compressed(compressed)))
+
+
+@pytest.mark.parametrize("kind", ["RY", "RZ"])
+def test_zero_control_multiplexer_is_the_plain_rotation(kind):
+    # a superposed start, so the rotation acts on pairs and phases alike
+    start = [gate("RY", q, angle=0.4 + q) for q in range(3)] + [gate("CX", 0, 2)]
+    for target in range(3):
+        rotation = Circuit(3, start + [gate(kind, target, angle=-1.1)])
+        multiplexer = Circuit(3, start + [gate("UC" + kind, target, angle=[-1.1])])
+        assert simulate_support(multiplexer) == simulate_support(rotation)
+        np.testing.assert_array_equal(simulate(multiplexer), simulate(rotation))
 
 
 def test_support_simulation_drops_residues_and_reports_them():
