@@ -35,13 +35,13 @@ def main() -> None:
     spectrum = threshold_normalize(
         dft(x), ThresholdPolicy(FRACTION_OF_MAX, 1e-9)
     )
-    indices, values = spectrum.support()
-    print(f"retained d={spectrum.d} modes at indices {indices.tolist()}")
-    for k, v in zip(indices, values):
+    state = SparseState.from_compressed(spectrum)
+    print(f"retained d={state.d} modes at indices {state.indices.tolist()}")
+    for k, v in zip(state.indices.tolist(), state.amplitudes.tolist()):
         print(f"  X[{k:3d}] = {v.real:+.5f}{v.imag:+.5f}j")
 
     # Phase II: sparse load followed by the inverse QFT.
-    load = sqsp(SparseState.from_compressed(spectrum))
+    load = sqsp(state)
     decompress = iqft(signal.n)
     circuit = load + decompress
     rep = report(circuit)

@@ -49,7 +49,7 @@ def scattered_state(seed: int, d: int, complex_amps: bool, n: int = 9) -> Sparse
     a = rng.normal(size=d)
     if complex_amps:
         a = a + 1j * rng.normal(size=d)
-    return SparseState(n, tuple(zip(idx.tolist(), (a / np.linalg.norm(a)).tolist())))
+    return SparseState(n, idx, a / np.linalg.norm(a))
 
 
 def inputs():

@@ -237,7 +237,7 @@ def cmd_simulate(args) -> int:
     state = simulate(circuit)
     print(f"simulated {circuit.n_qubits} qubits, {len(circuit)} gates")
     if args.out is not None:
-        write_amplitude_csv(args.out, circuit.n_qubits, enumerate(state.tolist()))
+        write_amplitude_csv(args.out, circuit.n_qubits, np.arange(len(state)), state)
         print(f"wrote state to {args.out}")
     else:
         largest = np.argsort(np.abs(state))[::-1][:8]

@@ -47,7 +47,6 @@ merged circuit would cost more CX, :func:`sqsp` returns the cascade.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -81,47 +80,54 @@ class ComplexAmplitudeError(ValueError):
     """Real-only loader got complex amplitudes (use dense_complex_load)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseState:
-    """d nonzero amplitudes on an n-qubit register, index-sorted, unit norm."""
+    """d nonzero amplitudes on an n-qubit register, unit norm: read-only copies
+    of the int64 ``indices``, ascending, and their complex ``amplitudes``."""
 
     n: int
-    entries: tuple
+    indices: np.ndarray
+    amplitudes: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        entries = tuple((int(i), complex(a)) for i, a in self.entries)
-        if not entries:
+        idx, amps = np.asarray(self.indices), np.asarray(self.amplitudes, dtype=complex)
+        if idx.ndim != 1 or amps.shape != idx.shape:
+            raise ValueError("need one amplitude per basis index")
+        if not len(idx):
             raise ValueError("sparse state needs at least one entry")
-        indices = [i for i, _ in entries]
-        if len(set(indices)) != len(indices):
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"basis indices must be integers, got dtype {idx.dtype}")
+        # cast before sorting: a uint64 past 2**63 wraps negative, first in line
+        idx = idx.astype(np.int64, copy=False)
+        order = np.argsort(idx)
+        idx, amps = idx[order], amps[order]
+        if np.any(idx[1:] == idx[:-1]):
             raise ValueError("duplicate basis indices")
-        if indices != sorted(indices):
-            entries = tuple(sorted(entries, key=lambda e: e[0]))
-            indices = sorted(indices)
-        if indices[0] < 0 or indices[-1] >= 2**self.n:
+        if idx[0] < 0 or int(idx[-1]) >= 2**self.n:
             raise ValueError(f"indices out of range for n={self.n}")
-        if not all(cmath.isfinite(a) for _, a in entries):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm2 = sum(abs(a) ** 2 for _, a in entries)
-        if abs(norm2 - 1.0) > 1e-12 * max(1.0, norm2) + 1e-12:
+        with np.errstate(over="ignore"):  # an overflow reads inf, rejected below
+            norm2 = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm2 - 1.0) > 2e-12:
             raise ValueError(f"amplitudes have squared norm {norm2}, expected 1")
-        object.__setattr__(self, "entries", entries)
+        for name, arr in (("indices", idx), ("amplitudes", amps)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def d(self) -> int:
-        return len(self.entries)
+        return len(self.indices)
 
     @classmethod
     def from_compressed(cls, compressed) -> "SparseState":
-        indices, values = compressed.support()
-        return cls(compressed.n, tuple(zip(indices.tolist(), values.tolist())))
+        return cls(compressed.n, *compressed.support())
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(2**self.n, dtype=complex)
-        for i, a in self.entries:
-            out[i] = a
+        out[self.indices] = self.amplitudes
         return out
 
 
@@ -325,16 +331,11 @@ def sqsp(state: SparseState) -> Circuit:
     doubled for complex amplitudes.  Support states are processed basis
     state 0 first, then by descending Hamming weight, ties by index, on
     every NumPy version."""
-    n = state.n
+    n, indices, amps = state.n, state.indices, state.amplitudes
     circ = Circuit(n)
     if state.d == 1:
-        idx, _ = state.entries[0]
-        for b in _bits(idx):
-            circ.add("X", b)
-        return circ
+        return circ.extend(gate("X", b) for b in _bits(int(indices[0])))
 
-    indices = np.array([i for i, _ in state.entries], dtype=np.int64)
-    amps = np.array([a for _, a in state.entries], dtype=complex)
     span = int(indices.max()).bit_length()
 
     # dense supports: covers blow up when most neighbouring patterns are

@@ -447,7 +447,7 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
 
     # the loader acts on a d-sparse state: simulate it on its support and
     # scatter that into the one dense register the decompression runs on
-    psi = simulate(decompression, simulate_support(load).amplitudes)
+    psi = simulate(decompression, simulate_support(load))
     simulated_td = trace_distance(psi, x)
     if simulated_td >= cfg.epsilon:
         raise ToleranceExceededError(simulated_td, cfg.epsilon)

@@ -94,6 +94,13 @@ def _normalized(values: np.ndarray, label: str) -> Signal:
     return Signal(values / norm)
 
 
+def _check_finite(label: str, **params: float) -> None:
+    """Reject a non-finite float parameter before NumPy computes with it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{label}: {name} must be finite, got {value}")
+
+
 def _check_pow2(N: int, minimum: int = 2) -> int:
     if N < minimum or (N & (N - 1)) != 0:
         raise InvalidLengthError(f"N must be a power of two >= {minimum}, got {N}")
@@ -138,6 +145,7 @@ def gen_sinc(N: int = 32768, t_min: float = -10.0, t_max: float = 10.0) -> Signa
     if N < 2:
         raise InvalidLengthError("sinc needs at least 2 samples")
     _check_pow2(N)
+    _check_finite("sinc", t_min=t_min, t_max=t_max)
     if not t_min < 0.0 < t_max:
         raise ValueError("sinc grid must straddle t = 0")
     t = np.linspace(t_min, t_max, N)
@@ -153,8 +161,10 @@ def gen_gaussian(
 ) -> Signal:
     """Discretized Gaussian exp(-(x-mu)^2 / (2 sigma^2)) on an inclusive grid."""
     _check_pow2(N)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_finite("gaussian", mu=mu, x_min=x_min, x_max=x_max)
+    # a NaN sigma warns nothing: _normalized reports its non-finite samples
+    if sigma <= 0 or sigma == math.inf:
+        raise ValueError(f"gaussian: sigma must be positive and finite, got {sigma}")
     x = np.linspace(x_min, x_max, N)
     return _normalized(np.exp(-((x - mu) ** 2) / (2.0 * sigma**2)), "gaussian")
 
@@ -175,6 +185,7 @@ def gen_gaussian_mixture(
     ``default_rng(seed)``.
     """
     _check_pow2(N)
+    _check_finite("mixture", x_min=x_min, x_max=x_max)
     if K < 1:
         raise DegenerateSignalError("mixture needs at least one component")
     rng = np.random.default_rng(seed)

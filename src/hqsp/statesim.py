@@ -156,22 +156,21 @@ def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
 def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     """Run the circuit on ``initial`` and return the state.
 
-    ``initial`` is a dense vector (copied), a ``{basis index: amplitude}``
-    map scattered into a fresh register, such as the amplitudes of a
-    :class:`SupportState`, or None for |0...0>.
+    ``initial`` is None for |0...0>, a dense vector (copied), or a sparse
+    state (a :class:`hqsp.loaders.SparseState` or :class:`SupportState`)
+    whose ``indices`` and ``amplitudes`` are scattered into a fresh register.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise CapacityError(
             f"{n} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap"
         )
-    if initial is None:
-        initial = {0: 1.0}
-    if isinstance(initial, dict):
-        psi = np.zeros(2**n, dtype=complex)
-        if any(not 0 <= i < 2**n for i in initial):
+    if initial is None or hasattr(initial, "indices"):
+        idx, amps = (0, 1.0) if initial is None else (initial.indices, initial.amplitudes)
+        if np.any((idx < 0) | (idx >= 2**n)):
             raise ValueError(f"initial basis indices must lie in [0, {2**n})")
-        psi[list(initial)] = list(initial.values())
+        psi = np.zeros(2**n, dtype=complex)
+        psi[idx] = amps
     else:
         psi = np.asarray(initial, dtype=complex).copy()
         if psi.shape != (2**n,):
@@ -184,12 +183,13 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportState:
-    """A :func:`simulate_support` run: the kept amplitudes by basis index,
-    the largest support any gate left, and the squared norm dropped."""
+    """A :func:`simulate_support` run: the kept basis indices, ascending, and
+    their amplitudes, the largest support any gate left, the squared norm dropped."""
 
-    amplitudes: dict
+    indices: np.ndarray
+    amplitudes: np.ndarray
     peak_support: int
     pruned_mass: float
 
@@ -235,7 +235,8 @@ def simulate_support(circuit: Circuit) -> SupportState:
             raise UnsupportedGateError(
                 f"support simulation does not apply gate kind {g.kind!r}"
             )
-    return SupportState(dict(sorted(zip(idx.tolist(), amp.tolist()))), peak, pruned)
+    order = np.argsort(idx)
+    return SupportState(idx[order], amp[order], peak, pruned)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

@@ -256,70 +256,85 @@ def classical_reconstruct(X: CompressedVector) -> Signal:
 _AMPLITUDE_COLUMNS = ["index", "real", "imaginary"]
 
 
-def write_amplitude_csv(path, n: int, entries, meta: dict | None = None) -> None:
-    """Write ``(index, amplitude)`` pairs as ``index,real,imaginary`` rows.
+def write_amplitude_csv(path, n: int, indices, amplitudes, meta: dict | None = None) -> None:
+    """Write ``indices`` and their ``amplitudes`` as ``index,real,imaginary`` rows.
 
     A ``# n=`` line and one ``# key=value`` line per ``meta`` item come
-    first.  Floats are written with ``repr``, so a round trip is exact.
+    first.  Python floats are written with ``repr``, so a round trip is exact.
     """
+    amps = np.asarray(amplitudes, dtype=complex)
+    rows = zip(np.asarray(indices).tolist(), amps.real.tolist(), amps.imag.tolist())
     with open(path, "w", newline="") as fh:
         for key, value in {"n": n, **(meta or {})}.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(_AMPLITUDE_COLUMNS) + "\n")
-        for i, a in entries:
-            a = complex(a)
-            fh.write(f"{int(i)},{a.real!r},{a.imag!r}\n")
+        fh.writelines(f"{i},{re!r},{im!r}\n" for i, re, im in rows)
 
 
-def read_amplitude_csv(path) -> tuple[int, list[tuple[int, complex]], dict[str, str]]:
-    """Read a file of :func:`write_amplitude_csv` as ``(n, entries, meta)``.
+def _parse_cell(cast, text: str, where: str, what: str):
+    """``cast(text)`` (``int`` or ``float``), or a :class:`ValueError`
+    naming ``where`` and ``what``."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{where}: {what} {text.strip()!r} is not {kind}") from None
 
-    ``meta`` holds every header value as a string, ``n`` included; ``n``
-    may not exceed the dense simulator's ``MAX_QUBITS``, since callers
-    densify the vector.  A missing or malformed header, an index outside
-    ``[0, 2**n)``, a repeated index or a non-finite value raises
-    :class:`ValueError`.
+
+def read_amplitude_csv(path) -> tuple[int, np.ndarray, np.ndarray, dict[str, str]]:
+    """Read a file of :func:`write_amplitude_csv` as ``(n, indices, amplitudes, meta)``.
+
+    The arrays hold the rows in file order.  ``meta`` holds every header
+    value as a string, ``n`` included; ``n`` may not exceed the dense
+    simulator's ``MAX_QUBITS``, since callers densify the vector.  A missing
+    or malformed header or cell, an index outside ``[0, 2**n)``, a repeated
+    index or a non-finite value raises :class:`ValueError` naming ``path:line``.
     """
     meta: dict[str, str] = {}
-    entries: dict[int, complex] = {}
-    n = None
+    indices: list[int] = []
+    values: list[complex] = []
+    n = seen = None  # seen holds the indices read, from the column header on
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             where = f"{path}:{lineno}"
-            if n is None:
+            if seen is None:
                 if line.startswith("#"):
                     key, eq, value = line[1:].partition("=")
                     key = key.strip()
                     if not eq or not key or key in meta:
                         raise ValueError(f"{where}: expected a new '# key=value' line")
                     meta[key] = value.strip()
+                    if key == "n":
+                        n = _parse_cell(int, value, where, "n")
+                        if not 1 <= n <= MAX_QUBITS:
+                            raise ValueError(f"{where}: n={n} outside [1, {MAX_QUBITS}]")
                     continue
                 if [c.strip() for c in line.split(",")] != _AMPLITUDE_COLUMNS:
                     raise ValueError(f"{where}: expected header 'index,real,imaginary'")
-                if "n" not in meta:
+                if n is None:
                     raise ValueError(f"{where}: missing '# n=' line before the header")
-                n = int(meta["n"])
-                if not 1 <= n <= MAX_QUBITS:
-                    raise ValueError(f"{where}: n={n} outside [1, {MAX_QUBITS}]")
+                seen = set()
                 continue
             cells = line.split(",")
             if len(cells) != 3:
                 raise ValueError(f"{where}: expected 3 cells, got {len(cells)}")
-            index = int(cells[0])
-            value = complex(float(cells[1]), float(cells[2]))
+            index = _parse_cell(int, cells[0], where, "index")
+            value = complex(*(_parse_cell(float, c, where, "value") for c in cells[1:]))
             if not 0 <= index < 2**n:
                 raise ValueError(f"{where}: index {index} outside [0, 2^{n})")
-            if index in entries:
+            if index in seen:
                 raise ValueError(f"{where}: duplicate index {index}")
             if not cmath.isfinite(value):
                 raise ValueError(f"{where}: non-finite amplitude {value}")
-            entries[index] = value
-    if n is None:
+            seen.add(index)
+            indices.append(index)
+            values.append(value)
+    if seen is None:
         raise ValueError(f"{path}: missing header 'index,real,imaginary'")
-    return n, list(entries.items()), meta
+    return n, np.array(indices, dtype=np.int64), np.array(values, dtype=complex), meta
 
 
 def save_compressed_csv(X: CompressedVector, path) -> None:
@@ -331,17 +346,15 @@ def save_compressed_csv(X: CompressedVector, path) -> None:
         "mode": pol.mode if pol else "",
         "value": repr(pol.value) if pol else "",
     }
-    indices, values = X.support()
-    write_amplitude_csv(path, X.n, zip(indices.tolist(), values.tolist()), meta)
+    write_amplitude_csv(path, X.n, *X.support(), meta)
 
 
 def load_compressed_csv(path) -> CompressedVector:
-    n, entries, meta = read_amplitude_csv(path)
+    n, indices, values, meta = read_amplitude_csv(path)
     if "kind" not in meta:
         raise ValueError(f"{path}: compressed CSV missing '# kind=' metadata")
     coeffs = np.zeros(2**n, dtype=complex)
-    for idx, val in entries:
-        coeffs[idx] = val
+    coeffs[indices] = values
     levels = int(meta["levels"]) if meta.get("levels") else None
     descriptor = TransformDescriptor(meta["kind"], levels)
     policy = None

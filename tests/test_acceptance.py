@@ -208,7 +208,7 @@ def test_criterion_09_loader_fidelity():
             idx = rng.choice(2**n, size=d, replace=False)
             amps = rng.normal(size=d) + 1j * rng.normal(size=d)
             amps /= np.linalg.norm(amps)
-            state = SparseState(n, tuple(zip(idx.tolist(), amps.tolist())))
+            state = SparseState(n, idx, amps)
             assert fidelity(simulate(sqsp(state)), state.to_dense()) >= 1 - 1e-9
         for _ in range(200):
             n = int(rng.integers(1, 11))

@@ -155,6 +155,13 @@ def test_synth_sqsp_index_out_of_range_is_usage_error(tmp_path, capsys):
     assert "outside [0, 2^2)" in capsys.readouterr().err
 
 
+def test_synth_sqsp_malformed_cell_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# kind=haar\n# levels=1\n# n=2\nindex,real,imaginary\n1.5,1.0,0.0\n")
+    assert main(["synth", "--plan", "sqsp", "--input", str(bad)]) == 2
+    assert "bad.csv:5: index '1.5' is not an integer" in capsys.readouterr().err
+
+
 def test_synth_eae_and_fsl(gaussian_csv, tmp_path):
     eae = tmp_path / "eae.txt"
     assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(eae)]) == 0
@@ -188,11 +195,10 @@ def test_simulate_circuit_file(tmp_path, capsys):
     state_csv = tmp_path / "state.csv"
     assert main(["simulate", str(circ), "--out", str(state_csv)]) == 0
     assert "simulated 2 qubits, 2 gates" in capsys.readouterr().out
-    n, entries, _ = read_amplitude_csv(state_csv)
+    n, indices, amps, _ = read_amplitude_csv(state_csv)
     assert n == 2
-    assert [i for i, _ in entries] == [0, 1, 2, 3]  # one row per amplitude
-    probs = [abs(a) ** 2 for _, a in entries]
-    np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
+    assert indices.tolist() == [0, 1, 2, 3]  # one row per amplitude
+    np.testing.assert_allclose(np.abs(amps) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 # simulate is the one command that reads a circuit file; the one-value

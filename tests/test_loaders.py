@@ -48,7 +48,7 @@ def _random_sparse(n: int, d: int, complex_amps: bool) -> SparseState:
     else:
         a = RNG.normal(size=d).astype(complex)
     a = a / np.linalg.norm(a)
-    return SparseState(n, tuple(zip(idx.tolist(), a.tolist())))
+    return SparseState(n, idx, a)
 
 
 # ---------------------------------------------------------------------------
@@ -57,39 +57,63 @@ def _random_sparse(n: int, d: int, complex_amps: bool) -> SparseState:
 
 
 def test_sparse_state_validation():
-    with pytest.raises(ValueError):
-        SparseState(0, ((0, 1.0),))
-    with pytest.raises(ValueError):
-        SparseState(2, ())
-    with pytest.raises(ValueError):
-        SparseState(2, ((1, 0.8), (1, 0.6)))
-    with pytest.raises(ValueError):
-        SparseState(2, ((4, 1.0),))
-    with pytest.raises(ValueError):
-        SparseState(2, ((0, 0.5),))  # norm 0.25
+    with pytest.raises(ValueError, match="qubit"):
+        SparseState(0, [0], [1.0])
+    with pytest.raises(ValueError, match="at least one entry"):
+        SparseState(2, [], [])
+    with pytest.raises(ValueError, match="duplicate"):
+        SparseState(2, [1, 1], [0.8, 0.6])
+    with pytest.raises(ValueError, match="out of range"):
+        SparseState(2, [4], [1.0])
+    with pytest.raises(ValueError, match="out of range"):
+        SparseState(2, [-1], [1.0])
+    with pytest.raises(ValueError, match="squared norm"):
+        SparseState(2, [0], [0.5])  # norm 0.25
+    with pytest.raises(ValueError, match="squared norm inf"):
+        SparseState(2, [0, 1], [1e200, 1.0])  # once an OverflowError
+    # a float or bool index once loaded basis state 1 without a word
+    for indices in ([1.5], [1.0], [1 + 0j], [True]):
+        with pytest.raises(ValueError, match="integers"):
+            SparseState(2, indices, [1.0])
+    for indices, amps in (([0, 1], [1.0]), ([0], [0.6, 0.8]), ([[0, 1]], [[0.6, 0.8]])):
+        with pytest.raises(ValueError, match="one amplitude per basis index"):
+            SparseState(2, indices, amps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_sparse_state_rejects_non_finite_amplitudes(bad):
     with pytest.raises(ValueError, match="finite"):
-        SparseState(2, ((0, bad),))
+        SparseState(2, [0], [bad])
     with pytest.raises(ValueError, match="finite"):
-        SparseState(2, ((0, 1.0), (3, bad)))
+        SparseState(2, [0, 3], [1.0, bad])
 
 
 def test_sparse_state_sorts_and_densifies():
-    s = SparseState(3, ((5, 0.6), (1, 0.8)))
-    assert [i for i, _ in s.entries] == [1, 5]
+    indices, amps = np.array([5, 1]), np.array([0.6, 0.8])
+    s = SparseState(3, indices, amps)
+    assert s.indices.tolist() == [1, 5] and s.amplitudes.tolist() == [0.8, 0.6]
+    assert s.indices.dtype == np.int64 and s.amplitudes.dtype == complex
     assert s.d == 2
     dense = s.to_dense()
     assert dense[1] == 0.8 and dense[5] == 0.6 and np.count_nonzero(dense) == 2
+    # the state keeps its own copies: the caller's arrays stay as they were
+    assert indices.tolist() == [5, 1] and amps.tolist() == [0.6, 0.8]
 
 
 def test_sparse_state_from_compressed():
     X = threshold_normalize(dft(gen_periodic(256)), ThresholdPolicy(ABSOLUTE, 0.1))
     s = SparseState.from_compressed(X)
     assert s.n == 8
-    assert [i for i, _ in s.entries] == [3, 20, 236, 253]
+    assert s.indices.tolist() == [3, 20, 236, 253]
+    indices, values = X.support()
+    # bit for bit the support's arrays, as read-only copies
+    assert s.indices.dtype == np.int64 and s.amplitudes.dtype == values.dtype
+    assert s.indices.tobytes() == indices.astype(np.int64).tobytes()
+    assert s.amplitudes.tobytes() == values.tobytes()
+    for arr in (s.indices, s.amplitudes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +179,7 @@ def test_dense_complex_load_validation():
 
 
 def test_sqsp_single_basis_state_uses_only_x():
-    s = SparseState(4, ((9, 1.0),))
+    s = SparseState(4, [9], [1.0])
     circ = sqsp(s)
     assert all(g.kind == "X" for g in circ)
     np.testing.assert_allclose(simulate(circ), s.to_dense(), atol=1e-15)
@@ -193,7 +217,7 @@ def test_sqsp_dense_subcube_path():
     # plus the X setting the offset bit
     amps = RNG.normal(size=8)
     amps /= np.linalg.norm(amps)
-    s = SparseState(6, tuple((8 + i, a) for i, a in enumerate(amps)))
+    s = SparseState(6, 8 + np.arange(8), amps)
     circ = sqsp(s)
     assert report(circ).cnot_count == 2**3 - 2
     touched = {q for g in circ for q in g.qubits}
@@ -204,10 +228,9 @@ def test_sqsp_dense_subcube_path():
 
 def _support_cube(s: SparseState):
     """(base, free bits, is_real) of the support's bounding subcube."""
-    indices = np.array([i for i, _ in s.entries], dtype=np.int64)
-    base = int(np.bitwise_and.reduce(indices))
-    bits = _bits(int(np.bitwise_or.reduce(indices)) ^ base)
-    return base, bits, all(abs(a.imag) < 1e-12 for _, a in s.entries)
+    base = int(np.bitwise_and.reduce(s.indices))
+    bits = _bits(int(np.bitwise_or.reduce(s.indices)) ^ base)
+    return base, bits, bool(np.all(np.abs(s.amplitudes.imag) < 1e-12))
 
 
 def _cascade_bound(s: SparseState) -> int:
@@ -220,10 +243,8 @@ def _subcube_trial_lowering(s: SparseState) -> Circuit:
     cascade and keep the native levels unless the peephole pass then
     finds a pair.  The reference for reading that off the angles."""
     base, bits, _ = _support_cube(s)
-    indices = np.array([i for i, _ in s.entries], dtype=np.int64)
-    amps = np.array([a for _, a in s.entries], dtype=complex)
     circ = Circuit(s.n).extend(gate("X", b) for b in _bits(base))
-    circ.extend(_subcube_cascade(indices, amps, bits))
+    circ.extend(_subcube_cascade(s.indices, s.amplitudes, bits))
     lowered = decompose(circ)
     kept = cancel_adjacent_inverses(lowered)
     return circ if len(kept) == len(lowered) else kept
@@ -251,7 +272,7 @@ def _subcube_supports(draw):
     if draw(st.booleans()):  # real: keep only the signs
         amps = np.array(mags) * np.sign(np.cos(phases))
     amps = amps / np.linalg.norm(amps)
-    return SparseState(n, tuple(zip(_on_cube(n, base, bits, coords), amps.tolist())))
+    return SparseState(n, _on_cube(n, base, bits, coords), amps)
 
 
 @given(_subcube_supports())
@@ -265,7 +286,7 @@ def test_subcube_path_matches_trial_lowering(s):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_uniform_subcube_matches_trial_lowering(k):
     # uniform supports on 4 to 32 states lose a CX pair when lowered
-    s = SparseState(7, tuple((32 + i, 2 ** (-k / 2)) for i in range(2**k)))
+    s = SparseState(7, 32 + np.arange(2**k), np.full(2**k, 2 ** (-k / 2)))
     circ = sqsp(s)
     assert circ == _subcube_trial_lowering(s)
     assert fidelity(simulate(circ), s.to_dense()) >= 1 - 1e-12
@@ -275,7 +296,7 @@ def test_two_bit_complex_seam_cancels():
     # the RY levels' last CX meets the one-control RZ level's first CX
     mags = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30.0)
     amps = mags * np.exp(1j * np.array([0.0, 0.7, 0.7, 0.0]))
-    s = SparseState(3, tuple(zip(range(4), amps.tolist())))
+    s = SparseState(3, np.arange(4), amps)
     circ = sqsp(s)
     assert circ == _subcube_trial_lowering(s)
     assert report(circ).cnot_count == 2 < _cascade_bound(s)
@@ -326,7 +347,7 @@ def _adversarial_supports(draw):
     if complex_amps:
         a = a + 1j * rng.normal(size=len(coords))
     a = a / np.linalg.norm(a)
-    return SparseState(n, tuple(zip(_on_cube(n, base, bits, coords), a.tolist())))
+    return SparseState(n, _on_cube(n, base, bits, coords), a)
 
 
 @given(_adversarial_supports())
@@ -344,7 +365,7 @@ def test_sqsp_falls_back_to_the_cascade(seed, merged):
     rng = np.random.default_rng(seed)
     idx = rng.choice(2**9, size=63, replace=False)
     a = rng.normal(size=63)
-    s = SparseState(9, tuple(zip(idx.tolist(), (a / np.linalg.norm(a)).tolist())))
+    s = SparseState(9, idx, a / np.linalg.norm(a))
     circ = sqsp(s)
     assert report(circ).cnot_count <= _cascade_bound(s) == 510
     assert (circ != _subcube_trial_lowering(s)) == merged
@@ -622,11 +643,12 @@ def test_sqsp_order_does_not_depend_on_bitwise_count(monkeypatch):
 def test_sparse_csv_roundtrip(tmp_path):
     s = _random_sparse(6, 9, True)
     path = tmp_path / "state.csv"
-    write_amplitude_csv(path, s.n, s.entries)
-    n, entries, _ = read_amplitude_csv(path)
-    back = SparseState(n, tuple(entries))
+    write_amplitude_csv(path, s.n, s.indices, s.amplitudes)
+    back = SparseState(*read_amplitude_csv(path)[:3])
     assert back.n == s.n
-    assert back.entries == s.entries  # repr round trip is exact
+    # repr round trip is exact
+    np.testing.assert_array_equal(back.indices, s.indices)
+    np.testing.assert_array_equal(back.amplitudes, s.amplitudes)
 
 
 def test_sparse_csv_requires_n_header(tmp_path):

@@ -6,6 +6,7 @@ The periodic generator's spectral support is checked against a plain
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ def test_piecewise_structure():
         gen_piecewise(64, block_values=(1.0, 2.0))
     with pytest.raises(DegenerateSignalError):
         gen_piecewise(64, block_values=(0.0,) * 8)
+
+
+@pytest.mark.parametrize(
+    "gen, param, value",
+    [
+        (gen_sinc, "t_min", -math.inf),
+        (gen_sinc, "t_max", math.inf),
+        (gen_sinc, "t_max", math.nan),
+        (gen_gaussian, "mu", math.inf),
+        (gen_gaussian, "mu", -math.inf),
+        (gen_gaussian, "x_min", -math.inf),
+        (gen_gaussian, "x_max", math.inf),
+        (gen_gaussian, "x_max", math.nan),
+        (gen_gaussian, "sigma", math.inf),  # once a flat signal without a word
+        (gen_gaussian_mixture, "x_min", math.nan),
+        (gen_gaussian_mixture, "x_max", math.inf),
+    ],
+)
+def test_generator_rejects_non_finite_parameter_before_numpy(gen, param, value):
+    # named as the parameter it is, before NumPy can warn or misreport
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"{param} must be (positive and )?finite, got {value}"):
+            gen(2**10, **{param: value})
 
 
 def test_generator_reports_non_finite_samples():

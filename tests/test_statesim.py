@@ -19,6 +19,7 @@ from hqsp.statesim import (
     MAX_QUBITS,
     SUPPORT_DROP,
     CapacityError,
+    SupportState,
     UnsupportedGateError,
     fidelity,
     simulate,
@@ -141,11 +142,12 @@ def test_simulate_rejects_wrong_initial_length():
         simulate(Circuit(2), initial=np.ones(3, dtype=complex))
 
 
-def test_simulate_scatters_a_sparse_initial_map():
-    psi = simulate(Circuit(2, [gate("CX", 0, 1)]), initial={1: 1.0})
+def test_simulate_scatters_a_sparse_initial_state():
+    psi = simulate(Circuit(2, [gate("CX", 0, 1)]), initial=SparseState(2, [1], [1.0]))
     np.testing.assert_allclose(psi, [0, 0, 0, 1], atol=0)
-    with pytest.raises(ValueError, match="basis indices"):
-        simulate(Circuit(2), initial={4: 1.0})
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="basis indices"):
+            simulate(Circuit(2), initial=SupportState(np.array([bad]), np.ones(1), 1, 0.0))
 
 
 def test_simulate_norm_preserved_on_random_circuits():
@@ -254,10 +256,10 @@ def _simulate_support_reference(circuit: Circuit) -> tuple[dict, int, float]:
 def _assert_support_matches_reference(circuit: Circuit):
     run = simulate_support(circuit)
     amps, peak, pruned = _simulate_support_reference(circuit)
-    assert list(run.amplitudes) == sorted(amps)
+    assert run.indices.dtype == np.int64 and run.indices.tolist() == sorted(amps)
     assert run.peak_support == peak
-    for i, a in amps.items():
-        assert abs(run.amplitudes[i] - a) <= 1e-15
+    for i, a in zip(run.indices.tolist(), run.amplitudes.tolist()):
+        assert abs(a - amps[i]) <= 1e-15
     # after an RZ or UCRZ the two may round a complex product differently
     # (NumPy fuses a multiply-add where the CPU has one), and the residues a
     # rotation then drops are rounding noise of their own size; an amplitude
@@ -270,8 +272,8 @@ def _assert_support_matches_reference(circuit: Circuit):
 
 def _assert_support_matches_dense(circuit: Circuit) -> None:
     run = _assert_support_matches_reference(circuit)
-    assert len(run.amplitudes) <= run.peak_support <= 2**circuit.n_qubits
-    scattered = simulate(Circuit(circuit.n_qubits), run.amplitudes)
+    assert len(run.indices) == len(run.amplitudes) <= run.peak_support <= 2**circuit.n_qubits
+    scattered = simulate(Circuit(circuit.n_qubits), run)
     np.testing.assert_allclose(scattered, simulate(circuit), rtol=0, atol=1e-12)
 
 
@@ -285,7 +287,7 @@ def _sparse_state(n: int, indices, complex_amps: bool) -> SparseState:
     if complex_amps:
         a = a + 1j * RNG.normal(size=len(indices))
     a = a / np.linalg.norm(a)
-    return SparseState(n, tuple(zip([int(i) for i in indices], a.tolist())))
+    return SparseState(n, indices, a)
 
 
 @pytest.mark.parametrize("complex_amps", [False, True], ids=["real", "complex"])
@@ -301,7 +303,7 @@ def test_support_simulation_matches_dense_on_sqsp_outputs(complex_amps):
         _assert_support_matches_dense(circuit)
         run = simulate_support(circuit)
         assert run.peak_support <= 2 * s.d
-        assert fidelity(simulate(Circuit(s.n), run.amplitudes), s.to_dense()) >= 1 - 1e-12
+        assert fidelity(simulate(Circuit(s.n), run), s.to_dense()) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("label", ["sinc", "gaussian"])
@@ -319,7 +321,10 @@ def test_zero_control_multiplexer_is_the_plain_rotation(kind):
     for target in range(3):
         rotation = Circuit(3, start + [gate(kind, target, angle=-1.1)])
         multiplexer = Circuit(3, start + [gate("UC" + kind, target, angle=[-1.1])])
-        assert simulate_support(multiplexer) == simulate_support(rotation)
+        got, want = simulate_support(multiplexer), simulate_support(rotation)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
+        assert (got.peak_support, got.pruned_mass) == (want.peak_support, want.pruned_mass)
         np.testing.assert_array_equal(simulate(multiplexer), simulate(rotation))
 
 
@@ -327,7 +332,7 @@ def test_support_simulation_drops_residues_and_reports_them():
     # RY(pi) twice is -1 on |0>; each rotation leaves cos(pi/2) ~ 6e-17 in
     # the slot it empties, which is dropped
     run = simulate_support(Circuit(1, [gate("RY", 0, angle=math.pi)] * 2))
-    assert list(run.amplitudes) == [0]
+    assert run.indices.tolist() == [0]
     assert run.amplitudes[0] == pytest.approx(-1.0)
     assert run.peak_support == 1
     assert 0 < run.pruned_mass < 1e-30
@@ -397,10 +402,9 @@ def test_trace_distance_symmetry_and_range():
 def test_state_csv_roundtrip(tmp_path):
     state = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
     path = tmp_path / "state.csv"
-    write_amplitude_csv(path, 3, enumerate(state.tolist()))
-    n, entries, _ = read_amplitude_csv(path)
-    assert n == 3
-    loaded = np.array([a for _, a in entries])
+    write_amplitude_csv(path, 3, np.arange(8), state)
+    n, indices, loaded, _ = read_amplitude_csv(path)
+    assert n == 3 and indices.tolist() == list(range(8))
     np.testing.assert_array_equal(loaded, state.astype(complex))  # repr round trip is exact
 
 

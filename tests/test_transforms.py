@@ -352,7 +352,8 @@ _HEAD = "# n=2\nindex,real,imaginary\n"
         ("# n=2\n# n=3\nindex,real,imaginary\n", "key=value"),
         ("# n=0\nindex,real,imaginary\n", "outside"),
         ("# n=99\nindex,real,imaginary\n", "outside"),
-        ("# n=two\nindex,real,imaginary\n", "invalid literal"),
+        ("# n=two\nindex,real,imaginary\n", "integer"),
+        ("# n=1.5\nindex,real,imaginary\n", r"bad\.csv:1: n '1\.5' is not an integer"),
         (_HEAD + "4,1.0,0.0\n", "outside"),
         (_HEAD + "-1,1.0,0.0\n", "outside"),
         (_HEAD + "1,0.6,0.0\n1,0.8,0.0\n", "duplicate"),
@@ -360,14 +361,18 @@ _HEAD = "# n=2\nindex,real,imaginary\n"
         (_HEAD + "0,1.0,inf\n", "non-finite"),
         (_HEAD + "0,1.0\n", "3 cells"),
         (_HEAD + "0,1.0,0.0,7\n", "3 cells"),
-        (_HEAD + "x,1.0,0.0\n", "invalid literal"),
+        (_HEAD + "x,1.0,0.0\n", r"bad\.csv:3: index 'x' is not an integer"),
+        (_HEAD + "1.5,1.0,0.0\n", r"bad\.csv:3: index '1\.5' is not an integer"),
+        (_HEAD + "0,x,0.0\n", r"bad\.csv:3: value 'x' is not a number"),
+        (_HEAD + "0,1.0,\n", r"bad\.csv:3: value '' is not a number"),
     ],
 )
 def test_amplitude_csv_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         read_amplitude_csv(path)
+    assert str(err.value).startswith(f"{path}:")  # every error names the file
 
 
 _CSV_ALPHABET = "0123456789-+.,e#=n \nindexrealimaginaryft"
@@ -385,10 +390,12 @@ def test_amplitude_csv_reader_raises_only_value_error(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:
-        n, entries, meta = read_amplitude_csv(path)
+        n, indices, values, meta = read_amplitude_csv(path)
     except ValueError:
         return
     assert int(meta["n"]) == n
-    indices = [i for i, _ in entries]
-    assert len(set(indices)) == len(indices)
-    assert all(0 <= i < 2**n for i in indices)
+    assert indices.dtype == np.int64 and values.dtype == complex
+    assert indices.shape == values.shape
+    assert len(np.unique(indices)) == len(indices)
+    assert all(0 <= i < 2**n for i in indices.tolist())
+    assert np.isfinite(values).all()
