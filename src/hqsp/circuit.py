@@ -263,29 +263,42 @@ def _kept_walk(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, np.abs(phi) >= _ANGLE_EPS
 
 
+def _walk_controls(k: int) -> list[int]:
+    """Which control each CX of a Gray-code ladder with k >= 1 controls is
+    on: after walk position i it flips bit ``ctz(i + 1)``, the one that
+    changes between successive codes, and the last one flips ``k - 1``
+    back to code 0."""
+    steps = np.arange(1, 2**k)
+    # frexp's exponent of the lowest set bit is exactly ctz + 1
+    return [*(np.frexp(steps & -steps)[1] - 1).tolist(), k - 1]
+
+
+def _ladder(theta: np.ndarray, rotation, cx: list) -> list:
+    """The Gray-code ladder of a multiplexer with pattern angles ``theta``
+    and ``len(cx)`` controls: at each walk position ``rotation(angle)``
+    unless the angle is elided, then the CX item ``cx[j]`` of the control it
+    flips.  Gate lists and QASM lines are both written by this one walk."""
+    phi, kept = _kept_walk(theta)
+    if not cx:
+        return [rotation(phi.item())] if kept[0] else []
+    out = []
+    for angle, keep, j in zip(phi.tolist(), kept.tolist(), _walk_controls(len(cx))):
+        if keep:
+            out.append(rotation(angle))
+        out.append(cx[j])
+    return out
+
+
 def _ucr_gates(kind: str, controls, target: int, pattern_angles) -> list[Gate]:
     controls = tuple(controls)
     theta = np.asarray(pattern_angles, dtype=float)
     k = len(controls)
     if theta.shape != (2**k,):
         raise ValueError(f"need {2**k} pattern angles for {k} controls")
-    phi, kept = _kept_walk(theta)
-    if k == 0:
-        return [gate(kind, target, angle=phi[0])] if kept[0] else []
-    # one validated CX per control, shared along the ladder (gates are frozen)
+    # validated once and shared along the ladder (gates are frozen)
+    wire = gate(kind, target, angle=0.0).qubits
     cx = [gate("CX", c, target) for c in controls]
-    wire = cx[0].targets
-    gates: list[Gate] = []
-    for i, (angle, keep) in enumerate(zip(phi.tolist(), kept.tolist())):
-        if keep:
-            gates.append(Gate(kind, wire, angle))
-        # Gray-code walk: flip the bit that changes between successive codes
-        gates.append(cx[_ctz(i + 1)] if i + 1 < 2**k else cx[k - 1])
-    return gates
-
-
-def _ctz(x: int) -> int:
-    return (x & -x).bit_length() - 1
+    return _ladder(theta, lambda angle: Gate(kind, wire, angle), cx)
 
 
 def ucry_gates(controls, target: int, pattern_angles) -> list[Gate]:
@@ -500,14 +513,19 @@ _QASM_OPERAND = re.compile(r"\s*(\w+)\s*\[\s*(\d+)\s*\]\s*")
 
 def export(circuit: Circuit) -> str:
     """Serialise to OpenQASM 2.0 (subset h,x,rx,ry,rz,u1,cx,cp,swap,ccx),
-    one register ``q`` and one gate per line; the UCRY/UCRZ multiplexers
-    are written as their Gray-code ladders."""
+    one register ``q`` and one gate per line.  A UCRY/UCRZ multiplexer is
+    written straight from its Gray walk, as the same lines that lowering it
+    to its ladder and writing each gate would give."""
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{circuit.n_qubits}];",
-        *map(_qasm_line, _lowered(circuit, _QASM_NAMES)),
     ]
+    for g in circuit:
+        if g.kind in _MULTIPLEXER_KINDS:
+            lines += _ladder_lines(g)
+        else:  # every other kind is a QASM kind
+            lines.append(_qasm_line(g))
     return "\n".join(lines) + "\n"
 
 
@@ -517,6 +535,14 @@ def _qasm_line(g: Gate) -> str:
         name += f"({g.angle!r})"
     operands = ",".join(f"q[{q}]" for q in g.qubits)
     return f"{name} {operands};"
+
+
+def _ladder_lines(g: Gate) -> list[str]:
+    """The QASM lines of a multiplexer's ladder, without building its gates."""
+    *controls, target = g.qubits
+    rotation = f"{_QASM_NAMES[_MULTIPLEXER_KINDS[g.kind]]}(%r) q[{target}];"
+    cx = [f"cx q[{c}],q[{target}];" for c in controls]
+    return _ladder(np.asarray(g.angle, dtype=float), rotation.__mod__, cx)
 
 
 def parse_qasm(text: str) -> Circuit:

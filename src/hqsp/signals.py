@@ -162,8 +162,7 @@ def gen_gaussian(
     """Discretized Gaussian exp(-(x-mu)^2 / (2 sigma^2)) on an inclusive grid."""
     _check_pow2(N)
     _check_finite("gaussian", mu=mu, x_min=x_min, x_max=x_max)
-    # a NaN sigma warns nothing: _normalized reports its non-finite samples
-    if sigma <= 0 or sigma == math.inf:
+    if not 0 < sigma < math.inf:  # NaN included
         raise ValueError(f"gaussian: sigma must be positive and finite, got {sigma}")
     x = np.linspace(x_min, x_max, N)
     return _normalized(np.exp(-((x - mu) ** 2) / (2.0 * sigma**2)), "gaussian")

@@ -9,7 +9,9 @@ controls.
 :func:`simulate` is the whole-circuit simulator.  Axis slicing on the
 ``[2]*n``-shaped view keeps every update vectorised; a multiplexer's
 per-pattern rotation entries are laid onto the control axes and broadcast,
-so a cascade level costs O(2**n) however many controls it has.  Register
+so a cascade level costs O(2**n) however many controls it has.  A run of
+consecutive SWAPs only moves data, so it is composed into one axis
+permutation and costs one transposed copy and one copy back.  Register
 width is capped at 24 qubits, which bounds the state at 256 MiB of
 complex128; a run adds one workspace of twice that size.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -143,14 +146,22 @@ def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
     elif kind in ("RZ", "UCRZ"):
         half = _pattern_grid(np.exp(0.5j * np.atleast_1d(g.angle)), n, target, controls)
         _apply_diag(psi, n, (np.conj(half), half), target, ())
-    elif kind == "SWAP":
-        a, b = g.qubits
-        view = psi.reshape([2] * n)
-        swapped = work[:2].reshape([2] * n)
-        np.copyto(swapped, np.swapaxes(view, n - 1 - a, n - 1 - b))
-        np.copyto(view, swapped)
     else:  # pragma: no cover - the IR validates kinds on construction
         raise ValueError(f"cannot simulate gate kind {kind!r}")
+
+
+def _permute(psi: np.ndarray, n: int, swaps, work: np.ndarray) -> None:
+    """Apply a run of SWAPs as one axis permutation: one transposed copy
+    into ``work`` and one copy back, whatever the run's length."""
+    axes = list(range(n))
+    for g in swaps:
+        a, b = g.qubits
+        x, y = n - 1 - a, n - 1 - b
+        axes[x], axes[y] = axes[y], axes[x]
+    view = psi.reshape([2] * n)
+    moved = work[:2].reshape([2] * n)
+    np.copyto(moved, view.transpose(axes))
+    np.copyto(view, moved)
 
 
 def simulate(circuit: Circuit, initial=None) -> np.ndarray:
@@ -159,6 +170,8 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     ``initial`` is None for |0...0>, a dense vector (copied), or a sparse
     state (a :class:`hqsp.loaders.SparseState` or :class:`SupportState`)
     whose ``indices`` and ``amplitudes`` are scattered into a fresh register.
+    Each run of consecutive SWAPs is one axis permutation of the register;
+    every other gate is applied on its own.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -178,8 +191,12 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     # per-gate temporaries live here, so a gate allocates nothing and the
     # run's page faults do not depend on the allocator's history
     work = np.empty((4, 2 ** (n - 1)), dtype=complex)
-    for g in circuit:
-        _apply_gate(psi, n, g, work)
+    for is_swap, run in groupby(circuit, key=lambda g: g.kind == "SWAP"):
+        if is_swap:
+            _permute(psi, n, run, work)
+        else:
+            for g in run:
+                _apply_gate(psi, n, g, work)
     return psi
 
 

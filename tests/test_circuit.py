@@ -27,7 +27,7 @@ from hqsp.circuit import (
     ucry_gates,
     ucrz_gates,
 )
-from hqsp.circuit import _fwht
+from hqsp.circuit import _ANGLE_EPS, _fwht, _kept_walk
 from hqsp.statesim import simulate, unitary_of
 
 RNG = np.random.default_rng(7)
@@ -469,6 +469,58 @@ def test_export_lowers_native_multiplexers_only():
     lowered = ucry_gates((0, 2), 1, ucry.angle) + ucrz_gates((2,), 0, ucrz.angle)
     # QASM carries CCX as it is
     assert parse_qasm(export(c)) == Circuit(3, [ccx, *lowered])
+
+
+def _multiplexer(kind, k, seed, angles=None):
+    rng = np.random.default_rng(seed)
+    qubits = rng.permutation(k + 2)[: k + 1]
+    if angles is None:
+        angles = rng.uniform(-3.0, 3.0, 2**k)
+    return gate(kind, *map(int, qubits), angle=angles)
+
+
+@pytest.mark.parametrize("kind", ["UCRY", "UCRZ"])
+@pytest.mark.parametrize("k", range(6))
+def test_export_writes_multiplexers_as_their_lowered_ladders(kind, k):
+    # the ladder writer against lowering and writing one gate at a time
+    c = Circuit(k + 2, [_multiplexer(kind, k, seed=k)])
+    assert export(c) == export(decompose(c))
+
+
+@pytest.mark.parametrize("kind", ["UCRY", "UCRZ"])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_export_elides_the_same_walk_angles_as_lowering(kind, k):
+    # equal pattern angles leave exact-zero walk angles; a 4e-15 step on
+    # every odd pattern leaves one walk angle that is nonzero but below
+    # _ANGLE_EPS
+    theta = np.full(2**k, 0.7)
+    theta[1::2] += 4e-15
+    phi, kept = _kept_walk(theta)
+    assert (phi == 0).any() == (k > 1)
+    assert ((phi != 0) & (np.abs(phi) < _ANGLE_EPS)).any()
+    c = Circuit(k + 2, [_multiplexer(kind, k, seed=k, angles=theta)])
+    text = export(c)
+    assert text == export(decompose(c))
+    assert text.count("\nr") == kept.sum()  # one rotation line per kept angle
+
+
+def test_export_writes_multiplexers_among_other_kinds_as_lowered():
+    # QASM carries CCX, SWAP and CPHASE as they are, so only the
+    # multiplexers are lowered in the reference
+    rng = np.random.default_rng(17)
+    n = 6
+    c, lowered = Circuit(n), Circuit(n)
+    for i in range(40):
+        a, b, t = map(int, rng.permutation(n)[:3])
+        ucr = _multiplexer(("UCRY", "UCRZ")[i % 2], i % 5, seed=i)
+        others = [
+            gate("CCX", a, b, t),
+            gate("SWAP", a, t),
+            gate("CPHASE", b, t, angle=float(rng.uniform(-3.0, 3.0))),
+        ]
+        c.append(ucr).extend(others)
+        lowered.extend(decompose(Circuit(n, [ucr]))).extend(others)
+    assert export(c) == export(lowered)
 
 
 def test_parsers_reject_native_multiplexers():

@@ -108,6 +108,7 @@ def test_piecewise_structure():
         (gen_gaussian, "x_max", math.inf),
         (gen_gaussian, "x_max", math.nan),
         (gen_gaussian, "sigma", math.inf),  # once a flat signal without a word
+        (gen_gaussian, "sigma", math.nan),  # once reported as non-finite samples
         (gen_gaussian_mixture, "x_min", math.nan),
         (gen_gaussian_mixture, "x_max", math.inf),
     ],
@@ -121,8 +122,10 @@ def test_generator_rejects_non_finite_parameter_before_numpy(gen, param, value):
 
 
 def test_generator_reports_non_finite_samples():
-    with pytest.raises(DegenerateSignalError, match="non-finite samples"):
-        gen_gaussian(2**10, sigma=math.nan)
+    values = np.linspace(-1.0, 1.0, 2**10)
+    values[7] = math.nan
+    with pytest.raises(DegenerateSignalError, match="gaussian: non-finite samples"):
+        _normalized(values, "gaussian")
 
 
 def test_sinc_grid_and_peak():
@@ -272,7 +275,8 @@ _CELL = st.one_of(_PLAIN_CELL, _QUOTED_CELL)
 _ROW = st.lists(_CELL, min_size=1, max_size=3).map(",".join)
 
 
-# one-column files of plain cells take the one-call NumPy parse, the rest csv
+# one-column files of plain cells, and rows of quoted or several cells that
+# only csv splits right: both reach the one NumPy cast, or its row-by-row report
 _ROWS = st.one_of(st.lists(_PLAIN_CELL, max_size=12), st.lists(_ROW, max_size=12))
 
 

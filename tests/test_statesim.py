@@ -15,6 +15,7 @@ import pytest
 from hqsp.circuit import Circuit, gate
 from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import table1_configs
+from hqsp.qsynth import inverse_packet_qhwt, iqft
 from hqsp.statesim import (
     MAX_QUBITS,
     SUPPORT_DROP,
@@ -169,6 +170,65 @@ def test_simulate_norm_preserved_on_random_circuits():
             )
         psi = simulate(circuit)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+def _assert_matches_swap_by_swap(circuit: Circuit) -> None:
+    """simulate, bit for bit, against a reference that applies each SWAP as
+    its own np.swapaxes and simulates every other gate alone."""
+    n = circuit.n_qubits
+    initial = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+    psi = initial
+    for g in circuit:
+        if g.kind == "SWAP":
+            a, b = g.qubits
+            psi = np.swapaxes(psi.reshape([2] * n), n - 1 - a, n - 1 - b).reshape(-1)
+        else:
+            psi = simulate(Circuit(n, [g]), psi)
+    assert np.array_equal(simulate(circuit, initial), psi)
+
+
+def test_swap_runs_match_one_swap_at_a_time():
+    # runs of 1-6 SWAPs between other gates, bit for bit
+    for trial in range(30):
+        n = int(RNG.integers(2, 7))
+        circuit = Circuit(n)
+        for _ in range(6):
+            a, b = map(int, RNG.choice(n, size=2, replace=False))
+            circuit.add("H", a).add("CX", a, b).add("RY", b, angle=float(RNG.uniform(-3, 3)))
+            circuit.add("UCRZ", a, b, angle=RNG.uniform(-3, 3, 2).tolist())
+            for _ in range(int(RNG.integers(1, 7))):
+                circuit.add("SWAP", *map(int, RNG.choice(n, size=2, replace=False)))
+        if trial % 2:  # even trials end on a SWAP run, odd ones on a gate
+            circuit.add("CPHASE", 0, 1, angle=0.4)
+        _assert_matches_swap_by_swap(circuit)
+
+
+@pytest.mark.parametrize(
+    "swaps",
+    [
+        [(0, 1), (0, 1)],  # a repeated pair: the identity
+        [(0, 1), (1, 0), (2, 3)],
+        [(0, 3), (1, 2), (0, 3), (1, 2), (0, 1), (2, 3)],
+        [(3, 2), (2, 1), (1, 0)],
+    ],
+)
+def test_swap_run_with_repeated_pairs_matches_one_swap_at_a_time(swaps):
+    _assert_matches_swap_by_swap(Circuit(4, [gate("H", 1), *(gate("SWAP", a, b) for a, b in swaps)]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_decompression_swap_chains_match_one_swap_at_a_time(n):
+    for L in range(1, n + 1):
+        _assert_matches_swap_by_swap(inverse_packet_qhwt(n, L))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_iqft_closing_swaps_match_one_swap_at_a_time(n):
+    circuit = iqft(n)
+    # its bit-reversal SWAPs close the circuit as one run
+    kinds = [g.kind for g in circuit]
+    assert kinds[-(n // 2):] == ["SWAP"] * (n // 2) and kinds.count("SWAP") == n // 2
+    _assert_matches_swap_by_swap(circuit)
 
 
 # ---------------------------------------------------------------------------
