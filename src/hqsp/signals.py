@@ -10,6 +10,7 @@ signals.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -206,29 +207,59 @@ def _next_pow2(m: int) -> int:
 def ingest_waveform_csv(path) -> Signal:
     """Read the first CSV column, zero-pad it to the next power of two,
     and normalize.  A single non-numeric header line is skipped.  A cell
-    that is not a finite number raises :class:`NonNumericCellError`.  The
-    cells are cast in one NumPy call, as ``float()`` casts each one."""
-    with open(path, newline="") as fh:
-        cells = [row[0] for row in csv.reader(fh) if "".join(row).strip()]
+    that is not a finite number, a file the ``csv`` module cannot read and
+    one whose bytes do not decode raise :class:`NonNumericCellError` named
+    by path.  The column is read in one C parse; a file that parse rejects
+    is read again one ``float()`` per row, which names the first bad row."""
+    try:
+        with open(path, newline="") as fh:
+            try:
+                values = _parse_column(fh)
+            except (ValueError, csv.Error):
+                values = None
+            if values is None or not np.isfinite(values).all():
+                fh.seek(0)
+                values = _parse_rows(fh, path)
+    except (csv.Error, UnicodeDecodeError) as err:
+        raise NonNumericCellError(f"{path}: {err}") from err
+    padded = np.zeros(_next_pow2(len(values)))
+    padded[: len(values)] = values
+    return _normalized(padded, f"waveform:{path}")
+
+
+def _parse_column(fh):
+    """The first column of an open CSV file, or None if it has no data row.
+    ``csv`` reads the first non-blank row, so the header is found as
+    :func:`_parse_rows` finds it, and ``np.loadtxt`` reads the rest."""
+    first = next((row[0] for row in csv.reader(fh) if "".join(row).strip()), None)
+    if first is None:
+        return None
+    head = [float(first)] if _is_number(first) else []
+    line = next((line for line in fh if line.strip()), None)  # csv skips blanks too
+    if line is None:  # loadtxt would warn that it read no rows
+        return np.array(head) if head else None
+    tail = np.loadtxt(itertools.chain((line,), fh), delimiter=",", usecols=0,
+                      comments=None, quotechar='"', ndmin=1)
+    return np.concatenate((head, tail))
+
+
+def _parse_rows(fh, path) -> list[float]:
+    """The first column of an open CSV file, one ``float()`` per row."""
+    cells = [row[0] for row in csv.reader(fh) if "".join(row).strip()]
     if cells and not _is_number(cells[0]):
         cells = cells[1:]
     if not cells:
         raise EmptyColumnError(f"{path}: no data rows")
-    try:
-        values = np.array(cells, dtype=float)
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        for lineno, cell in enumerate(cells, start=1):  # name the first bad row
-            cell = cell.strip()
-            if not (_is_number(cell) and math.isfinite(float(cell))):
-                raise NonNumericCellError(
-                    f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
-                )
-        values = [float(cell.strip()) for cell in cells]  # strip() drops \x1c, float() not
-    padded = np.zeros(_next_pow2(len(values)))
-    padded[: len(values)] = values
-    return _normalized(padded, f"waveform:{path}")
+    values = []
+    for lineno, cell in enumerate(cells, start=1):
+        cell = cell.strip()  # strip() drops \x1c, float() not
+        value = float(cell) if _is_number(cell) else math.nan
+        if not math.isfinite(value):
+            raise NonNumericCellError(
+                f"{path}: row {lineno}: non-numeric or non-finite cell {cell!r}"
+            )
+        values.append(value)
+    return values
 
 
 def _is_number(cell: str) -> bool:

@@ -101,6 +101,22 @@ def test_compress_rejects_overflowing_samples(tmp_path, capsys):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'ppg\n1.0\n"2.0\n' + b"3.0\n" * 40_000,  # past csv's field size limit
+        b"ppg\n1.0\n\xff2.0\n3\n",  # not UTF-8
+        b"ppg\n1.0\n\x002.0\n3\n",  # a NUL byte, which csv rejects on Python 3.10
+    ],
+    ids=["unterminated-quote", "undecodable", "nul"],
+)
+def test_compress_names_an_unreadable_recording(tmp_path, capsys, body):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(body)
+    assert main(["compress", str(path), "--levels", "1", "--tau-frac", "0.1"]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 def test_compress_dft(gaussian_csv, capsys):
     assert main(["compress", str(gaussian_csv), "--transform", "dft"]) == 0
     assert "TD=0.0000" in capsys.readouterr().out  # no threshold, lossless
@@ -432,6 +448,18 @@ def test_sweep_cli(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "L,tau,mean_td,mean_cr,std_cr,in_valid_regime"
     assert len(lines) == 5  # 2 levels x 2 taus
+
+
+def test_sweep_names_an_undecodable_recording(tmp_path, capsys):
+    data = tmp_path / "recs"
+    data.mkdir()
+    t = np.linspace(0.0, 4.0, 400)
+    (data / "r1.csv").write_text("".join(f"{v}\n" for v in np.sin(2 * np.pi * t)))
+    (data / "r2.csv").write_bytes(b"ppg\n0.5\n\xff0.25\n")
+    code = main(["sweep-ppg", "--dataset", str(data), "--levels", "3:4",
+                 "--taus", "0.0,0.01", "--out", str(tmp_path / "grid.csv")])
+    assert code == 2
+    assert f"error: {data / 'r2.csv'}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_sweep_threshold_that_prunes_everything_is_invalid_input(tmp_path, capsys):

@@ -7,6 +7,7 @@ The periodic generator's spectral support is checked against a plain
 import csv
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ _ROW = st.lists(_CELL, min_size=1, max_size=3).map(",".join)
 
 
 # one-column files of plain cells, and rows of quoted or several cells that
-# only csv splits right: both reach the one NumPy cast, or its row-by-row report
+# only csv splits right: both reach the one C parse, or the row-by-row pass
 _ROWS = st.one_of(st.lists(_PLAIN_CELL, max_size=12), st.lists(_ROW, max_size=12))
 
 
@@ -290,9 +291,16 @@ def test_ingest_matches_row_by_row_parse(tmp_path, rows, newline):
     # numeric, blank, whitespace-only, multi-column, quoted and
     # blank-first-cell rows, ended by any csv line break: the same samples
     # bit for bit, or the same error and message
-    path = tmp_path / "w.csv"
+    _assert_matches_row_by_row(_write_rows(tmp_path / "w.csv", rows, newline))
+
+
+def _write_rows(path, rows, newline):
     with open(path, "w", newline="") as fh:  # the line breaks as given
         fh.write("".join(row + newline for row in rows))
+    return path
+
+
+def _assert_matches_row_by_row(path):
     try:
         expected = _ingest_row_by_row(path)
     except ValueError as err:
@@ -302,6 +310,88 @@ def test_ingest_matches_row_by_row_parse(tmp_path, rows, newline):
         return
     s = ingest_waveform_csv(path)
     assert s.samples.tobytes() == expected.samples.tobytes()
+
+
+# a header, blank or quoted, then the rows: the one-pass parse starts
+# after it, so the header must be found as the row-by-row parse finds it
+_HEADER = st.one_of(
+    st.sampled_from(["ppg", "ppg,time", '"ppg"', '"p,g"', '"a\nb"', " ", "", "x1"]),
+    _ROW,
+)
+
+
+@given(_HEADER, _ROWS, st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_ingest_after_a_header_matches_row_by_row_parse(tmp_path, header, rows, newline):
+    _assert_matches_row_by_row(_write_rows(tmp_path / "w.csv", [header, *rows], newline))
+
+
+PPG_DIR = Path(__file__).resolve().parent.parent / "data" / "ppg"
+
+
+@pytest.mark.parametrize("name", ["recording01.csv", "recording02.csv", "recording03.csv"])
+def test_ingest_ppg_recordings_match_row_by_row_parse(name):
+    # a header and 65,536 numeric rows: the traffic the one-pass parse serves
+    _assert_matches_row_by_row(PPG_DIR / name)
+
+
+# the rest of the file after its first row is empty: no parse of it may
+# warn that it held no data
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["ppg\n2.5\n", "2.5\n", "2.5", "ppg\n2.5\n\n\r\n \n", "2.5\n\n"])
+def test_ingest_one_data_row(tmp_path, text):
+    path = _write(tmp_path / "w.csv", text)
+    assert ingest_waveform_csv(path).samples.tolist() == [1.0, 0.0]
+    _assert_matches_row_by_row(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["ppg\n", "ppg\n\n\r\n", "\n \n"])
+def test_ingest_no_data_row_does_not_warn(tmp_path, text):
+    with pytest.raises(EmptyColumnError, match="no data rows"):
+        ingest_waveform_csv(_write(tmp_path / "w.csv", text))
+
+
+def test_ingest_blank_lines_before_the_header(tmp_path):
+    path = _write_rows(tmp_path / "w.csv", ["", " ", "\t", "ppg", "3", "4"], "\n")
+    np.testing.assert_allclose(ingest_waveform_csv(path).samples, [0.6, 0.8])
+    _assert_matches_row_by_row(path)
+
+
+def test_ingest_names_a_late_non_finite_row(tmp_path):
+    rows = ["ppg"] + [f"{0.25 * (i % 7)!r}" for i in range(65_536)]
+    rows[60_000] = " nan"  # the 60,000th data row
+    path = _write_rows(tmp_path / "w.csv", rows, "\n")
+    with pytest.raises(NonNumericCellError, match=r"w\.csv: row 60000: .* 'nan'$"):
+        ingest_waveform_csv(path)
+    _assert_matches_row_by_row(path)
+
+
+def test_ingest_names_a_file_the_csv_module_cannot_read(tmp_path):
+    # an unterminated quote runs one field past csv's field size limit
+    path = _write(tmp_path / "w.csv", 'ppg\n1.0\n"2.0\n' + "3.0\n" * 40_000)
+    with pytest.raises(csv.Error) as raw:
+        _ingest_row_by_row(path)
+    with pytest.raises(NonNumericCellError) as raised:
+        ingest_waveform_csv(path)
+    assert str(raised.value) == f"{path}: {raw.value}"
+
+
+@pytest.mark.parametrize("row", [1, 30_000])
+def test_ingest_names_a_file_that_does_not_decode(tmp_path, row):
+    rows = ["ppg"] + ["1.5"] * 40_000
+    rows[row] = "\xff2.0"
+    path = tmp_path / "w.csv"
+    path.write_bytes("\n".join(rows).encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError) as raw:
+        _ingest_row_by_row(path)
+    with pytest.raises(NonNumericCellError) as raised:
+        ingest_waveform_csv(path)
+    assert str(raised.value) == f"{path}: {raw.value}"
 
 
 @given(st.integers(min_value=1, max_value=70))
