@@ -43,8 +43,6 @@ __all__ = [
     "report",
     "export",
     "parse_qasm",
-    "ucry_gates",
-    "ucrz_gates",
     "inverse",
     "cancel_adjacent_inverses",
 ]
@@ -289,34 +287,6 @@ def _ladder(theta: np.ndarray, rotation, cx: list) -> list:
     return out
 
 
-def _ucr_gates(kind: str, controls, target: int, pattern_angles) -> list[Gate]:
-    controls = tuple(controls)
-    theta = np.asarray(pattern_angles, dtype=float)
-    k = len(controls)
-    if theta.shape != (2**k,):
-        raise ValueError(f"need {2**k} pattern angles for {k} controls")
-    # validated once and shared along the ladder (gates are frozen)
-    wire = gate(kind, target, angle=0.0).qubits
-    cx = [gate("CX", c, target) for c in controls]
-    return _ladder(theta, lambda angle: Gate(kind, wire, angle), cx)
-
-
-def ucry_gates(controls, target: int, pattern_angles) -> list[Gate]:
-    """Uniformly controlled RY: rotate ``target`` by ``pattern_angles[p]``
-    when the control qubits hold bit pattern ``p`` (``controls[j]`` is bit j).
-
-    Emits exactly ``2**k`` CX for k >= 1 controls; zero-angle rotations are
-    dropped but the CX ladder is kept intact so counts stay structural.  A
-    non-finite pattern angle raises ``ValueError``.
-    """
-    return _ucr_gates("RY", controls, target, pattern_angles)
-
-
-def ucrz_gates(controls, target: int, pattern_angles) -> list[Gate]:
-    """Uniformly controlled RZ; same layout and CX budget as :func:`ucry_gates`."""
-    return _ucr_gates("RZ", controls, target, pattern_angles)
-
-
 # ---------------------------------------------------------------------------
 # Decomposition to the base set
 # ---------------------------------------------------------------------------
@@ -359,7 +329,10 @@ def _decompose_gate(g: Gate) -> list[Gate]:
             gate("CX", a, b),
         ]
     if g.kind in _MULTIPLEXER_KINDS:
-        return _ucr_gates(_MULTIPLEXER_KINDS[g.kind], g.controls, g.targets[0], g.angle)
+        # 2**k CX for k >= 1 controls: a zero angle elides a rotation, never a CX
+        kind, wire = _MULTIPLEXER_KINDS[g.kind], g.targets
+        cx = [gate("CX", c, *wire) for c in g.controls]
+        return _ladder(np.asarray(g.angle), lambda angle: Gate(kind, wire, angle), cx)
     raise ValueError(f"no decomposition rule for {g.kind}")
 
 
@@ -465,23 +438,21 @@ def _cancels(a: Gate, b: Gate) -> bool:
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     """Drop gate pairs that are mutual inverses with nothing on their wires
-    in between.  Iterates until no further pair cancels."""
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Gate] = []
-        for g in gates:
-            j = len(out) - 1
-            while j >= 0 and not (set(out[j].qubits) & set(g.qubits)):
-                j -= 1
-            if j >= 0 and _cancels(out[j], g):
-                del out[j]
-                changed = True
-            else:
-                out.append(g)
-        gates = out
-    return Circuit(circuit.n_qubits, gates)
+    in between, until no pair is left.
+
+    One pass reaches that fixpoint.  A deleted gate shares no wire with any
+    gate kept after it, and a cancelling pair has identical qubit tuples,
+    so the deleted gate never stood between two gates that could cancel."""
+    out: list[Gate] = []
+    for g in circuit.gates:
+        j = len(out) - 1
+        while j >= 0 and not (set(out[j].qubits) & set(g.qubits)):
+            j -= 1
+        if j >= 0 and _cancels(out[j], g):
+            del out[j]
+        else:
+            out.append(g)
+    return Circuit(circuit.n_qubits, out)
 
 
 # ---------------------------------------------------------------------------

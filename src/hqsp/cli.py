@@ -233,7 +233,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    circuit = parse_qasm(args.circuit.read_text())
+    try:
+        text = args.circuit.read_text()
+    except UnicodeDecodeError as err:
+        raise PipelineError(f"{args.circuit}: {err}") from None
+    circuit = parse_qasm(text)
     state = simulate(circuit)
     print(f"simulated {circuit.n_qubits} qubits, {len(circuit)} gates")
     if args.out is not None:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, cancel_adjacent_inverses, decompose, gate, inverse
-from .circuit import _kept_walk, _pattern_of, ucry_gates
+from .circuit import _decompose_gate, _kept_walk, _pattern_of
 
 __all__ = [
     "SparseState",
@@ -554,7 +554,7 @@ def _emit_merge(step: _MergeStep, amp_of: dict) -> list[Gate]:
         del amp_of[y]
 
     if cover:
-        gates.extend(ucry_gates(tuple(cover), b, pattern_angles))
+        gates.extend(_decompose_gate(gate("UCRY", *cover, b, angle=pattern_angles)))
     elif abs(pattern_angles[0]) > 0:
         gates.append(gate("RY", b, angle=float(pattern_angles[0])))
     gates.extend(gate("CX", b, j) for j in reversed(_bits(spread)))

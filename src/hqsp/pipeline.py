@@ -284,23 +284,30 @@ def _typed(key: str, value, kind: type):
 
 def _parse_flat_config(path) -> dict:
     """Flat TOML-style key/value lines; #-comments outside quotes; no
-    sections; each key at most once."""
+    sections; each key at most once.  A file that does not decode is named
+    by path; a line without ``=``, a repeated key or a quote left open by
+    ``path:line``."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise PipelineError(f"{path}: {err}") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"{path}:{lineno}"
+        line = _strip_comment(raw, where).strip()
         if not line:
             continue
         if "=" not in line:
-            raise PipelineError(f"{path}:{lineno}: expected key = value")
-        key, _, text = line.partition("=")
+            raise PipelineError(f"{where}: expected key = value")
+        key, _, value = line.partition("=")
         key = key.strip()
         if key in values:
-            raise PipelineError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_scalar(text.strip())
+            raise PipelineError(f"{where}: duplicate key {key!r}")
+        values[key] = _parse_scalar(value.strip())
     return values
 
 
-def _strip_comment(line: str) -> str:
+def _strip_comment(line: str, where: str) -> str:
     quote = None
     for i, ch in enumerate(line):
         if quote is not None:
@@ -310,6 +317,8 @@ def _strip_comment(line: str) -> str:
             quote = ch
         elif ch == "#":
             return line[:i]
+    if quote is not None:
+        raise PipelineError(f"{where}: unterminated {quote} quote")
     return line
 
 
@@ -635,55 +644,53 @@ def sweep_ppg(
     threshold, across every recording CSV in ``dataset_dir``, flagging
     cells whose mean CR falls in the useful band [15, 235].
 
-    Each recording is analysed once: one running packet Haar analysis per
-    recording is deepened level by level in lockstep, holding one level at
-    a time, and at each level the grid names, :func:`price_thresholds`
-    prices every tau over one recording at a time.  Cells come out in the
-    caller's grid order (levels, then tau); each equals the mean and
-    standard deviation of :func:`compression_point` over the recordings in
-    file-name order, and a bad tau raises what that order meets first.  A
-    level outside ``[1, n]`` for some recording raises ``ValueError`` as
-    :func:`packet_dhwt` does.
+    One recording is held at a time and analysed once, up to the deepest
+    level the grid names (:func:`_price_recording`).  Cells then come out
+    in the caller's grid order (levels, then taus by position), each the
+    mean and standard deviation of :func:`compression_point` over the
+    recordings in file-name order, and a bad tau or a level outside
+    ``[1, n]`` raises the error that order meets first, as
+    :func:`compression_point` raises it.
     """
     paths = sorted(Path(dataset_dir).glob("*.csv"))
     if not paths:
         raise FileNotFoundError(f"no recording CSVs under {dataset_dir}")
-    units = [_unit_samples(ingest_waveform_csv(p)) for p in paths]
     levels, taus = tuple(levels), tuple(taus)
+    recordings = [_price_recording(path, levels, taus) for path in paths]
+    cells = []
     for level in levels:
-        for x in units:
-            _check_levels(int(math.log2(len(x))), level)
-    analyses = [packet_analysis(x) for x in units]
-    cells = {}
-    for level in range(1, max(levels, default=0) + 1):
-        rows, failures = [], []  # one row of (d, CR, TD) per tau, per recording
-        for analysis in analyses:
-            X = next(analysis)  # drops this recording's previous level
-            if level not in levels:
-                continue
-            rows.append(row := [])
-            try:  # each policy is built as it is priced, as in grid order
-                for point in price_thresholds(X, (ThresholdPolicy(ABSOLUTE, t) for t in taus)):
-                    row.append(point)
-            except ValueError as err:
-                failures.append((len(row), err))
-        if failures:  # grid order meets the first bad tau before any later one
-            raise min(failures, key=lambda failure: failure[0])[1]
-        if level not in levels:
-            continue
         for j, tau in enumerate(taus):  # by position: 0.0 and -0.0 are two cells
-            points = [row[j] for row in rows]
+            ThresholdPolicy(ABSOLUTE, tau)  # compression_point's argument: built first
+            points = []
+            for n, rows in recordings:
+                _check_levels(n, level)
+                point = rows[level][j]
+                if isinstance(point, ValueError):
+                    raise point
+                points.append(point)
             crs = np.array([cr for _, cr, _ in points])
-            mean_cr = float(crs.mean())
-            cells[level, j] = SweepCell(
-                levels=level,
-                tau=tau,
-                mean_td=float(np.mean([td for _, _, td in points])),
-                mean_cr=mean_cr,
-                std_cr=float(crs.std()),
-                in_valid_regime=CR_VALID_LOW <= mean_cr <= CR_VALID_HIGH,
-            )
-    return [cells[level, j] for level in levels for j in range(len(taus))]
+            mean_td, mean_cr = float(np.mean([td for _, _, td in points])), float(crs.mean())
+            valid = CR_VALID_LOW <= mean_cr <= CR_VALID_HIGH
+            cells.append(SweepCell(level, tau, mean_td, mean_cr, float(crs.std()), valid))
+    return cells
+
+
+def _price_recording(path, levels: tuple, taus: tuple) -> tuple[int, dict]:
+    """The width n of one recording, and its row of (d, CR, TD) per tau at
+    each level in ``levels`` up to n, by one :func:`price_thresholds` call
+    each.  A ``ValueError`` that stops a row ends it, without its traceback
+    so that it pins no transform; the samples and the analysis go when
+    this returns."""
+    x = _unit_samples(ingest_waveform_csv(path))
+    rows = {}
+    for level, X in zip(range(1, max(levels, default=0) + 1), packet_analysis(x)):
+        if level in levels:
+            rows[level] = row = []
+            try:  # each policy is built as it is priced, as compression_point does
+                row.extend(price_thresholds(X, (ThresholdPolicy(ABSOLUTE, t) for t in taus)))
+            except ValueError as err:
+                row.append(err.with_traceback(None))
+    return int(math.log2(len(x))), rows
 
 
 # ---------------------------------------------------------------------------

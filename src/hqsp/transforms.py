@@ -281,6 +281,15 @@ def _parse_cell(cast, text: str, where: str, what: str):
         raise ValueError(f"{where}: {what} {text.strip()!r} is not {kind}") from None
 
 
+def _decoded(fh, path):
+    """The lines of the text file ``fh``; bytes that do not decode raise
+    :class:`ValueError` naming ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def read_amplitude_csv(path) -> tuple[int, np.ndarray, np.ndarray, dict[str, str]]:
     """Read a file of :func:`write_amplitude_csv` as ``(n, indices, amplitudes, meta)``.
 
@@ -288,14 +297,15 @@ def read_amplitude_csv(path) -> tuple[int, np.ndarray, np.ndarray, dict[str, str
     value as a string, ``n`` included; ``n`` may not exceed the dense
     simulator's ``MAX_QUBITS``, since callers densify the vector.  A missing
     or malformed header or cell, an index outside ``[0, 2**n)``, a repeated
-    index or a non-finite value raises :class:`ValueError` naming ``path:line``.
+    index or a non-finite value raises :class:`ValueError` naming ``path:line``,
+    and bytes that do not decode one naming ``path``.
     """
     meta: dict[str, str] = {}
     indices: list[int] = []
     values: list[complex] = []
     n = seen = None  # seen holds the indices read, from the column header on
     with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_decoded(fh, path), start=1):
             line = raw.strip()
             if not line:
                 continue

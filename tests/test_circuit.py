@@ -24,8 +24,6 @@ from hqsp.circuit import (
     inverse,
     parse_qasm,
     report,
-    ucry_gates,
-    ucrz_gates,
 )
 from hqsp.circuit import _ANGLE_EPS, _fwht, _kept_walk
 from hqsp.statesim import simulate, unitary_of
@@ -131,6 +129,21 @@ def _reference_ucr(axis: str, n, controls, target, pattern_angles):
             k = (j & ~(1 << target)) | (out_value << target)
             u[k, j] += mat[out_value, tv]
     return u
+
+
+def _lowered(kind, controls, target, angles):
+    g = gate(kind, *controls, target, angle=angles)
+    return decompose(Circuit(max(g.qubits) + 1, [g])).gates
+
+
+def ucry_gates(controls, target, angles):
+    """The gates ``decompose`` lowers a native UCRY to."""
+    return _lowered("UCRY", controls, target, angles)
+
+
+def ucrz_gates(controls, target, angles):
+    """The gates ``decompose`` lowers a native UCRZ to."""
+    return _lowered("UCRZ", controls, target, angles)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -242,11 +255,12 @@ def multiplexers(draw):
 def test_native_multiplexer_matches_its_lowering(case):
     n, g, psi = case
     native = Circuit(n, [g])
-    builder = ucry_gates if g.kind == "UCRY" else ucrz_gates
-    lowered = Circuit(n, builder(g.controls, g.targets[0], g.angle))
+    lowered = decompose(native)
     np.testing.assert_allclose(simulate(native, psi), simulate(lowered, psi), rtol=0, atol=1e-12)
-    assert decompose(native) == lowered
     assert report(native) == report(lowered)
+    # the ladder: 2**k CX, each after the rotation (unless elided) of its walk step
+    assert [x.kind for x in lowered].count("CX") == 2 ** len(g.controls)
+    assert {x.kind for x in lowered} <= {"CX", g.kind[2:]}
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +445,42 @@ def test_cancel_cascades():
     # inner pair removal exposes the outer pair
     c = Circuit(2, [gate("H", 0), gate("X", 0), gate("X", 0), gate("H", 0)])
     assert cancel_adjacent_inverses(c).gates == []
+
+
+def _cancel_to_fixpoint(gates):
+    """Repeated adjacent-inverse passes until one changes nothing: the
+    reference for the single pass."""
+    while True:
+        out = []
+        for g in gates:
+            j = len(out) - 1
+            while j >= 0 and not set(out[j].qubits) & set(g.qubits):
+                j -= 1
+            if j >= 0 and out[j] == inverse(g):  # exact: the angles negate exactly
+                del out[j]
+            else:
+                out.append(g)
+        if out == gates:
+            return out
+        gates = out
+
+
+@st.composite
+def peephole_gates(draw):
+    """Gate lists on three wires from a small alphabet, so that inverse
+    pairs, nested pairs and pairs split by a blocking gate are common."""
+    angle = st.sampled_from([0.5, -0.5, 1.25, -1.25])
+    one = st.builds(lambda k, q: gate(k, q), st.sampled_from(["H", "X"]), st.integers(0, 2))
+    rot = st.builds(lambda q, a: gate("RY", q, angle=a), st.integers(0, 2), angle)
+    two = st.builds(lambda qs: gate("CX", *qs), st.permutations(range(3)).map(lambda p: p[:2]))
+    mux = st.builds(lambda a, b: gate("UCRY", 0, 1, angle=(a, b)), angle, angle)
+    return draw(st.lists(st.one_of(one, rot, two, mux), max_size=24))
+
+
+@given(peephole_gates())
+@settings(max_examples=100, deadline=None)
+def test_one_cancellation_pass_reaches_the_fixpoint(gates):
+    assert cancel_adjacent_inverses(Circuit(3, gates)).gates == _cancel_to_fixpoint(gates)
 
 
 # ---------------------------------------------------------------------------

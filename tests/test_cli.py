@@ -382,6 +382,13 @@ def test_prepare_rejects_coerced_value(tmp_path, capsys, line, key):
     assert key in capsys.readouterr().err
 
 
+def test_prepare_unterminated_quote_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text('signal.kind = sinc\ntransform.levels = 3\nlabel = "g # note\n')
+    assert main(["prepare", str(conf)]) == 2
+    assert f"error: {conf}:3: unterminated \" quote" in capsys.readouterr().err
+
+
 def test_prepare_tolerance_exit_code(tmp_path, capsys):
     assert main(["prepare", _write_prepare_config(tmp_path, 0.0001)]) == 1
     assert "exceeds tolerance" in capsys.readouterr().err
@@ -496,6 +503,35 @@ def test_sweep_repeated_grid_value_is_usage_error(tmp_path, capsys, flag, value)
 def test_sweep_missing_dataset_is_io_error(tmp_path, capsys):
     assert main(["sweep-ppg", "--dataset", str(tmp_path / "none")]) == 3
     assert "no recording CSVs" in capsys.readouterr().err
+
+
+def test_sweep_raises_the_bad_tau_the_grid_meets_first(capsys):
+    # level 14 comes first in the grid, and its second tau is invalid
+    # before level 8's first tau prunes every coefficient
+    code = main(["sweep-ppg", "--dataset", str(PPG_DIR), "--levels", "14,8",
+                 "--taus", "0.2,-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: threshold must be nonnegative\n"
+
+
+_HEADER_ONLY = {
+    "prepare": b"signal.kind = sinc\n",
+    "synth": b"# kind=haar\n# levels=1\n# n=1\nindex,real,imaginary\n",
+    "simulate": b'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n',
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HEADER_ONLY))
+def test_undecodable_input_file_is_named(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(_HEADER_ONLY[command] + b"\xff\n")
+    argv = {
+        "prepare": ["prepare", str(path)],
+        "synth": ["synth", "--plan", "sqsp", "--input", str(path)],
+        "simulate": ["simulate", str(path)],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ rows; the real recording is covered by the acceptance suite.
 
 import math
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hqsp import pipeline
 from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import (
     CR_VALID_HIGH,
@@ -151,6 +153,17 @@ def test_config_keeps_hash_inside_quotes(tmp_path):
     )
     cfg = ExperimentConfig.from_file(path)
     assert cfg.signal == "sinc" and cfg.label == "a#b"
+
+
+@pytest.mark.parametrize(
+    "line", ['label = "g # note', "signal.kind = 'a\"", 'label = "a"b"'],
+    ids=["hash-inside", "other-quote-inside", "third-quote"],
+)
+def test_config_rejects_an_unterminated_quote(tmp_path, line):
+    path = tmp_path / "exp.conf"
+    path.write_text(f"signal.kind = sinc\ntransform.levels = 3\n{line}\n")
+    with pytest.raises(PipelineError, match=r"exp.conf:3: unterminated . quote"):
+        ExperimentConfig.from_file(path)
 
 
 def test_config_rejects_duplicate_key(tmp_path):
@@ -742,6 +755,74 @@ def test_sweep_raises_the_error_grid_order_meets_first(tmp_path, taus):
     with pytest.raises(ValueError) as got:
         sweep_ppg(levels=(3,), taus=taus, dataset_dir=tmp_path)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.fixture(scope="module")
+def uneven_recordings(tmp_path_factory):
+    # n = 6, 4 and 7 after padding; the sine's peak coefficient is larger
+    # than the noise's, so one tau can prune every coefficient of some
+    # recordings and not of others
+    path = tmp_path_factory.mktemp("uneven")
+    rng = np.random.default_rng(11)
+    bodies = {
+        "a.csv": np.sin(np.linspace(0.0, 3.0, 40)),
+        "b.csv": rng.normal(size=16),
+        "c.csv": rng.normal(size=100),
+    }
+    for name, values in bodies.items():
+        (path / name).write_text("".join(f"{v}\n" for v in values))
+    return path
+
+
+_GRID_TAUS = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan, 2.0]), st.floats(0.0, 1.0))
+
+
+@given(levels=st.lists(st.integers(-1, 8), max_size=4), taus=st.lists(_GRID_TAUS, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_sweep_is_compression_point_in_grid_order(uneven_recordings, levels, taus):
+    # cells, or the first error in (levels, taus, recordings) order, for
+    # any level order and any mix of valid, pruning and invalid taus
+    try:
+        want = _compression_point_cells(uneven_recordings, levels, taus)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            sweep_ppg(levels=levels, taus=taus, dataset_dir=uneven_recordings)
+        assert (type(got.value), str(got.value)) == (type(err), str(err))
+    else:
+        cells = sweep_ppg(levels=levels, taus=taus, dataset_dir=uneven_recordings)
+        assert [(c, str(c.tau)) for c in cells] == [(c, str(c.tau)) for c in want]
+
+
+def test_sweep_holds_one_recording_at_a_time(uneven_recordings, monkeypatch):
+    # when each recording is read, the samples and transforms of every
+    # earlier one are gone
+    refs, alive_at_ingest = [], []
+    ingest, unit, analysis = (
+        pipeline.ingest_waveform_csv, pipeline._unit_samples, pipeline.packet_analysis
+    )
+
+    def traced_ingest(path):
+        alive_at_ingest.append((len(refs), sum(r() is not None for r in refs)))
+        signal = ingest(path)
+        refs.append(weakref.ref(signal.samples))
+        return signal
+
+    def traced_unit(signal):
+        x = unit(signal)
+        refs.append(weakref.ref(x))
+        return x
+
+    def traced_analysis(x):
+        for X in analysis(x):
+            refs.extend((weakref.ref(X), weakref.ref(X.coefficients)))
+            yield X
+
+    monkeypatch.setattr(pipeline, "ingest_waveform_csv", traced_ingest)
+    monkeypatch.setattr(pipeline, "_unit_samples", traced_unit)
+    monkeypatch.setattr(pipeline, "packet_analysis", traced_analysis)
+    sweep_ppg(levels=(4, 2), taus=(0.0, 0.1), dataset_dir=uneven_recordings)
+    assert [alive for _, alive in alive_at_ingest] == [0, 0, 0]
+    assert all(seen > 0 for seen, _ in alive_at_ingest[1:])  # not vacuous
 
 
 def test_sweep_requires_recordings(tmp_path):
