@@ -28,7 +28,7 @@ from hqsp.transforms import (
 def main() -> None:
     signal = gen_periodic(256)
     x = np.asarray(signal.samples)
-    print(f"signal: n={signal.n} ({len(x)} samples), norm={signal.norm:.6f}")
+    print(f"signal: n={signal.n} ({len(x)} samples), norm={np.linalg.norm(x):.6f}")
 
     # Phase I: transform and threshold.  The spectrum is exactly 4-sparse in
     # exact arithmetic; a tiny fractional threshold strips FFT roundoff.

@@ -31,7 +31,9 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hqsp import signals, statesim, transforms  # noqa: E402
+import hqsp.signals as signals  # noqa: E402
+import hqsp.statesim as statesim  # noqa: E402
+import hqsp.transforms as transforms  # noqa: E402
 
 FS = 125.0
 N_SAMPLES = 2**16

@@ -2,11 +2,13 @@
 
 The default grid is levels 8-14 and taus 0 to 0.02 in absolute mode.  The
 script prints the seconds of one whole ``sweep_ppg`` call, then the same
-work split into its three stages:
+work split into its three stages, summed over the recordings.  As in
+``sweep_ppg``, one recording is held at a time: it is ingested, analysed
+and priced before the next is read.
 
-* ingest: ``ingest_waveform_csv`` and unit normalisation of every recording;
-* packet analysis: deepening each recording's packet Haar analysis to the
-  deepest grid level;
+* ingest: ``ingest_waveform_csv`` and unit normalisation of the recording;
+* packet analysis: deepening its packet Haar analysis to the deepest grid
+  level;
 * pricing: ``price_thresholds`` on every tau at each grid level.
 
 Each figure is the best of three runs, measured in process.  Nothing is
@@ -36,12 +38,12 @@ REPEATS = 3
 
 def stages(paths) -> dict[str, float]:
     """Seconds of each stage of one sweep over ``paths``."""
-    start = time.perf_counter()
-    units = [_unit_samples(ingest_waveform_csv(p)) for p in paths]
-    ingest = time.perf_counter() - start
     policies = [ThresholdPolicy(ABSOLUTE, tau) for tau in DEFAULT_SWEEP_TAUS]
-    analysis = pricing = 0.0
-    for x in units:  # one recording at a time, as sweep_ppg prices them
+    ingest = analysis = pricing = 0.0
+    for path in paths:  # one recording at a time, as sweep_ppg holds them
+        start = time.perf_counter()
+        x = _unit_samples(ingest_waveform_csv(path))
+        ingest += time.perf_counter() - start
         levels = packet_analysis(x)
         for level in range(1, max(DEFAULT_SWEEP_LEVELS) + 1):
             start = time.perf_counter()

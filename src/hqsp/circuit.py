@@ -27,9 +27,11 @@ exactly and without ancillas:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,32 +49,40 @@ __all__ = [
     "cancel_adjacent_inverses",
 ]
 
-# kind -> (controls, targets, takes_angle); None means variadic controls,
-# which only the multiplexers take
-_SIGNATURES = {
-    "H": (0, 1, False),
-    "X": (0, 1, False),
-    "RX": (0, 1, True),
-    "RY": (0, 1, True),
-    "RZ": (0, 1, True),
-    "PHASE": (0, 1, True),
-    "CX": (1, 1, False),
-    "CPHASE": (1, 1, True),
-    "SWAP": (0, 2, False),
-    "CCX": (2, 1, False),
-    "UCRY": (None, 1, True),
-    "UCRZ": (None, 1, True),
+
+# one row per gate kind; ``controls`` None (any number) marks a multiplexer,
+# which has no OpenQASM 2 name but the ``rotation`` its ladder repeats
+class _Kind(NamedTuple):
+    controls: int | None
+    targets: int
+    takes_angle: bool
+    qasm: str | None
+    rotation: str | None = None
+
+
+_KINDS = {
+    "H": _Kind(0, 1, False, "h"),
+    "X": _Kind(0, 1, False, "x"),
+    "RX": _Kind(0, 1, True, "rx"),
+    "RY": _Kind(0, 1, True, "ry"),
+    "RZ": _Kind(0, 1, True, "rz"),
+    "PHASE": _Kind(0, 1, True, "u1"),
+    "CX": _Kind(1, 1, False, "cx"),
+    "CPHASE": _Kind(1, 1, True, "cp"),
+    "SWAP": _Kind(0, 2, False, "swap"),
+    "CCX": _Kind(2, 1, False, "ccx"),
+    "UCRY": _Kind(None, 1, True, None, "RY"),
+    "UCRZ": _Kind(None, 1, True, None, "RZ"),
 }
 
-GATE_KINDS = frozenset(_SIGNATURES)
-
-# uniformly controlled rotations -> the rotation their ladders are built of;
-# they take any number of controls (none included) and one angle per pattern
-_MULTIPLEXER_KINDS = {"UCRY": "RY", "UCRZ": "RZ"}
+GATE_KINDS = frozenset(_KINDS)
+_MULTIPLEXERS = frozenset(k for k, row in _KINDS.items() if row.rotation)
 
 _BASE_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE", "CX"})
 # what the scheduler takes as it is: base gates and native multiplexers
-_SCHEDULED_KINDS = _BASE_KINDS | _MULTIPLEXER_KINDS.keys()
+_SCHEDULED_KINDS = _BASE_KINDS | _MULTIPLEXERS
+# OpenQASM 2 name -> kind, for the reader
+_QASM_KINDS = {row.qasm: k for k, row in _KINDS.items() if row.qasm}
 
 # rotations drop below this magnitude are identity for all practical purposes
 _ANGLE_EPS = 1e-14
@@ -89,20 +99,34 @@ class Gate:
 
     @property
     def targets(self) -> tuple[int, ...]:
-        _, n_targets, _ = _SIGNATURES[self.kind]
-        return self.qubits[len(self.qubits) - n_targets :]
+        return self.qubits[len(self.qubits) - _KINDS[self.kind].targets :]
 
     @property
     def controls(self) -> tuple[int, ...]:
-        _, n_targets, _ = _SIGNATURES[self.kind]
-        return self.qubits[: len(self.qubits) - n_targets]
+        return self.qubits[: len(self.qubits) - _KINDS[self.kind].targets]
+
+    @functools.cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """A multiplexer's Gray-walk angles and the mask of the rotations its
+        ladder keeps (magnitude at least ``_ANGLE_EPS``), both read-only and
+        computed once per gate for every consumer: the one elision test.
+        Walk position ``i`` sees the sign ``(-1)**<gray(i), pattern>``, so the
+        angles are the pattern angles' Walsh-Hadamard transform in Gray order."""
+        theta = np.asarray(self.angle, dtype=float)
+        if not np.isfinite(theta).all():
+            raise ValueError("multiplexer pattern angles must be finite")
+        i = np.arange(len(theta))
+        phi = (_fwht(theta) / len(theta))[i ^ (i >> 1)]
+        kept = np.abs(phi) >= _ANGLE_EPS
+        phi.flags.writeable = kept.flags.writeable = False
+        return phi, kept
 
 
 def gate(kind: str, *qubits: int, angle=None) -> Gate:
     """Validated :class:`Gate` constructor."""
-    if kind not in _SIGNATURES:
+    if kind not in _KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
-    n_ctrl, n_tgt, takes_angle = _SIGNATURES[kind]
+    n_ctrl, n_tgt, takes_angle, *_ = _KINDS[kind]
     if n_ctrl is None:
         if not qubits:
             raise ValueError(f"{kind} needs a target")
@@ -115,7 +139,7 @@ def gate(kind: str, *qubits: int, angle=None) -> Gate:
     if takes_angle:
         if angle is None:
             raise ValueError(f"{kind} requires an angle")
-        if kind in _MULTIPLEXER_KINDS:
+        if kind in _MULTIPLEXERS:
             angle = _pattern_angles(kind, angle, len(qubits) - 1)
         else:
             try:
@@ -238,29 +262,6 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplexer_angles(pattern_angles: np.ndarray) -> np.ndarray:
-    """Map per-control-pattern rotation angles to Gray-walk gate angles.
-
-    Position ``i`` of the walk sees a net sign ``(-1)**<gray(i), pattern>``,
-    so the solve is a Walsh-Hadamard transform followed by the Gray-code
-    permutation.
-    """
-    k = int(np.log2(len(pattern_angles)))
-    xi = _fwht(pattern_angles) / len(pattern_angles)
-    idx = np.arange(2**k)
-    return xi[idx ^ (idx >> 1)]
-
-
-def _kept_walk(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gray-walk angles of a multiplexer with the mask of the rotations its
-    ladder keeps (magnitude at least ``_ANGLE_EPS``); the one elision test
-    shared by lowering and scheduling."""
-    if not np.isfinite(theta).all():
-        raise ValueError("multiplexer pattern angles must be finite")
-    phi = _multiplexer_angles(theta)
-    return phi, np.abs(phi) >= _ANGLE_EPS
-
-
 def _walk_controls(k: int) -> list[int]:
     """Which control each CX of a Gray-code ladder with k >= 1 controls is
     on: after walk position i it flips bit ``ctz(i + 1)``, the one that
@@ -271,12 +272,12 @@ def _walk_controls(k: int) -> list[int]:
     return [*(np.frexp(steps & -steps)[1] - 1).tolist(), k - 1]
 
 
-def _ladder(theta: np.ndarray, rotation, cx: list) -> list:
-    """The Gray-code ladder of a multiplexer with pattern angles ``theta``
-    and ``len(cx)`` controls: at each walk position ``rotation(angle)``
-    unless the angle is elided, then the CX item ``cx[j]`` of the control it
-    flips.  Gate lists and QASM lines are both written by this one walk."""
-    phi, kept = _kept_walk(theta)
+def _ladder(g: Gate, rotation, cx: list) -> list:
+    """The Gray-code ladder of the multiplexer ``g`` with ``len(cx)``
+    controls: at each walk position ``rotation(angle)`` unless the angle is
+    elided, then the CX item ``cx[j]`` of the control it flips.  Gate lists
+    and QASM lines are both written by this one walk."""
+    phi, kept = g.walk
     if not cx:
         return [rotation(phi.item())] if kept[0] else []
     out = []
@@ -328,11 +329,11 @@ def _decompose_gate(g: Gate) -> list[Gate]:
             gate("PHASE", b, angle=-q),
             gate("CX", a, b),
         ]
-    if g.kind in _MULTIPLEXER_KINDS:
+    if g.kind in _MULTIPLEXERS:
         # 2**k CX for k >= 1 controls: a zero angle elides a rotation, never a CX
-        kind, wire = _MULTIPLEXER_KINDS[g.kind], g.targets
+        kind, wire = _KINDS[g.kind].rotation, g.targets
         cx = [gate("CX", c, *wire) for c in g.controls]
-        return _ladder(np.asarray(g.angle), lambda angle: Gate(kind, wire, angle), cx)
+        return _ladder(g, lambda angle: Gate(kind, wire, angle), cx)
     raise ValueError(f"no decomposition rule for {g.kind}")
 
 
@@ -357,7 +358,7 @@ def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
     frontier = [0] * n_qubits
     cx = single = 0
     for g in gates:
-        if g.kind in _MULTIPLEXER_KINDS:
+        if g.kind in _MULTIPLEXERS:
             ladder_cx, rotations = _schedule_ladder(frontier, g)
             cx += ladder_cx
             single += rotations
@@ -386,7 +387,7 @@ def _schedule_ladder(frontier: list[int], g: Gate) -> tuple[int, int]:
     """
     *controls, target = g.qubits
     k = len(controls)
-    _, kept = _kept_walk(np.asarray(g.angle, dtype=float))
+    _, kept = g.walk
     rotations = np.cumsum(kept).tolist()  # kept rotations at walk positions <= i
     cx = 2**k if k else 0
     start = frontier[target]
@@ -420,7 +421,7 @@ def inverse(g: Gate) -> Gate:
     every other kind is its own inverse."""
     if g.angle is None:
         return g
-    if g.kind in _MULTIPLEXER_KINDS:
+    if g.kind in _MULTIPLEXERS:
         return Gate(g.kind, g.qubits, tuple(-a for a in g.angle))
     return Gate(g.kind, g.qubits, -g.angle)
 
@@ -431,7 +432,7 @@ def _cancels(a: Gate, b: Gate) -> bool:
     inv = inverse(a)
     if inv.angle is None:
         return True
-    if a.kind in _MULTIPLEXER_KINDS:
+    if a.kind in _MULTIPLEXERS:
         return all(abs(x - y) < _ANGLE_EPS for x, y in zip(inv.angle, b.angle))
     return abs(inv.angle - b.angle) < _ANGLE_EPS
 
@@ -459,22 +460,6 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
 # Export / import
 # ---------------------------------------------------------------------------
 
-# the ten kinds an OpenQASM 2 file carries, by their qelib1 names; every
-# other kind is lowered on the way out
-_QASM_NAMES = {
-    "H": "h",
-    "X": "x",
-    "RX": "rx",
-    "RY": "ry",
-    "RZ": "rz",
-    "PHASE": "u1",
-    "CX": "cx",
-    "CPHASE": "cp",
-    "SWAP": "swap",
-    "CCX": "ccx",
-}
-_QASM_KINDS = {v: k for k, v in _QASM_NAMES.items()}
-
 # one statement each, without its ';'
 _QASM_HEADER = re.compile(r'OPENQASM\s+2\.0|include\s+"qelib1\.inc"')
 _QASM_QREG = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
@@ -493,7 +478,7 @@ def export(circuit: Circuit) -> str:
         f"qreg q[{circuit.n_qubits}];",
     ]
     for g in circuit:
-        if g.kind in _MULTIPLEXER_KINDS:
+        if g.kind in _MULTIPLEXERS:
             lines += _ladder_lines(g)
         else:  # every other kind is a QASM kind
             lines.append(_qasm_line(g))
@@ -501,7 +486,7 @@ def export(circuit: Circuit) -> str:
 
 
 def _qasm_line(g: Gate) -> str:
-    name = _QASM_NAMES[g.kind]
+    name = _KINDS[g.kind].qasm
     if g.angle is not None:
         name += f"({g.angle!r})"
     operands = ",".join(f"q[{q}]" for q in g.qubits)
@@ -511,9 +496,9 @@ def _qasm_line(g: Gate) -> str:
 def _ladder_lines(g: Gate) -> list[str]:
     """The QASM lines of a multiplexer's ladder, without building its gates."""
     *controls, target = g.qubits
-    rotation = f"{_QASM_NAMES[_MULTIPLEXER_KINDS[g.kind]]}(%r) q[{target}];"
+    rotation = f"{_KINDS[_KINDS[g.kind].rotation].qasm}(%r) q[{target}];"
     cx = [f"cx q[{c}],q[{target}];" for c in controls]
-    return _ladder(np.asarray(g.angle, dtype=float), rotation.__mod__, cx)
+    return _ladder(g, rotation.__mod__, cx)
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -524,7 +509,8 @@ def parse_qasm(text: str) -> Circuit:
     Anything else (a second register, an unclosed parenthesis, text after
     the last ``;``) raises ``ValueError``.
     """
-    code = "\n".join(line.split("//")[0] for line in text.splitlines())
+    # a comment ends at a line break: \n, \r\n or \r, never another separator
+    code = re.sub(r"//[^\r\n]*", "", text)
     *statements, rest = code.split(";")
     if rest.strip():
         raise ValueError(f"missing semicolon after {rest.strip()!r}")

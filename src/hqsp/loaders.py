@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, cancel_adjacent_inverses, decompose, gate, inverse
-from .circuit import _decompose_gate, _kept_walk, _pattern_of
+from .circuit import _decompose_gate, _pattern_of
 
 __all__ = [
     "SparseState",
@@ -308,7 +308,7 @@ def _lowered_pair_meets(levels: list[Gate]) -> bool:
     different controls, and every other level starts on a wire the level
     before it touched last with a different gate.
     """
-    kept = [_kept_walk(np.asarray(g.angle))[1] for g in levels]
+    kept = [g.walk[1] for g in levels]
     if any(len(mask) == 2 and not mask[1] for mask in kept):
         return True
     kinds = [(g.kind, len(g.controls)) for g in levels]

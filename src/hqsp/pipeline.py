@@ -292,7 +292,8 @@ def _parse_flat_config(path) -> dict:
     except UnicodeDecodeError as err:
         raise PipelineError(f"{path}: {err}") from None
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # read_text leaves \n the one line break; U+2028, \x0c and the like are text
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         where = f"{path}:{lineno}"
         line = _strip_comment(raw, where).strip()
         if not line:

@@ -78,10 +78,6 @@ class Signal:
     def n(self) -> int:
         return int(math.log2(len(self.samples)))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.samples))
-
 
 def _normalized(values: np.ndarray, label: str) -> Signal:
     """``values`` scaled to unit norm; ``label`` names the signal in errors."""

@@ -360,14 +360,22 @@ def save_compressed_csv(X: CompressedVector, path) -> None:
 
 
 def load_compressed_csv(path) -> CompressedVector:
+    """Read a file of :func:`save_compressed_csv`; missing or malformed
+    metadata raises :class:`ValueError` naming ``path`` and the key."""
     n, indices, values, meta = read_amplitude_csv(path)
     if "kind" not in meta:
         raise ValueError(f"{path}: compressed CSV missing '# kind=' metadata")
     coeffs = np.zeros(2**n, dtype=complex)
     coeffs[indices] = values
-    levels = int(meta["levels"]) if meta.get("levels") else None
-    descriptor = TransformDescriptor(meta["kind"], levels)
-    policy = None
-    if meta.get("mode"):
-        policy = ThresholdPolicy(meta["mode"], float(meta.get("value", "")))
+    levels = _parse_cell(int, meta["levels"], path, "levels") if meta.get("levels") else None
+    mode, value = meta.get("mode"), meta.get("value")
+    if mode:
+        if not value:
+            raise ValueError(f"{path}: '# mode={mode}' needs a '# value=' line")
+        value = _parse_cell(float, value, path, "value")
+    try:
+        descriptor = TransformDescriptor(meta["kind"], levels)
+        policy = ThresholdPolicy(mode, value) if mode else None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return CompressedVector(coeffs, descriptor, threshold_applied=policy)

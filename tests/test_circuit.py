@@ -25,7 +25,7 @@ from hqsp.circuit import (
     parse_qasm,
     report,
 )
-from hqsp.circuit import _ANGLE_EPS, _fwht, _kept_walk
+from hqsp.circuit import _ANGLE_EPS, _KINDS, _fwht
 from hqsp.statesim import simulate, unitary_of
 
 RNG = np.random.default_rng(7)
@@ -438,7 +438,60 @@ def test_inverse_undoes_each_kind(g):
 
 
 def test_one_of_each_kind_covers_the_ir():
-    assert {g.kind for g in _ONE_OF_EACH_KIND} == GATE_KINDS
+    assert {g.kind for g in _ONE_OF_EACH_KIND} == GATE_KINDS == _KINDS.keys()
+
+
+@pytest.mark.parametrize("g", _ONE_OF_EACH_KIND, ids=lambda g: g.kind)
+def test_each_kind_row_round_trips(g):
+    # a kind with a QASM name is written and read back as it is; a
+    # multiplexer is written as its ladder of its row's rotation and CX
+    row, c = _KINDS[g.kind], Circuit(3, [g])
+    lowered = decompose(c)
+    if row.qasm:
+        assert export(c).splitlines()[-1].startswith(row.qasm)
+        assert parse_qasm(export(c)) == c
+    else:
+        assert {h.kind for h in lowered} == {row.rotation, "CX"}
+        assert parse_qasm(export(c)) == lowered
+    np.testing.assert_allclose(unitary_of(lowered), unitary_of(c), atol=1e-12)
+
+
+def _fresh_multiplexers(k, seed=0):
+    """k multiplexers with 0..k-1 controls, none of whose walks is read."""
+    rng = np.random.default_rng(seed)
+    return [
+        gate(("UCRY", "UCRZ")[j % 2], *range(j + 1), angle=rng.uniform(-3, 3, 2**j))
+        for j in range(k)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_each_multiplexer_walk_is_computed_once(monkeypatch, k):
+    # report twice, export and lowering all read the walk cached on the gate
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return _fwht(v)
+
+    monkeypatch.setattr("hqsp.circuit._fwht", counted)
+    c = Circuit(k + 1, [gate("H", 0), *_fresh_multiplexers(k), gate("X", k)])
+    first = report(c)
+    assert report(c) == first
+    text = export(c)
+    assert export(decompose(c)) == text
+    assert len(calls) == k
+
+
+def test_reading_the_walk_leaves_equality_and_hash():
+    g, h = _fresh_multiplexers(3)[2], _fresh_multiplexers(3, seed=1)[2]
+    twin = gate(g.kind, *g.qubits, angle=g.angle)
+    before = hash(g)
+    phi, kept = g.walk
+    assert g == twin and hash(g) == before == hash(twin)
+    assert g.walk is g.walk  # cached on the gate
+    assert not phi.flags.writeable and not kept.flags.writeable
+    assert g != h and {g, twin} == {twin}
 
 
 def test_cancel_cascades():
@@ -545,10 +598,11 @@ def test_export_elides_the_same_walk_angles_as_lowering(kind, k):
     # _ANGLE_EPS
     theta = np.full(2**k, 0.7)
     theta[1::2] += 4e-15
-    phi, kept = _kept_walk(theta)
+    g = _multiplexer(kind, k, seed=k, angles=theta)
+    phi, kept = g.walk
     assert (phi == 0).any() == (k > 1)
     assert ((phi != 0) & (np.abs(phi) < _ANGLE_EPS)).any()
-    c = Circuit(k + 2, [_multiplexer(kind, k, seed=k, angles=theta)])
+    c = Circuit(k + 2, [g])
     text = export(c)
     assert text == export(decompose(c))
     assert text.count("\nr") == kept.sum()  # one rotation line per kept angle
@@ -595,6 +649,22 @@ def test_parse_qasm_reads_every_statement_on_a_line():
     assert parse_qasm(text) == Circuit(2, [gate("H", 0), gate("X", 1)])
     with pytest.raises(ValueError, match="missing semicolon"):
         parse_qasm("qreg q[2];\nh q[0]; x q[1]\n")
+
+
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+)
+def test_parse_qasm_comment_runs_past_other_separators(separator):
+    # str.splitlines breaks at these, but a QASM line ends only at \n,
+    # \r\n or \r: the X stays inside the comment
+    text = f"qreg q[2];\n// note{separator} x q[0];\nh q[1];\n"
+    assert parse_qasm(text) == Circuit(2, [gate("H", 1)])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_parse_qasm_comment_ends_at_a_line_break(newline):
+    text = f"qreg q[2];{newline}// note{newline} x q[0];{newline}h q[1];{newline}"
+    assert parse_qasm(text) == Circuit(2, [gate("X", 0), gate("H", 1)])
 
 
 @st.composite

@@ -178,6 +178,23 @@ def test_synth_sqsp_malformed_cell_is_usage_error(tmp_path, capsys):
     assert "bad.csv:5: index '1.5' is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ("# kind=haar\n# levels=abc\n", "levels 'abc' is not an integer"),
+        ("# kind=bogus\n# levels=1\n", "unknown transform kind 'bogus'"),
+        ("# kind=haar\n# levels=1\n# mode=absolute\n", "'# mode=absolute' needs a '# value=' line"),
+        ("# kind=haar\n# levels=1\n# mode=absolute\n# value=x\n", "value 'x' is not a number"),
+    ],
+    ids=["levels", "kind", "mode-without-value", "value"],
+)
+def test_synth_sqsp_malformed_metadata_names_the_file(tmp_path, capsys, meta, message):
+    bad = tmp_path / "c.csv"
+    bad.write_text(meta + "# n=2\nindex,real,imaginary\n1,1.0,0.0\n")
+    assert main(["synth", "--plan", "sqsp", "--input", str(bad)]) == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
 def test_synth_eae_and_fsl(gaussian_csv, tmp_path):
     eae = tmp_path / "eae.txt"
     assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(eae)]) == 0
@@ -215,6 +232,13 @@ def test_simulate_circuit_file(tmp_path, capsys):
     assert n == 2
     assert indices.tolist() == [0, 1, 2, 3]  # one row per amplitude
     np.testing.assert_allclose(np.abs(amps) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
+
+
+def test_simulate_keeps_a_comment_past_a_unicode_line_separator(tmp_path, capsys):
+    # U+2028 ends a line for str.splitlines, not for QASM: the X is commented out
+    circ = _qasm_file(tmp_path, 2, "// note\u2028 x q[0];\nh q[1];")
+    assert main(["simulate", str(circ)]) == 0
+    assert "simulated 2 qubits, 1 gates" in capsys.readouterr().out
 
 
 # simulate is the one command that reads a circuit file; the one-value

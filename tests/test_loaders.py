@@ -21,7 +21,7 @@ from hqsp.loaders import (
     eae_real,
     sqsp,
 )
-from hqsp import loaders
+import hqsp.loaders as loaders
 from hqsp.loaders import _add_free_riders, _bits, _greedy_cover, _price_block, _riders
 from hqsp.loaders import _subcube_cascade
 from hqsp.pipeline import DEFAULT_PPG_RECORDING, _unit_samples, table1_configs

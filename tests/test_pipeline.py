@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hqsp import pipeline
+import hqsp.pipeline as pipeline
 from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import (
     CR_VALID_HIGH,
@@ -163,6 +163,22 @@ def test_config_rejects_an_unterminated_quote(tmp_path, line):
     path = tmp_path / "exp.conf"
     path.write_text(f"signal.kind = sinc\ntransform.levels = 3\n{line}\n")
     with pytest.raises(PipelineError, match=r"exp.conf:3: unterminated . quote"):
+        ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+)
+def test_config_lines_end_only_at_line_breaks(tmp_path, separator):
+    # str.splitlines breaks at these too; a config line does not, so the
+    # quote closes on line 3 and line 4 keeps its number
+    path = tmp_path / "ls.conf"
+    path.write_text(
+        f'signal.kind = sinc\ntransform.levels = 3\nlabel = "a{separator}b"\n', encoding="utf-8"
+    )
+    assert ExperimentConfig.from_file(path).label == f"a{separator}b"
+    path.write_text(path.read_text(encoding="utf-8") + "oops\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match=r"ls.conf:4: expected key = value"):
         ExperimentConfig.from_file(path)
 
 

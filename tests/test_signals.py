@@ -45,7 +45,7 @@ def test_signal_requires_power_of_two_vector():
         Signal(np.ones(1))
     s = Signal(np.ones(8) / math.sqrt(8))
     assert s.n == 3
-    assert math.isclose(s.norm, 1.0, rel_tol=1e-12)
+    assert math.isclose(np.linalg.norm(s.samples), 1.0, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_signal_requires_power_of_two_vector():
 )
 def test_generators_return_unit_norm(make):
     s = make()
-    assert math.isclose(s.norm, 1.0, rel_tol=1e-12)
+    assert math.isclose(np.linalg.norm(s.samples), 1.0, rel_tol=1e-12)
     assert 2 ** s.n == len(s.samples)
 
 
