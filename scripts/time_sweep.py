@@ -6,10 +6,14 @@ work split into its three stages, summed over the recordings.  As in
 ``sweep_ppg``, one recording is held at a time: it is ingested, analysed
 and priced before the next is read.
 
-* ingest: ``ingest_waveform_csv`` and unit normalisation of the recording;
-* packet analysis: deepening its packet Haar analysis to the deepest grid
-  level;
+* ingest: ``ingest_waveform_csv`` and unit normalisation of the recording,
+  whose real part is kept;
+* packet analysis: deepening its packet Haar analysis, in real arithmetic,
+  to the deepest grid level;
 * pricing: ``price_thresholds`` on every tau at each grid level.
+
+Each stage runs on the arrays ``_price_recording`` builds, so the split is
+that of the path ``sweep_ppg`` takes.
 
 Each figure is the best of three runs, measured in process.  Nothing is
 asserted about the times.  Run from the repository root:
@@ -42,7 +46,7 @@ def stages(paths) -> dict[str, float]:
     ingest = analysis = pricing = 0.0
     for path in paths:  # one recording at a time, as sweep_ppg holds them
         start = time.perf_counter()
-        x = _unit_samples(ingest_waveform_csv(path))
+        x = _unit_samples(ingest_waveform_csv(path)).real  # as _price_recording
         ingest += time.perf_counter() - start
         levels = packet_analysis(x)
         for level in range(1, max(DEFAULT_SWEEP_LEVELS) + 1):

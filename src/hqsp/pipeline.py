@@ -681,8 +681,10 @@ def _price_recording(path, levels: tuple, taus: tuple) -> tuple[int, dict]:
     each level in ``levels`` up to n, by one :func:`price_thresholds` call
     each.  A ``ValueError`` that stops a row ends it, without its traceback
     so that it pins no transform; the samples and the analysis go when
-    this returns."""
-    x = _unit_samples(ingest_waveform_csv(path))
+    this returns.  The recording is real, so it is analysed in real
+    arithmetic, on the real part of its unit samples: the magnitudes, and
+    so the prices, are those of the complex analysis bit for bit."""
+    x = _unit_samples(ingest_waveform_csv(path)).real
     rows = {}
     for level, X in zip(range(1, max(levels, default=0) + 1), packet_analysis(x)):
         if level in levels:

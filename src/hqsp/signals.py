@@ -10,7 +10,6 @@ signals.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -210,7 +209,7 @@ def ingest_waveform_csv(path) -> Signal:
     try:
         with open(path, newline="") as fh:
             try:
-                values = _parse_column(fh)
+                values = _parse_column(fh, path)
             except (ValueError, csv.Error):
                 values = None
             if values is None or not np.isfinite(values).all():
@@ -223,19 +222,27 @@ def ingest_waveform_csv(path) -> Signal:
     return _normalized(padded, f"waveform:{path}")
 
 
-def _parse_column(fh):
-    """The first column of an open CSV file, or None if it has no data row.
-    ``csv`` reads the first non-blank row, so the header is found as
-    :func:`_parse_rows` finds it, and ``np.loadtxt`` reads the rest."""
-    first = next((row[0] for row in csv.reader(fh) if "".join(row).strip()), None)
+def _parse_column(fh, path):
+    """The first column of the CSV file ``path``, open as ``fh``, or None if
+    it has no data row.  ``csv`` reads the first non-blank row, so the
+    header is found as :func:`_parse_rows` finds it, and ``np.loadtxt``
+    reads the rest from ``path`` in blocks, past the lines ``fh`` consumed.
+    ``fh`` ends lines as ``loadtxt``'s universal newlines do, at ``\n``,
+    ``\r\n`` and ``\r``, so both count the lines alike."""
+    reader = csv.reader(fh)
+    first = next((row[0] for row in reader if "".join(row).strip()), None)
     if first is None:
         return None
     head = [float(first)] if _is_number(first) else []
-    line = next((line for line in fh if line.strip()), None)  # csv skips blanks too
-    if line is None:  # loadtxt would warn that it read no rows
+    consumed = reader.line_num
+    for line in fh:  # csv skips blank lines too
+        if line.strip():
+            break
+        consumed += 1
+    else:  # loadtxt would warn that it read no rows
         return np.array(head) if head else None
-    tail = np.loadtxt(itertools.chain((line,), fh), delimiter=",", usecols=0,
-                      comments=None, quotechar='"', ndmin=1)
+    tail = np.loadtxt(path, delimiter=",", usecols=0, comments=None, quotechar='"',
+                      skiprows=consumed, encoding=fh.encoding, ndmin=1)
     return np.concatenate((head, tail))
 
 

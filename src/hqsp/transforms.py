@@ -123,7 +123,7 @@ class CompressedVector:
     threshold_applied: ThresholdPolicy | None = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+        coeffs = _as_samples(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         n = int(math.log2(len(coeffs)))
         if 2**n != len(coeffs):
@@ -144,14 +144,14 @@ class CompressedVector:
 
 
 def _as_samples(x) -> np.ndarray:
-    if isinstance(x, Signal):
-        return np.asarray(x.samples, dtype=complex)
-    return np.asarray(x, dtype=complex)
+    """The samples of ``x`` as float64 if they are float64, else complex."""
+    samples = np.asarray(x.samples if isinstance(x, Signal) else x)
+    return samples if samples.dtype == np.float64 else samples.astype(complex)
 
 
 def dft(x: Signal) -> CompressedVector:
     """Unitary forward DFT: X_k = (1/sqrt(N)) sum_j x_j exp(-2 pi i k j / N)."""
-    samples = _as_samples(x)
+    samples = _as_samples(x).astype(complex, copy=False)
     coeffs = np.fft.fft(samples) / math.sqrt(len(samples))
     return CompressedVector(coeffs, TransformDescriptor(DFT))
 
@@ -164,12 +164,20 @@ def idft(X: CompressedVector) -> Signal:
     return Signal(samples)
 
 
+# NumPy divides a complex array by a real one as a product with its
+# reciprocal, so scaling by this keeps the bits of dividing by sqrt(2)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
 def _haar_level(values: np.ndarray, block: int) -> np.ndarray:
-    """One analysis level on every contiguous block of the given length."""
+    """One analysis level on every contiguous block of the given length,
+    built in one array of the dtype of ``values``."""
     pairs = values.reshape(-1, block // 2, 2)
-    avg = (pairs[:, :, 0] + pairs[:, :, 1]) / math.sqrt(2.0)
-    diff = (pairs[:, :, 0] - pairs[:, :, 1]) / math.sqrt(2.0)
-    return np.concatenate([avg, diff], axis=1).reshape(-1)
+    out = np.empty((len(pairs), 2, block // 2), dtype=values.dtype)
+    np.add(pairs[:, :, 0], pairs[:, :, 1], out=out[:, 0])
+    np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=out[:, 1])
+    out *= _INV_SQRT2
+    return out.reshape(-1)
 
 
 def _haar_level_inverse(values: np.ndarray, block: int) -> np.ndarray:
@@ -189,7 +197,8 @@ def _check_levels(n: int, levels: int) -> None:
 def packet_analysis(x: Signal) -> Iterator[CompressedVector]:
     """Packet Haar analysis deepened one level at a time: yields the
     level-1, level-2, ..., level-n transforms of ``x``, each built from the
-    one before, and keeps only the latest."""
+    one before, and keeps only the latest.  A float64 ``x`` is analysed in
+    real arithmetic, any other in complex."""
     out = _as_samples(x)
     n = int(math.log2(len(out)))
     for level in range(1, n + 1):
@@ -359,10 +368,17 @@ def save_compressed_csv(X: CompressedVector, path) -> None:
     write_amplitude_csv(path, X.n, *X.support(), meta)
 
 
+_COMPRESSED_KEYS = ("n", "kind", "levels", "mode", "value")
+
+
 def load_compressed_csv(path) -> CompressedVector:
-    """Read a file of :func:`save_compressed_csv`; missing or malformed
-    metadata raises :class:`ValueError` naming ``path`` and the key."""
+    """Read a file of :func:`save_compressed_csv`; a key it does not write
+    and missing or malformed metadata raise :class:`ValueError` naming
+    ``path`` and the key."""
     n, indices, values, meta = read_amplitude_csv(path)
+    unknown = next((key for key in meta if key not in _COMPRESSED_KEYS), None)
+    if unknown is not None:
+        raise ValueError(f"{path}: unknown compressed CSV key '# {unknown}='")
     if "kind" not in meta:
         raise ValueError(f"{path}: compressed CSV missing '# kind=' metadata")
     coeffs = np.zeros(2**n, dtype=complex)
@@ -373,6 +389,8 @@ def load_compressed_csv(path) -> CompressedVector:
         if not value:
             raise ValueError(f"{path}: '# mode={mode}' needs a '# value=' line")
         value = _parse_cell(float, value, path, "value")
+    elif value:
+        raise ValueError(f"{path}: '# value={value}' needs a '# mode=' line")
     try:
         descriptor = TransformDescriptor(meta["kind"], levels)
         policy = ThresholdPolicy(mode, value) if mode else None

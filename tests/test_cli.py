@@ -195,6 +195,24 @@ def test_synth_sqsp_malformed_metadata_names_the_file(tmp_path, capsys, meta, me
     assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ("# kind=haar\n# levels=1\n# value=0.01\n", "'# value=0.01' needs a '# mode=' line"),
+        ("# kind=haar\n# levels=1\n# foo=bar\n", "unknown compressed CSV key '# foo='"),
+        ("# kind=haar\n# levls=7\n", "unknown compressed CSV key '# levls='"),
+    ],
+    ids=["value-without-mode", "unknown-key", "misspelt-key"],
+)
+def test_synth_sqsp_rejects_metadata_that_save_does_not_write(tmp_path, capsys, meta, message):
+    # a key save_compressed_csv does not write, or a threshold without its
+    # mode, is not dropped without a word
+    bad = tmp_path / "c.csv"
+    bad.write_text(meta + "# n=2\nindex,real,imaginary\n1,1.0,0.0\n")
+    assert main(["synth", "--plan", "sqsp", "--input", str(bad), "--report"]) == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
 def test_synth_eae_and_fsl(gaussian_csv, tmp_path):
     eae = tmp_path / "eae.txt"
     assert main(["synth", "--plan", "eae", "--input", str(gaussian_csv), "--out", str(eae)]) == 0

@@ -608,6 +608,29 @@ def test_price_matches_the_reference_on_every_ppg_level(name):
         _assert_prices_match_the_reference(X)
 
 
+def _price_or_error(X, policy):
+    try:
+        return next(price_thresholds(X, (policy,)))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.skipif(not any(PPG_DIR.glob("*.csv")), reason="no recordings under data/ppg")
+@pytest.mark.parametrize("name", ["recording01", "recording02", "recording03"])
+def test_real_analysis_prices_as_the_complex_one_on_every_ppg_level(name):
+    # the sweep analyses a recording in real arithmetic: its magnitudes and
+    # prices are the complex analysis's, bit for bit, at levels 1-16
+    x = _unit_samples(ingest_waveform_csv(PPG_DIR / f"{name}.csv"))
+    policies = [ThresholdPolicy(ABSOLUTE, t) for t in (0.0, -0.0, *DEFAULT_SWEEP_TAUS, 0.05)]
+    pairs = list(zip(packet_analysis(x.real), packet_analysis(x)))
+    assert len(pairs) == 16
+    for real, cplx in pairs:
+        assert real.coefficients.dtype == np.float64
+        assert np.abs(real.coefficients).tobytes() == np.abs(cplx.coefficients).tobytes()
+        for policy in policies:
+            assert _price_or_error(real, policy) == _price_or_error(cplx, policy)
+
+
 @pytest.mark.parametrize("kind", ["sinc", "gaussian", "mixture"])
 @pytest.mark.parametrize(
     "descriptor",

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hqsp import signals
 from hqsp.signals import (
     DegenerateSignalError,
     EmptyColumnError,
@@ -337,6 +338,47 @@ PPG_DIR = Path(__file__).resolve().parent.parent / "data" / "ppg"
 def test_ingest_ppg_recordings_match_row_by_row_parse(name):
     # a header and 65,536 numeric rows: the traffic the one-pass parse serves
     _assert_matches_row_by_row(PPG_DIR / name)
+
+
+def _without_row_pass(monkeypatch):
+    """Make the row-by-row pass raise, so a file that reaches it fails."""
+    def row_pass(fh, path):
+        raise AssertionError(f"{path}: read row by row, not in one C parse")
+    monkeypatch.setattr(signals, "_parse_rows", row_pass)
+
+
+@pytest.mark.parametrize("name", ["recording01.csv", "recording02.csv", "recording03.csv"])
+def test_ingest_ppg_recordings_take_the_chunked_parse(name, monkeypatch):
+    expected = _ingest_row_by_row(PPG_DIR / name)
+    _without_row_pass(monkeypatch)
+    assert ingest_waveform_csv(PPG_DIR / name).samples.tobytes() == expected.samples.tobytes()
+
+
+# the first row, and the blank lines around it, span several physical
+# lines: loadtxt must start on the line after the ones csv took
+@pytest.mark.parametrize(
+    "text",
+    [
+        '"pp\ng",time\n3\n4\n',
+        '"pp\r\ng"\r\n3\r\n4\r\n',
+        '"3\n"\n4\n',
+        "ppg\r3\n4\n",
+        "ppg\r3\r4\r",
+        "ppg\r\n3\n4\n",
+        "ppg\r\n3\r\n4\r\n",
+        "\n \r\n\t\rppg\n3\n4\n",
+        "ppg\n\n \r\n\r3\n4\n",
+    ],
+    ids=["quoted-lf", "quoted-crlf", "quoted-number", "cr-header", "cr-file",
+         "crlf-header", "crlf-file", "blank-before", "blank-after"],
+)
+def test_ingest_first_row_over_several_lines(tmp_path, monkeypatch, text):
+    path = tmp_path / "w.csv"
+    path.write_bytes(text.encode())
+    expected = _ingest_row_by_row(path)
+    np.testing.assert_allclose(expected.samples, [0.6, 0.8])
+    _without_row_pass(monkeypatch)
+    assert ingest_waveform_csv(path).samples.tobytes() == expected.samples.tobytes()
 
 
 # the rest of the file after its first row is empty: no parse of it may
