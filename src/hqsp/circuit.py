@@ -10,8 +10,8 @@ number of controls, one target and a tuple of ``2**k`` pattern angles
 (``controls[j]`` is bit j of the pattern), so a whole cascade level is one
 gate for the simulator.  :func:`decompose` and :func:`export` lower them to
 their Gray-code ladders, which is what every count, depth and QASM file
-describes; :func:`report` prices that ladder from the angles without
-building it.
+describes; :func:`report` prices that ladder from the angles, and SWAP and
+CPHASE from their closed forms, without building any of them.
 
 The IR has one gate vocabulary: the ten kinds OpenQASM 2 files carry
 (H, X, RX, RY, RZ, PHASE, CX, CPHASE, SWAP, CCX) plus the two native
@@ -79,8 +79,12 @@ GATE_KINDS = frozenset(_KINDS)
 _MULTIPLEXERS = frozenset(k for k, row in _KINDS.items() if row.rotation)
 
 _BASE_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE", "CX"})
-# what the scheduler takes as it is: base gates and native multiplexers
-_SCHEDULED_KINDS = _BASE_KINDS | _MULTIPLEXERS
+# the two-wire kinds the scheduler prices in closed form, as (CX, single-qubit
+# gates, depth): each lowering ends with both wires at the later one plus depth
+_TWO_WIRE_COSTS = {"CX": (1, 0, 1), "SWAP": (3, 0, 3), "CPHASE": (2, 3, 4)}
+# what the scheduler takes as it is: base gates, SWAP, CPHASE and native
+# multiplexers; only CCX is lowered first
+_SCHEDULED_KINDS = _BASE_KINDS | _MULTIPLEXERS | frozenset(_TWO_WIRE_COSTS)
 # OpenQASM 2 name -> kind, for the reader
 _QASM_KINDS = {row.qasm: k for k, row in _KINDS.items() if row.qasm}
 
@@ -353,8 +357,8 @@ def decompose(circuit: Circuit) -> Circuit:
 
 def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
     """One ASAP pass: (CX count, single-qubit count, depth) of ``gates``,
-    which hold base gates and native multiplexers only.  A multiplexer
-    schedules as its Gray-code ladder."""
+    which hold only :data:`_SCHEDULED_KINDS`.  A multiplexer schedules as its
+    Gray-code ladder, SWAP and CPHASE as their lowerings."""
     frontier = [0] * n_qubits
     cx = single = 0
     for g in gates:
@@ -362,10 +366,12 @@ def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
             ladder_cx, rotations = _schedule_ladder(frontier, g)
             cx += ladder_cx
             single += rotations
-        elif g.kind == "CX":
-            c, t = g.qubits
-            frontier[c] = frontier[t] = 1 + max(frontier[c], frontier[t])
-            cx += 1
+        elif g.kind in _TWO_WIRE_COSTS:
+            two_cx, two_single, depth = _TWO_WIRE_COSTS[g.kind]
+            a, b = g.qubits
+            frontier[a] = frontier[b] = depth + max(frontier[a], frontier[b])
+            cx += two_cx
+            single += two_single
         else:
             frontier[g.qubits[0]] += 1
             single += 1
@@ -403,9 +409,9 @@ def _schedule_ladder(frontier: list[int], g: Gate) -> tuple[int, int]:
 
 def report(circuit: Circuit) -> ResourceReport:
     """Tally CX count, single-qubit count and ASAP depth of the decomposed
-    circuit in one pass without building it: composite gates are lowered
-    one at a time, and native multiplexers are priced from their angles
-    without building their ladders.
+    circuit in one pass without building it: native multiplexers are priced
+    from their angles without building their ladders, SWAP and CPHASE in
+    closed form, and only CCX is lowered, one gate at a time.
     """
     return ResourceReport(*_schedule(circuit.n_qubits, _lowered(circuit, _SCHEDULED_KINDS)))
 

@@ -7,13 +7,21 @@ PHASE/CPHASE, and the rotations, RY and RZ being UCRY and UCRZ with no
 controls.
 
 :func:`simulate` is the whole-circuit simulator.  Axis slicing on the
-``[2]*n``-shaped view keeps every update vectorised; a multiplexer's
+``[2]*w``-shaped view keeps every update vectorised; a multiplexer's
 per-pattern rotation entries are laid onto the control axes and broadcast,
-so a cascade level costs O(2**n) however many controls it has.  A run of
-consecutive SWAPs only moves data, so it is composed into one axis
-permutation and costs one transposed copy and one copy back.  Register
-width is capped at 24 qubits, which bounds the state at 256 MiB of
-complex128; a run adds one workspace of twice that size.
+so a cascade level costs O(2**w) however many controls it has.  Here w is
+the active width: one more than the highest qubit any gate so far, or the
+initial state, has touched.  Every amplitude past ``2**w`` is an exact zero
+that no gate has touched, so each gate acts on the first ``2**w`` only, bit
+for bit as on the whole register.  H takes four passes, the products and
+sums of its 2x2 matrix without their copies.  A run of consecutive SWAPs
+only moves data, so it is composed into one axis permutation and costs one
+transposed copy and one copy back.  A run of consecutive CPHASEs on one
+target (the fan the inverse QFT emits after each H) is one multiply of the
+target's |1> half by the product of their phase factors, which differs
+from applying them one at a time by rounding only.  Register width is
+capped at 24 qubits, which bounds the state at 256 MiB of complex128; a run
+adds one workspace of twice that size.
 
 :func:`simulate_support` runs a loader circuit (X, CX, RY, RZ, UCRY, UCRZ)
 from |0...0> on its support only, an index array and an amplitude array,
@@ -120,6 +128,19 @@ def _apply_1q(
     np.copyto(v1, ma)
 
 
+def _apply_h(psi: np.ndarray, n: int, target: int, work: np.ndarray) -> None:
+    """H in four passes: the products and sums of the 2x2 path, bit for bit,
+    without its copies of the halves."""
+    view = psi.reshape([2] * n)
+    s0, s1 = _slots(n, target, ())
+    v0, v1 = view[s0], view[s1]
+    ma, mb = (w[: v0.size].reshape(v0.shape) for w in work[2:])
+    np.multiply(_H[0, 0], v0, out=ma)
+    np.multiply(_H[0, 0], v1, out=mb)
+    np.add(ma, mb, out=v0)
+    np.subtract(ma, mb, out=v1)
+
+
 def _apply_diag(psi: np.ndarray, n: int, phases: tuple, target: int, controls) -> None:
     """Diagonal gate: multiply the target's 0/1 slices under the controls;
     a phase of None leaves its slice alone."""
@@ -129,16 +150,43 @@ def _apply_diag(psi: np.ndarray, n: int, phases: tuple, target: int, controls) -
             view[sel] *= phase
 
 
+def _apply_fan(psi: np.ndarray, n: int, fan, work: np.ndarray) -> None:
+    """A run of CPHASEs on one target as one multiply of the target's |1>
+    half by the product of their phase factors, laid onto the control axes;
+    a lone CPHASE multiplies the quarter under its control."""
+    target = fan[0].targets[0]
+    # half the memory traffic of the half-register multiply, and no
+    # broadcast over a short inner axis when the control is above the target
+    if len(fan) == 1:
+        _apply_diag(psi, n, (None, np.exp(1j * fan[0].angle)), target, fan[0].controls)
+        return
+    phases: dict = {}
+    for g in fan:
+        c = g.controls[0]
+        phases[c] = phases.get(c, 1.0) * np.exp(1j * g.angle)
+    # the factor over the controls, highest qubit first as the view's axes
+    # run, built by outer products in two rows of ``work``, so that a fan
+    # allocates nothing
+    factor = work[0, :1]
+    factor[0] = 1.0
+    shape = [1] * (n - 1)
+    for j, c in enumerate(sorted(phases, reverse=True)):
+        out = work[(j + 1) % 2, : 2 * factor.size].reshape(factor.size, 2)
+        factor = np.multiply.outer(factor, (1.0, phases[c]), out=out).reshape(-1)
+        shape[n - 1 - c - (c < target)] = 2
+    _apply_diag(psi, n, (None, factor.reshape(shape)), target, ())
+
+
 def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
     kind, target, controls = g.kind, g.targets[0], g.controls
     if kind == "H":
-        _apply_1q(psi, n, _H, target, (), work)
+        _apply_h(psi, n, target, work)
     elif kind == "RX":
         _apply_1q(psi, n, _rx(g.angle), target, (), work)
     elif kind in ("X", "CX", "CCX"):
         _apply_1q(psi, n, _X, target, controls, work)
-    elif kind in ("PHASE", "CPHASE"):
-        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), target, controls)
+    elif kind == "PHASE":
+        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), target, ())
     elif kind in ("RY", "UCRY"):
         half = np.atleast_1d(g.angle) / 2.0
         c, s = (_pattern_grid(f(half), n, target, controls) for f in (np.cos, np.sin))
@@ -159,9 +207,17 @@ def _permute(psi: np.ndarray, n: int, swaps, work: np.ndarray) -> None:
         x, y = n - 1 - a, n - 1 - b
         axes[x], axes[y] = axes[y], axes[x]
     view = psi.reshape([2] * n)
-    moved = work[:2].reshape([2] * n)
+    moved = work[:2].reshape(-1)[: 2**n].reshape([2] * n)
     np.copyto(moved, view.transpose(axes))
     np.copyto(view, moved)
+
+
+def _run_key(g):
+    """Gates that :func:`simulate` applies as one run share a key: SWAPs
+    "SWAP", CPHASEs their target; every other gate None, one at a time."""
+    if g.kind == "SWAP":
+        return "SWAP"
+    return g.targets[0] if g.kind == "CPHASE" else None
 
 
 def simulate(circuit: Circuit, initial=None) -> np.ndarray:
@@ -170,8 +226,9 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     ``initial`` is None for |0...0>, a dense vector (copied), or a sparse
     state (a :class:`hqsp.loaders.SparseState` or :class:`SupportState`)
     whose ``indices`` and ``amplitudes`` are scattered into a fresh register.
-    Each run of consecutive SWAPs is one axis permutation of the register;
-    every other gate is applied on its own.
+    Each run of consecutive SWAPs is one axis permutation of the register,
+    each run of consecutive CPHASEs on one target one multiply; every other
+    gate is applied on its own.  Each acts on the active width only.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -184,19 +241,29 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
             raise ValueError(f"initial basis indices must lie in [0, {2**n})")
         psi = np.zeros(2**n, dtype=complex)
         psi[idx] = amps
+        w = int(np.max(idx, initial=0)).bit_length()
     else:
         psi = np.asarray(initial, dtype=complex).copy()
         if psi.shape != (2**n,):
             raise ValueError(f"initial state must have length {2**n}")
+        w = n
     # per-gate temporaries live here, so a gate allocates nothing and the
     # run's page faults do not depend on the allocator's history
     work = np.empty((4, 2 ** (n - 1)), dtype=complex)
-    for is_swap, run in groupby(circuit, key=lambda g: g.kind == "SWAP"):
-        if is_swap:
-            _permute(psi, n, run, work)
-        else:
+    # the active width w: no gate has touched a qubit at or above it, so
+    # every amplitude past psi[:2**w] is an exact zero that gates skip
+    for key, run in groupby(circuit, key=_run_key):
+        if key is None:
             for g in run:
-                _apply_gate(psi, n, g, work)
+                w = max(w, 1 + max(g.qubits))
+                _apply_gate(psi[: 2**w], w, g, work)
+            continue
+        run = list(run)
+        w = max(w, 1 + max(q for g in run for q in g.qubits))
+        if key == "SWAP":
+            _permute(psi[: 2**w], w, run, work)
+        else:
+            _apply_fan(psi[: 2**w], w, run, work)
     return psi
 
 

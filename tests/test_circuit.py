@@ -328,20 +328,23 @@ def test_depth_parallel_vs_serial():
 
 @st.composite
 def prefixed_multiplexers(draw):
-    """Random CX/H/X prefixes (uneven frontiers) followed by 1-4 native
-    UCRY/UCRZ with 0-6 controls; patterns are random, have exact zeros, or
-    are all equal (so most Gray-walk angles vanish)."""
+    """Random CX/H/X/SWAP/CPHASE/CCX prefixes (uneven frontiers) followed by
+    1-4 native UCRY/UCRZ with 0-6 controls, each followed by 0-3 more of the
+    prefix kinds; patterns are random, have exact zeros, or are all equal (so
+    most Gray-walk angles vanish)."""
     n = draw(st.integers(1, 8))
     c = Circuit(n)
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["CX", "H", "X"]))
-        if kind == "CX":
-            if n > 1:
-                a, b = draw(st.permutations(range(n)))[:2]
-                c.add("CX", a, b)
-        else:
-            c.add(kind, draw(st.integers(0, n - 1)))
     angle = st.floats(-4.0, 4.0, allow_nan=False)
+
+    def draw_gates(most):
+        for _ in range(draw(st.integers(0, most))):
+            kind = draw(st.sampled_from(["CX", "H", "X", "SWAP", "CPHASE", "CCX"]))
+            arity = _KINDS[kind].controls + _KINDS[kind].targets
+            if arity <= n:
+                wires = draw(st.permutations(range(n)))[:arity]
+                c.add(kind, *wires, angle=draw(angle) if kind == "CPHASE" else None)
+
+    draw_gates(12)
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, min(6, n - 1)))
         wires = draw(st.permutations(range(n)))[: k + 1]
@@ -352,14 +355,15 @@ def prefixed_multiplexers(draw):
             slot = st.one_of(st.just(0.0), angle) if pattern == "zeros" else angle
             angles = draw(st.lists(slot, min_size=2**k, max_size=2**k))
         c.add(draw(st.sampled_from(["UCRY", "UCRZ"])), *wires, angle=angles)
+        draw_gates(3)
     return c
 
 
 @given(prefixed_multiplexers())
 @settings(max_examples=200, deadline=None)
 def test_ladder_schedule_matches_lowering(c):
-    # report schedules native multiplexers in closed form; the decomposed
-    # circuit is scheduled gate by gate
+    # report schedules native multiplexers, SWAP and CPHASE in closed form;
+    # the decomposed circuit is scheduled gate by gate
     assert report(c) == report(decompose(c))
 
 

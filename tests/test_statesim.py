@@ -7,15 +7,18 @@ sharing no code with the axis-slicing kernels under test.
 
 import cmath
 import math
-from itertools import repeat
+from itertools import groupby, repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqsp.circuit import Circuit, gate
+from hqsp.circuit import _KINDS, Circuit, gate
 from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import table1_configs
 from hqsp.qsynth import inverse_packet_qhwt, iqft
+from hqsp.statesim import _H, _apply_1q, _apply_h
 from hqsp.statesim import (
     MAX_QUBITS,
     SUPPORT_DROP,
@@ -174,16 +177,18 @@ def test_simulate_norm_preserved_on_random_circuits():
 
 def _assert_matches_swap_by_swap(circuit: Circuit) -> None:
     """simulate, bit for bit, against a reference that applies each SWAP as
-    its own np.swapaxes and simulates every other gate alone."""
+    its own np.swapaxes and simulates each maximal run of other gates as a
+    circuit of its own, so that a CPHASE fan is fused on both sides."""
     n = circuit.n_qubits
     initial = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
     psi = initial
-    for g in circuit:
-        if g.kind == "SWAP":
+    for is_swap, run in groupby(circuit, key=lambda g: g.kind == "SWAP"):
+        if not is_swap:
+            psi = simulate(Circuit(n, list(run)), psi)
+            continue
+        for g in run:
             a, b = g.qubits
             psi = np.swapaxes(psi.reshape([2] * n), n - 1 - a, n - 1 - b).reshape(-1)
-        else:
-            psi = simulate(Circuit(n, [g]), psi)
     assert np.array_equal(simulate(circuit, initial), psi)
 
 
@@ -229,6 +234,111 @@ def test_iqft_closing_swaps_match_one_swap_at_a_time(n):
     kinds = [g.kind for g in circuit]
     assert kinds[-(n // 2):] == ["SWAP"] * (n // 2) and kinds.count("SWAP") == n // 2
     _assert_matches_swap_by_swap(circuit)
+
+
+@st.composite
+def _random_circuits(draw):
+    """Circuits of all twelve IR kinds on random wires, multiplexers with 0-3
+    controls; about half start from |0...0>, the rest from a sparse state
+    whose largest index stays below 2**3 (so the active width starts small)
+    or from a dense state."""
+    n = draw(st.integers(1, 7))
+    angle = st.floats(-4.0, 4.0, allow_nan=False)
+    circuit = Circuit(n)
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(sorted(_KINDS)))
+        row = _KINDS[kind]
+        k = draw(st.integers(0, min(3, n - 1))) if row.controls is None else row.controls
+        if k + row.targets > n:
+            continue
+        wires = draw(st.permutations(range(n)))[: k + row.targets]
+        if row.controls is None:
+            circuit.add(kind, *wires, angle=draw(st.lists(angle, min_size=2**k, max_size=2**k)))
+        else:
+            circuit.add(kind, *wires, angle=draw(angle) if row.takes_angle else None)
+    start = draw(st.sampled_from(["zeros", "sparse", "dense"]))
+    if start == "zeros":
+        return circuit, None
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if start == "dense":
+        return circuit, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    top = 2 ** min(n, 3)
+    idx = np.sort(rng.choice(top, size=int(rng.integers(1, top + 1)), replace=False))
+    amps = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    return circuit, SparseState(n, idx, amps / np.linalg.norm(amps))
+
+
+def _is_fan(a, b) -> bool:
+    return a.kind == b.kind == "CPHASE" and a.targets == b.targets
+
+
+@given(_random_circuits())
+@settings(max_examples=300, deadline=None)
+def test_simulate_matches_full_width_gate_at_a_time(case):
+    # the reference applies each gate alone to the whole register (a dense
+    # start is active on every qubit); without a fused CPHASE fan the two
+    # agree bit for bit, up to the sign of a zero
+    circuit, initial = case
+    n = circuit.n_qubits
+    psi = simulate(Circuit(n), initial)
+    for g in circuit:
+        psi = simulate(Circuit(n, [g]), psi)
+    got = simulate(circuit, initial)
+    if any(_is_fan(a, b) for a, b in zip(circuit.gates, circuit.gates[1:])):
+        np.testing.assert_allclose(got, psi, rtol=0, atol=1e-13 * max(1.0, np.linalg.norm(psi)))
+    else:
+        assert np.array_equal(got + 0.0, psi + 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_h_kernel_is_the_2x2_product_bit_for_bit(n):
+    for target in range(n):
+        psi = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+        want = psi.copy()
+        work = np.empty((4, 2 ** (n - 1)), dtype=complex)
+        _apply_h(psi, n, target, work)
+        _apply_1q(want, n, _H, target, (), work)
+        assert psi.tobytes() == want.tobytes()
+
+
+def test_cphase_fan_matches_one_gate_at_a_time():
+    # fans of 2-8 CPHASEs on one target, controls drawn with repeats
+    for _ in range(60):
+        n = int(RNG.integers(2, 9))
+        target = int(RNG.integers(n))
+        others = [q for q in range(n) if q != target]
+        fan = [
+            gate("CPHASE", int(RNG.choice(others)), target, angle=float(RNG.uniform(-4, 4)))
+            for _ in range(int(RNG.integers(2, 9)))
+        ]
+        psi = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        want = psi
+        for g in fan:
+            want = simulate(Circuit(n, [g]), want)
+        np.testing.assert_allclose(simulate(Circuit(n, fan), psi), want, rtol=0, atol=1e-14)
+
+
+def test_cphase_fan_with_every_control_repeated():
+    fan = [gate("CPHASE", c, 2, angle=0.3 * (c + 1)) for c in (0, 1, 3, 0, 1, 3)]
+    psi = RNG.normal(size=16) + 1j * RNG.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    # CPHASE(c, t) twice is CPHASE(c, t) at the doubled angle
+    doubled = [gate("CPHASE", c, 2, angle=0.6 * (c + 1)) for c in (0, 1, 3)]
+    want = psi
+    for g in doubled:
+        want = simulate(Circuit(4, [g]), want)
+    np.testing.assert_allclose(simulate(Circuit(4, fan), psi), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_iqft_is_the_inverse_dft(n):
+    # its CPHASE ladders simulate as one fan per target
+    v = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+    v /= np.linalg.norm(v)
+    want = np.fft.ifft(v) * math.sqrt(2**n)
+    np.testing.assert_allclose(simulate(iqft(n), v), want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
