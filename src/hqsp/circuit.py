@@ -43,6 +43,7 @@ __all__ = [
     "gate",
     "decompose",
     "report",
+    "report_stages",
     "export",
     "parse_qasm",
     "inverse",
@@ -195,6 +196,14 @@ class Circuit:
             for g in gates:
                 self.append(g)
 
+    @classmethod
+    def _of(cls, n_qubits: int, gates: list[Gate]) -> "Circuit":
+        """A circuit over ``gates`` taken as they are, each already checked
+        against ``n_qubits`` wires (a concatenation or filtering of such)."""
+        circuit = cls(n_qubits)
+        circuit.gates = gates
+        return circuit
+
     def append(self, g: Gate) -> "Circuit":
         if max(g.qubits) >= self.n_qubits:
             raise ValueError(
@@ -220,7 +229,7 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
             raise ValueError("cannot concatenate circuits of different width")
-        return Circuit(self.n_qubits, self.gates + other.gates)
+        return Circuit._of(self.n_qubits, self.gates + other.gates)
 
     def __eq__(self, other) -> bool:
         return (
@@ -255,13 +264,17 @@ class ResourceReport:
 
 def _fwht(v: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform (unnormalised), one butterfly stage
-    over every block at a time."""
+    over every block at a time, in place, the differences staged in one
+    half-length buffer."""
     out = np.array(v, dtype=float)
+    diff = np.empty(len(out) // 2)
     h = 1
     while h < len(out):
         blocks = out.reshape(-1, 2, h)
         a, b = blocks[:, 0], blocks[:, 1]
-        out = np.stack((a + b, a - b), axis=1).reshape(-1)
+        np.subtract(a, b, out=diff.reshape(-1, h))
+        a += b
+        b[...] = diff.reshape(-1, h)
         h *= 2
     return out
 
@@ -352,16 +365,16 @@ def _lowered(gates, kept=_BASE_KINDS):
 
 def decompose(circuit: Circuit) -> Circuit:
     """Rewrite into the base set {H, X, RX, RY, RZ, PHASE, CX} exactly."""
-    return Circuit(circuit.n_qubits).extend(_lowered(circuit))
+    return Circuit._of(circuit.n_qubits, list(_lowered(circuit)))
 
 
-def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
-    """One ASAP pass: (CX count, single-qubit count, depth) of ``gates``,
-    which hold only :data:`_SCHEDULED_KINDS`.  A multiplexer schedules as its
-    Gray-code ladder, SWAP and CPHASE as their lowerings."""
-    frontier = [0] * n_qubits
+def _schedule(frontier: list[int], circuit: Circuit) -> ResourceReport:
+    """One ASAP pass of ``circuit`` from the per-wire ``frontier``, which it
+    advances: the circuit's CX and single-qubit counts, and the depth the
+    frontier reaches.  Only CCX is lowered first; a multiplexer schedules as
+    its Gray-code ladder, SWAP and CPHASE as their lowerings."""
     cx = single = 0
-    for g in gates:
+    for g in _lowered(circuit, _SCHEDULED_KINDS):
         if g.kind in _MULTIPLEXERS:
             ladder_cx, rotations = _schedule_ladder(frontier, g)
             cx += ladder_cx
@@ -375,7 +388,7 @@ def _schedule(n_qubits: int, gates) -> tuple[int, int, int]:
         else:
             frontier[g.qubits[0]] += 1
             single += 1
-    return cx, single, max(frontier, default=0)
+    return ResourceReport(cx, single, max(frontier, default=0))
 
 
 def _schedule_ladder(frontier: list[int], g: Gate) -> tuple[int, int]:
@@ -394,17 +407,17 @@ def _schedule_ladder(frontier: list[int], g: Gate) -> tuple[int, int]:
     *controls, target = g.qubits
     k = len(controls)
     _, kept = g.walk
-    rotations = np.cumsum(kept).tolist()  # kept rotations at walk positions <= i
+    rotations = np.cumsum(kept)  # kept rotations at walk positions <= i
     cx = 2**k if k else 0
     start = frontier[target]
     for j, c in enumerate(controls):
         first = 2**j - 1
-        start += max(0, frontier[c] - (start + rotations[first] + first))
+        start += max(0, frontier[c] - (start + rotations[first].item() + first))
     for j, c in enumerate(controls):
         last = 2**k - 1 if j == k - 1 else 2**k - 2**j - 1
-        frontier[c] = start + rotations[last] + last + 1
-    frontier[target] = start + rotations[-1] + cx
-    return cx, rotations[-1]
+        frontier[c] = start + rotations[last].item() + last + 1
+    frontier[target] = start + rotations[-1].item() + cx
+    return cx, rotations[-1].item()
 
 
 def report(circuit: Circuit) -> ResourceReport:
@@ -413,7 +426,18 @@ def report(circuit: Circuit) -> ResourceReport:
     from their angles without building their ladders, SWAP and CPHASE in
     closed form, and only CCX is lowered, one gate at a time.
     """
-    return ResourceReport(*_schedule(circuit.n_qubits, _lowered(circuit, _SCHEDULED_KINDS)))
+    return _schedule([0] * circuit.n_qubits, circuit)
+
+
+def report_stages(first: Circuit, second: Circuit) -> tuple[ResourceReport, ...]:
+    """The reports of ``first``, of ``second`` and of ``first + second``, two
+    circuits of one width.  The last continues first's schedule through
+    second instead of scheduling first again."""
+    frontier = [0] * first.n_qubits
+    head, tail = _schedule(frontier, first), _schedule(frontier, second)
+    cx = head.cnot_count + tail.cnot_count
+    single = head.single_qubit_count + tail.single_qubit_count
+    return head, report(second), ResourceReport(cx, single, tail.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +476,15 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     so the deleted gate never stood between two gates that could cancel."""
     out: list[Gate] = []
     for g in circuit.gates:
+        wires = set(g.qubits)
         j = len(out) - 1
-        while j >= 0 and not (set(out[j].qubits) & set(g.qubits)):
+        while j >= 0 and wires.isdisjoint(out[j].qubits):
             j -= 1
         if j >= 0 and _cancels(out[j], g):
             del out[j]
         else:
             out.append(g)
-    return Circuit(circuit.n_qubits, out)
+    return Circuit._of(circuit.n_qubits, out)
 
 
 # ---------------------------------------------------------------------------

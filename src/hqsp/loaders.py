@@ -10,17 +10,18 @@ Three loaders with very different cost regimes:
 * :func:`sqsp` - sparse state preparation by basis-state merging.  Support
   states are disentangled pairwise (basis state 0 first, then descending
   Hamming weight, ties by index) until one basis state remains; the
-  preparation circuit is the reversed adjoint.  Each merge aligns the pair
+  preparation circuit is the reversed adjoint, each merge emitted as its
+  gates reversed with their angles negated.  Each merge aligns the pair
   to a single differing bit with CX conjugation, separates it from the
   remaining support with a greedy control cover C, and rotates through a
   Gray-code RY multiplexer costing ``2**|C|`` CX.  The pair and its kept
   bit are the cheapest over the candidates nearest in Hamming distance.
-  They are priced in blocks: one NumPy pass over a chunk of a distance
-  group gives each (candidate, kept bit) a cost floor (the CX conjugation
-  plus ``2**f`` for the f cover bits some other state forces, by differing
-  from the anchor in that bit alone), and only a choice whose floor can
-  beat the best so far runs its cover search, which leaves the choice
-  unchanged.
+  Each (candidate x, kept bit b) gets a cost floor, the CX conjugation
+  plus ``2**f`` for the f cover bits that some other state forces by
+  differing from x or y in that bit alone; those are read off two
+  neighbour bitmasks, of x and of y, computed once per merge for every
+  state.  Only a choice whose floor can beat the best so far runs its
+  cover search, which leaves the choice unchanged.
   The ladder cost does not depend on how many of its angle slots are used,
   so further distance-1 pairs whose cover patterns are free ride along in
   the same multiplexer at no CX cost.  One NumPy pass over the alive
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, cancel_adjacent_inverses, decompose, gate, inverse
+from .circuit import Circuit, Gate, cancel_adjacent_inverses, decompose, gate
 from .circuit import _decompose_gate, _pattern_of
 
 __all__ = [
@@ -330,11 +331,12 @@ def sqsp(state: SparseState) -> Circuit:
     over the support's bounding subcube, ``2**k - 2`` CX for k free bits,
     doubled for complex amplitudes.  Support states are processed basis
     state 0 first, then by descending Hamming weight, ties by index, on
-    every NumPy version."""
+    every NumPy version.  Each merge is planned by :func:`_plan_merge`,
+    which prices its candidates from neighbour bitmasks and searches their
+    covers cheapest floor first."""
     n, indices, amps = state.n, state.indices, state.amplitudes
-    circ = Circuit(n)
     if state.d == 1:
-        return circ.extend(gate("X", b) for b in _bits(int(indices[0])))
+        return Circuit(n).extend(gate("X", b) for b in _bits(int(indices[0])))
 
     span = int(indices.max()).bit_length()
 
@@ -366,12 +368,11 @@ def sqsp(state: SparseState) -> Circuit:
 
     # one basis state remains; its amplitude is a pure (ignored) global phase
     (final_idx,) = amp_of
-    prep: list[Gate] = [gate("X", b) for b in _bits(final_idx)]
+    prep = [gate("X", b) for b in _bits(final_idx)]
     for step_gates in reversed(merge_steps):
-        for g in reversed(step_gates):
-            prep.append(inverse(g))
-    circ.extend(prep)
-    merged = cancel_adjacent_inverses(circ)
+        prep.extend(step_gates)
+    # every gate acts below span <= n
+    merged = cancel_adjacent_inverses(Circuit._of(n, prep))
     # the guarantee: merges hold only base gates, so this counts lowered CX
     if sum(g.kind == "CX" for g in merged) > dense_cx:
         return _subcube_circuit(*subcube)
@@ -386,78 +387,91 @@ class _MergeStep:
     pairs: list[tuple[int, int]]  # (kept x, removed y)
 
 
-# the most mask elements one pricing block holds
-_BLOCK_ELEMENTS = 4096
-
-
 def _plan_merge(y, alive_arr, amp_of, span) -> _MergeStep:
     """The cheapest merge of ``y`` into another alive state x, with its
     free riders.
 
-    Candidates go by Hamming distance m to y, then by index, and the first
-    (x, kept bit b) of least cost wins.  Each distance group is priced in
-    blocks of :func:`_price_block`, built one at a time, so the walk stops
-    before building the block whose floor cannot beat the best so far: 2(m-1)
-    for the CX conjugation, plus 2 for a one-bit cover when other states
-    remain.
-    """
-    others = alive_arr[alive_arr != y]
-    dists = _popcounts(others ^ y)
-    ladder_floor = 2 if len(others) > 1 else 0
-
-    def blocks():
-        for m in sorted(set(dists.tolist())):
-            group = others[dists == m]
-            size = max(1, _BLOCK_ELEMENTS // (m * len(others)))
-            for start in range(0, len(group), size):
-                yield m, group[start : start + size]
-
-    best, cap = None, math.inf  # best is (cost, x, b, cover), cap its cost
-    for m, xs in blocks():
-        if 2 * (m - 1) + ladder_floor >= cap:
-            break
-        best = _price_block(y, xs, others, span, cap) or best
-        cap = best[0]
-    cost, x, b, cover = best
+    Candidates go by Hamming distance to y, then by index, and the first
+    (x, kept bit b) of least cost wins.  Each is floored from the neighbour
+    bitmasks of x and y (:func:`_merge_rows`), and only those whose floor
+    can beat the best so far run their cover search
+    (:func:`_cheapest_merge`)."""
+    cost, x, b, cover = _cheapest_merge(y, alive_arr[alive_arr != y], span)
     step = _MergeStep(b=b, spread=x ^ y ^ (1 << b), cover=cover, pairs=[(x, y)])
     if not step.spread and cover and _is_real_pair(amp_of[x], amp_of[y]):
         _add_free_riders(step, alive_arr, amp_of, span)
     return step
 
 
-def _price_block(y: int, xs: np.ndarray, others: np.ndarray, span: int, cap=math.inf):
-    """Cheapest (cost, x, b, cover) over merging ``y`` into each of ``xs``,
-    candidates in order and kept bits b ascending, that costs less than
-    ``cap``; None when none does.
+def _neighbours(states: np.ndarray, pool: np.ndarray, span: int) -> np.ndarray:
+    """Per state, the mask of the bits j below ``span`` for which
+    ``state ^ 2**j`` is in ``pool`` (sorted ascending)."""
+    bits = np.int64(1) << np.arange(span)
+    flipped = states[:, None] ^ bits
+    hit = pool.take(np.searchsorted(pool, flipped), mode="clip") == flipped
+    return (hit * bits).sum(axis=1)
 
-    ``others`` holds every state but y, the ``xs`` among them.  The block
-    has one row per (x, b).  After the CX conjugation, a state z must be
-    separated from whichever of x and y it agrees with on bit b, so its
-    column holds ``(z ^ x) & ~b`` or ``(z ^ y) & ~b``; x's own column holds
-    -1.  A difference of one bit forces that bit into the cover, so a row's
-    floor is 2(m-1) plus ``2**max(1, f)`` for its f forced bits (nothing
-    without other states).  Only a row whose floor is under the best so far
-    runs the greedy cover search, so the result is the unpruned search's.
-    A zero difference cannot be separated: its row's floor is -inf, so the
-    search runs and raises.
+
+def _merge_rows(y: int, others: np.ndarray, span: int):
+    """The candidate merges of ``y`` into an x of ``others`` (every other
+    alive state, ascending), one row per (x, kept bit b), in position
+    order: x by Hamming distance m to y, then by index, and b ascending
+    over the bits where x and y differ.  Returns the rows' x, b, CX
+    conjugation cost 2(m-1) and cost floor.
+
+    After the conjugation a state z must be separated from whichever of x
+    and y it shares bit b with, so its difference is ``(z ^ x) & ~b`` or
+    ``(z ^ y) & ~b``, and a one-bit difference forces that bit into the
+    cover.  Those are exactly the bits j other than b for which
+    ``x ^ 2**j`` or ``y ^ 2**j`` is alive, so the floor adds
+    ``2**max(1, f)`` for the f such bits of the neighbour masks
+    ``N(x) | N(y)`` (nothing without other states).  Only y itself among
+    ``others`` differs from it nowhere, which no cover separates.
     """
-    spreads = xs ^ y
-    rows, b = np.nonzero((spreads[:, None] >> np.arange(span)) & 1)
-    x, b_bits = xs[rows][:, None], (np.int64(1) << b)[:, None]
-    masks = np.where((others ^ x) & b_bits, others ^ y, others ^ x) & ~b_bits
-    masks[others == x] = -1
-    forced = np.bitwise_or.reduce(np.where(masks & (masks - 1), 0, masks), axis=1)
-    cover_floor = np.where(masks.all(axis=1), 2.0 ** np.maximum(1, _popcounts(forced)), -np.inf)
-    conj = 2 * (_popcounts(spreads) - 1)[rows]
-    floors = conj + (cover_floor if len(others) > 1 else 0)
-    best = None
-    for r in np.flatnonzero(floors < cap):
-        if floors[r] >= cap:
-            continue
-        cover = _greedy_cover(masks[r][masks[r] >= 0], int(b[r]), span)
-        cost = int(conj[r]) + (2 ** len(cover) if cover else 0)
-        if cost < cap:
-            best, cap = (cost, int(xs[rows[r]]), int(b[r]), cover), cost
+    dists = _popcounts(others ^ y)
+    if not dists.all():
+        raise RuntimeError("merge constraints are not separable")
+    order = np.lexsort((others, dists))
+    xs = others[order]
+    pos, b = np.nonzero((xs[:, None] ^ y) >> np.arange(span) & 1)
+    conj = 2 * (dists[order][pos] - 1)
+    if len(others) == 1:
+        return xs[pos], b, conj, conj
+    nb = _neighbours(np.append(xs, y), others, span)
+    forced = (nb[pos] | nb[-1]) & ~(np.int64(1) << b)
+    return xs[pos], b, conj, conj + 2 ** np.maximum(1, _popcounts(forced))
+
+
+def _cheapest_merge(y: int, others: np.ndarray, span: int, cap=math.inf):
+    """The first (cost, x, b, cover) of least cost below ``cap`` over the
+    rows of :func:`_merge_rows`; None when nothing costs less than ``cap``.
+
+    Rows are searched in (floor, position) order, one floor at a time with
+    their differences built together, until the next floor exceeds the
+    best cost, or equals it at a later position.  Every row of least cost
+    and earlier position has a floor at most that cost, so the first
+    least-cost row is the one a search of every row would pick.
+    """
+    x, b, conj, floors = _merge_rows(y, others, span)
+    ranked = np.argsort(floors, kind="stable")
+    ranked_floors = floors[ranked]
+    best, best_row = None, -1
+    start = 0
+    while start < len(ranked):
+        floor = ranked_floors[start]
+        if floor > cap or (floor == cap and ranked[start] > best_row):
+            break
+        end = np.searchsorted(ranked_floors, floor, side="right")
+        batch, start = ranked[start:end], end
+        xb, bb = x[batch][:, None], (np.int64(1) << b[batch])[:, None]
+        diffs = np.where((others ^ xb) & bb, others ^ y, others ^ xb) & ~bb
+        for r, row_diffs, own in zip(batch.tolist(), diffs, others == xb):
+            if floor == cap and r > best_row:
+                break
+            cover = _greedy_cover(row_diffs[~own], int(b[r]), span)
+            cost = int(conj[r]) + (2 ** len(cover) if cover else 0)
+            if cost < cap or (cost == cap and r < best_row):
+                best, cap, best_row = (cost, int(x[r]), int(b[r]), cover), cost, r
     return best
 
 
@@ -519,11 +533,13 @@ def _add_free_riders(step, alive_arr, amp_of, span) -> None:
 
 
 def _emit_merge(step: _MergeStep, amp_of: dict) -> list[Gate]:
-    """Emit disentangling gates for one (possibly batched) merge and update
-    the tracked classical amplitudes."""
+    """Disentangle one (possibly batched) merge, updating the tracked
+    classical amplitudes, and return the gates that prepare it: the
+    disentangling gates in reverse order with their angles negated."""
     b, spread, cover = step.b, step.spread, step.cover
     b_bit = 1 << b
-    gates: list[Gate] = [gate("CX", b, j) for j in _bits(spread)]
+    conjugation = [gate("CX", b, j) for j in _bits(spread)]
+    phasing: list[Gate] = []
 
     x0, y0 = step.pairs[0]
     a_x, a_y = amp_of[x0], amp_of[y0]
@@ -532,7 +548,7 @@ def _emit_merge(step: _MergeStep, amp_of: dict) -> list[Gate]:
         # kick on every other amplitude is tracked classically
         slot0, slot1 = ((a_x, a_y) if not x0 & b_bit else (a_y, a_x))
         gamma = float(np.angle(slot0) - np.angle(slot1))
-        gates.append(gate("RZ", b, angle=gamma))
+        phasing.append(gate("RZ", b, angle=-gamma))
         lo, hi = np.exp(-0.5j * gamma), np.exp(0.5j * gamma)
         for z in list(amp_of):
             amp_of[z] *= hi if z & b_bit else lo
@@ -553,9 +569,11 @@ def _emit_merge(step: _MergeStep, amp_of: dict) -> list[Gate]:
         amp_of[x] = phase * math.hypot(slot0, slot1)
         del amp_of[y]
 
+    # the ladder of the negated angles is the ladder's inverse reversed: its
+    # Walsh angles are the exact negations and it elides the same rotations
+    rotation: list[Gate] = []
     if cover:
-        gates.extend(_decompose_gate(gate("UCRY", *cover, b, angle=pattern_angles)))
+        rotation = _decompose_gate(gate("UCRY", *cover, b, angle=-pattern_angles))[::-1]
     elif abs(pattern_angles[0]) > 0:
-        gates.append(gate("RY", b, angle=float(pattern_angles[0])))
-    gates.extend(gate("CX", b, j) for j in reversed(_bits(spread)))
-    return gates
+        rotation = [gate("RY", b, angle=-float(pattern_angles[0]))]
+    return [*conjugation, *rotation, *phasing, *reversed(conjugation)]

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, report
+from .circuit import Circuit, report, report_stages
 from .loaders import SparseState, dense_load, sqsp
 from .qsynth import fsl_circuit, fsl_coefficients, inverse_packet_qhwt, iqft
 from .signals import (
@@ -462,7 +462,7 @@ def hybrid_prepare(cfg: ExperimentConfig) -> tuple[Circuit, ExperimentRecord]:
     if simulated_td >= cfg.epsilon:
         raise ToleranceExceededError(simulated_td, cfg.epsilon)
 
-    load_rep, decomp_rep, rep = report(load), report(decompression), report(circuit)
+    load_rep, decomp_rep, rep = report_stages(load, decompression)
     eae_rep = report(dense_load(x))
     record = ExperimentRecord(
         label=cfg.label,

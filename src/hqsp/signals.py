@@ -204,8 +204,9 @@ def ingest_waveform_csv(path) -> Signal:
     and normalize.  A single non-numeric header line is skipped.  A cell
     that is not a finite number, a file the ``csv`` module cannot read and
     one whose bytes do not decode raise :class:`NonNumericCellError` named
-    by path.  The column is read in one C parse; a file that parse rejects
-    is read again one ``float()`` per row, which names the first bad row."""
+    by path.  The column is read in one C parse, retried once with the
+    whitespace-only lines emptied; a file that parse still rejects is read
+    again one ``float()`` per row, which names the first bad row."""
     try:
         with open(path, newline="") as fh:
             try:
@@ -241,8 +242,15 @@ def _parse_column(fh, path):
         consumed += 1
     else:  # loadtxt would warn that it read no rows
         return np.array(head) if head else None
-    tail = np.loadtxt(path, delimiter=",", usecols=0, comments=None, quotechar='"',
-                      skiprows=consumed, encoding=fh.encoding, ndmin=1)
+    options = dict(delimiter=",", usecols=0, comments=None, quotechar='"',
+                   skiprows=consumed, ndmin=1)
+    try:
+        tail = np.loadtxt(path, encoding=fh.encoding, **options)
+    except ValueError:
+        # loadtxt rejects a line of whitespace, which the row parse skips as
+        # blank: parse once more with such lines emptied, which it skips too
+        with open(path, encoding=fh.encoding) as lines:
+            tail = np.loadtxt((line if line.strip() else "\n" for line in lines), **options)
     return np.concatenate((head, tail))
 
 

@@ -25,9 +25,14 @@ adds one workspace of twice that size.
 
 :func:`simulate_support` runs a loader circuit (X, CX, RY, RZ, UCRY, UCRZ)
 from |0...0> on its support only, an index array and an amplitude array,
-so a d-sparse load costs O(d log d) per gate instead of O(2**n).
-Amplitudes of magnitude at most :data:`SUPPORT_DROP` are dropped; the run
-reports its peak support and the squared norm it dropped.
+so a d-sparse load costs O(d) per gate instead of O(2**n).  It takes the
+circuit in maximal runs of gates on one target, as a lowered merge ladder
+is one: each run pairs the support once, O(d log d), X and CX then toggle
+which slot of each pair holds the |1>, and each rotation is a few array
+operations over the pairs, bit for bit the products and sums of pairing
+the support at every gate.  Amplitudes of magnitude at most
+:data:`SUPPORT_DROP` are dropped after each rotation; the run reports its
+peak support and the squared norm it dropped.
 """
 
 from __future__ import annotations
@@ -283,44 +288,93 @@ def _angles(g, idx: np.ndarray) -> np.ndarray:
     return np.atleast_1d(g.angle)[_pattern_of(idx, g.controls)]
 
 
+_LOADER_KINDS = frozenset({"X", "CX", "RY", "RZ", "UCRY", "UCRZ"})
+_ROTATIONS = frozenset({"RY", "RZ", "UCRY", "UCRZ"})
+
+
 def simulate_support(circuit: Circuit) -> SupportState:
     """Run a loader circuit from |0...0> on its support only.
 
     Applies X, CX, RY, RZ, UCRY and UCRZ, the kinds the loaders emit; any
     other kind raises :class:`UnsupportedGateError`.  Amplitudes of
     magnitude at most :data:`SUPPORT_DROP` are dropped after each rotation.
-    The kept amplitudes come out in ascending index order.
+    The kept amplitudes come out in ascending index order.  A maximal run
+    of gates on one target with a rotation in it is one
+    :func:`_paired_run`; one without only moves indices.
     """
     idx = np.zeros(1, dtype=np.int64)
     amp = np.ones(1, dtype=complex)
     peak, pruned = 1, 0.0
-    for g in circuit:
-        bit = 1 << g.targets[0]
-        if g.kind == "X":
-            idx = idx ^ bit
-        elif g.kind == "CX":
-            idx = np.where(idx & (1 << g.controls[0]), idx ^ bit, idx)
-        elif g.kind in ("RZ", "UCRZ"):
-            amp = amp * np.exp(np.where(idx & bit, 0.5j, -0.5j) * _angles(g, idx))
-        elif g.kind in ("RY", "UCRY"):
-            lows, pair = np.unique(idx & ~bit, return_inverse=True)
-            # row 0 holds each pair's amplitude at lo, row 1 at lo | bit
-            slots = np.zeros((2, len(lows)), dtype=complex)
-            slots[(idx >> g.targets[0]) & 1, pair.ravel()] = amp
-            half = 0.5 * _angles(g, lows)
-            c, s = np.cos(half), np.sin(half)
-            idx = np.concatenate([lows, lows | bit])
-            amp = np.concatenate([c * slots[0] - s * slots[1], s * slots[0] + c * slots[1]])
-            keep = np.abs(amp) > SUPPORT_DROP
-            pruned += float(np.sum(np.abs(amp[~keep]) ** 2))
-            idx, amp = idx[keep], amp[keep]
-            peak = max(peak, len(idx))
-        else:
-            raise UnsupportedGateError(
-                f"support simulation does not apply gate kind {g.kind!r}"
-            )
+    for target, run in groupby(circuit, key=lambda g: g.targets[0]):
+        run = list(run)
+        for g in run:
+            if g.kind not in _LOADER_KINDS:
+                raise UnsupportedGateError(
+                    f"support simulation does not apply gate kind {g.kind!r}"
+                )
+        if not any(g.kind in _ROTATIONS for g in run):
+            for g in run:
+                flip = 1 if g.kind == "X" else (idx >> g.controls[0]) & 1
+                idx = idx ^ (flip << target)
+            continue
+        idx, amp, peak, pruned = _paired_run(run, target, idx, amp, peak, pruned)
     order = np.argsort(idx)
     return SupportState(idx[order], amp[order], peak, pruned)
+
+
+def _paired_run(run, target, idx, amp, peak, pruned):
+    """One run of gates on ``target`` over the support paired by the index
+    with the target bit cleared, which no gate of the run changes; returns
+    the (idx, amp, peak, pruned) after it.  Slot row r of pair j holds the
+    amplitude at ``lows[j]`` with target bit ``r ^ flip``, ``flip`` being
+    the parity of the pair's X and CX toggles so far; ``live`` marks the
+    slots the support holds, and every other slot holds an exact 0, as the
+    pair a rotation builds from the support alone would."""
+    lows, col = np.unique(idx & ~(1 << target), return_inverse=True)
+    row = (idx >> target) & 1
+    slots = np.zeros((2, len(lows)), dtype=complex)
+    live = np.zeros(slots.shape, dtype=bool)
+    slots[row, col.ravel()] = amp
+    live[row, col.ravel()] = True
+    # flips[i]: each pair's flip after the run's first i toggles
+    toggles = [
+        (g.controls[0], 0) if g.kind == "CX" else (0, 1) for g in run if g.kind in ("X", "CX")
+    ]
+    shift, ones = np.array(toggles, dtype=np.int64).reshape(-1, 2).T[:, :, None]
+    flips = np.zeros((len(toggles) + 1, len(lows)), dtype=np.int64)
+    np.bitwise_xor.accumulate((lows >> shift) & 1 | ones, axis=0, out=flips[1:])
+    unflipped = flips == 0
+    i = 0
+    for g in run:
+        if g.kind in ("X", "CX"):
+            i += 1
+        elif g.kind in ("RZ", "UCRZ"):
+            theta = _angles(g, lows)
+            lo, hi = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+            # row 0 holds the |1> of a flipped pair
+            np.multiply(slots, np.where(unflipped[i], (lo, hi), (hi, lo)), out=slots, where=live)
+        else:
+            # an RY's one angle, for every pair, as _angles would give it
+            half = np.full(len(lows), 0.5 * g.angle) if g.kind == "RY" else 0.5 * _angles(g, lows)
+            c, s = np.cos(half), np.sin(half)
+            # an unflipped pair's rows become c*a0 - s*a1 and c*a1 + s*a0; a
+            # flipped pair's rows are the other way round, which swaps the
+            # signs: the products and sums of the unpaired form, as a
+            # negation is exact
+            sp = s * slots
+            np.negative(sp, out=sp, where=unflipped[i])
+            slots *= c
+            slots[0] += sp[1]
+            slots[1] -= sp[0]
+            mag = np.abs(slots)
+            live = mag > SUPPORT_DROP
+            if not live.all():
+                dropped = ~live
+                pruned += float((mag[dropped] ** 2).sum())
+                slots[dropped] = 0
+            peak = max(peak, int(np.count_nonzero(live)))
+    rows = np.array([[0], [1]]) ^ flips[i]
+    return (lows | rows << target)[live], slots[live], peak, pruned
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

@@ -24,6 +24,7 @@ from hqsp.circuit import (
     inverse,
     parse_qasm,
     report,
+    report_stages,
 )
 from hqsp.circuit import _ANGLE_EPS, _KINDS, _fwht
 from hqsp.statesim import simulate, unitary_of
@@ -378,6 +379,16 @@ def test_report_counts_and_stages():
     assert report(stage_b).cnot_count == 3
     assert report(stage_b).depth == 3
     assert str(rep) == "cnot_count=4 single_qubit_count=1 depth=5"
+    assert report_stages(stage_a, stage_b) == (report(stage_a), report(stage_b), rep)
+
+
+@given(prefixed_multiplexers(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_report_stages_continues_the_first_schedule(c, data):
+    # the whole is the first stage's schedule carried on through the second
+    cut = data.draw(st.integers(0, len(c)))
+    first, second = Circuit(c.n_qubits, c.gates[:cut]), Circuit(c.n_qubits, c.gates[cut:])
+    assert report_stages(first, second) == (report(first), report(second), report(c))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from hqsp.loaders import (
     sqsp,
 )
 import hqsp.loaders as loaders
-from hqsp.loaders import _add_free_riders, _bits, _greedy_cover, _price_block, _riders
+from hqsp.loaders import _add_free_riders, _bits, _cheapest_merge, _greedy_cover, _riders
+from hqsp.loaders import _merge_rows
 from hqsp.loaders import _subcube_cascade
 from hqsp.pipeline import DEFAULT_PPG_RECORDING, _unit_samples, table1_configs
 from hqsp.signals import gen_periodic, ingest_waveform_csv
@@ -516,25 +517,36 @@ def _sqsp_unpruned(s: SparseState) -> Circuit:
         return sqsp(s)
 
 
-def _price_one(x, y, others, span, cap=math.inf):
-    """The block pricer on the single candidate x."""
-    return _price_block(y, np.array([x]), np.concatenate(([x], others)), span, cap)
+def _first_least_cost(y, others, span, cap=math.inf):
+    """Every candidate's unpruned cover search, in the order of distance to
+    y, then index: the first (cost, x, b, cover) of least cost below
+    ``cap``, or None.  The reference for :func:`_cheapest_merge`."""
+    best = None
+    for x in sorted(others.tolist(), key=lambda x: (bin(x ^ y).count("1"), x)):
+        cost, b, cover, _ = _merge_cost_unpruned(x, y, others[others != x], span)
+        if cost < (best[0] if best else cap):
+            best = (cost, x, b, cover)
+    return best
+
+
+def _random_merge(rng, min_span, max_span, max_size):
+    """A state y and the other alive states, ascending, on ``span`` bits."""
+    span = int(rng.integers(min_span, max_span + 1))
+    size = int(rng.integers(2, min(2**span, max_size) + 1))
+    states = rng.choice(2**span, size=size, replace=False).astype(np.int64)
+    return int(states[0]), np.sort(states[1:]), span
 
 
 def test_merge_cost_matches_unpruned_reference():
     rng = np.random.default_rng(17)
     skipped = kept = 0
     for _ in range(300):
-        span = int(rng.integers(2, 11))
-        size = int(rng.integers(2, min(2**span, 40) + 1))
-        states = rng.choice(2**span, size=size, replace=False)
-        x, y, others = int(states[0]), int(states[1]), states[2:].astype(np.int64)
-        cost, b, cover, _ = _merge_cost_unpruned(x, y, others, span)
-        expected = (cost, x, b, cover)
-        assert _price_one(x, y, others, span) == expected
-        cap = int(rng.integers(1, 2 * cost + 2))
-        capped = _price_one(x, y, others, span, cap)
-        if cost >= cap:
+        y, others, span = _random_merge(rng, 2, 10, 40)
+        expected = _first_least_cost(y, others, span)
+        assert _cheapest_merge(y, others, span) == expected
+        cap = int(rng.integers(1, 2 * expected[0] + 2))
+        capped = _cheapest_merge(y, others, span, cap)
+        if expected[0] >= cap:
             skipped += 1
             assert capped is None
         else:
@@ -543,31 +555,63 @@ def test_merge_cost_matches_unpruned_reference():
     assert skipped > 0 and kept > 0
 
 
-def test_block_pricing_matches_one_candidate_at_a_time():
-    # a whole distance group in one block: the first (x, b) of least cost
+def test_merge_search_matches_one_candidate_at_a_time():
+    # small, crowded supports: many rows tie at the least cost, and the
+    # search must still return the first of them in position order
     rng = np.random.default_rng(23)
+    ties = 0
     for _ in range(200):
-        span = int(rng.integers(3, 10))
-        size = int(rng.integers(3, min(2**span, 40) + 1))
-        states = rng.choice(2**span, size=size, replace=False).astype(np.int64)
-        y, others = int(states[0]), np.sort(states[1:])
-        dists = loaders._popcounts(others ^ y)
-        xs = others[dists == dists[int(rng.integers(len(others)))]]
+        y, others, span = _random_merge(rng, 3, 6, 40)
         cap = math.inf if rng.random() < 0.5 else int(rng.integers(1, 4 * span))
-        expected = None
-        for x in xs.tolist():
-            cost, b, cover, _ = _merge_cost_unpruned(x, y, others[others != x], span)
-            if cost < (expected[0] if expected else cap):
-                expected = (cost, x, b, cover)
-        assert _price_block(y, xs, others, span, cap) == expected
+        expected = _first_least_cost(y, others, span, cap)
+        assert _cheapest_merge(y, others, span, cap) == expected
+        if expected is not None:
+            costs = [
+                _merge_cost_unpruned(x, y, others[others != x], span)[0] for x in others.tolist()
+            ]
+            ties += costs.count(expected[0]) > 1
+    assert ties > 50
+
+
+def _matrix_floors(y, x, b, others, span):
+    """Each row's floor from its (rows, others) difference matrix: the
+    reference for the neighbour-mask floors of :func:`_merge_rows`."""
+    x, b_bits = x[:, None], (np.int64(1) << b)[:, None]
+    masks = np.where((others ^ x) & b_bits, others ^ y, others ^ x) & ~b_bits
+    masks[others == x] = -1
+    forced = np.bitwise_or.reduce(np.where(masks & (masks - 1), 0, masks), axis=1)
+    cover = 2.0 ** np.maximum(1, loaders._popcounts(forced))
+    cover_floor = np.where(masks.all(axis=1), cover, -np.inf)
+    conj = 2 * (loaders._popcounts(x[:, 0] ^ y) - 1)
+    return conj + (cover_floor if len(others) > 1 else 0)
+
+
+def test_neighbour_floors_match_the_difference_matrix():
+    rng = np.random.default_rng(31)
+    forced = 0
+    for _ in range(300):
+        y, others, span = _random_merge(rng, 2, 11, 80)
+        x, b, conj, floors = _merge_rows(y, others, span)
+        np.testing.assert_array_equal(floors, _matrix_floors(y, x, b, others, span))
+        np.testing.assert_array_equal(conj, 2 * (loaders._popcounts(x ^ y) - 1))
+        # the rows are every (x, b) with b a bit where x and y differ, in order
+        rows = [
+            (int(v), j)
+            for v in sorted(others.tolist(), key=lambda v: (bin(v ^ y).count("1"), v))
+            for j in _bits(v ^ y)
+        ]
+        assert list(zip(x.tolist(), b.tolist())) == rows
+        forced += int(np.sum(floors > conj + 2))
+    assert forced > 100
 
 
 def test_merge_cost_with_cap_still_raises_on_inseparable_state():
-    # 0b0100 equals the anchor off the kept bit 0; its floor must not let a
-    # cap skip the cover search that reports it
-    others = np.array([0b0110, 0b0100], dtype=np.int64)
-    with pytest.raises(RuntimeError, match="not separable"):
-        _price_one(0b0101, 0b0100, others, 4, cap=2)
+    # y = 0b0100 is among the others: it equals the anchor x = 0b0101 off
+    # the kept bit 0, and no cap may skip the search that reports it
+    others = np.array([0b0100, 0b0101, 0b0110], dtype=np.int64)
+    for cap in (math.inf, 2, 0):
+        with pytest.raises(RuntimeError, match="not separable"):
+            _cheapest_merge(0b0100, others, 4, cap=cap)
 
 
 def test_rider_scores_match_the_per_bit_rider_search():

@@ -340,6 +340,26 @@ def test_ingest_ppg_recordings_match_row_by_row_parse(name):
     _assert_matches_row_by_row(PPG_DIR / name)
 
 
+@pytest.mark.parametrize("where", ["trailing", "mid-file"])
+def test_ingest_whitespace_line_stays_on_the_one_pass_parse(tmp_path, monkeypatch, where):
+    # a line of whitespace is a blank row to both parses, and must not send
+    # the file to the row-by-row one
+    lines = (PPG_DIR / "recording01.csv").read_text().splitlines(keepends=True)
+    if where == "trailing":
+        lines.append(" \n")
+    else:
+        lines.insert(30_000, " \t\n")
+    path = tmp_path / "w.csv"
+    path.write_text("".join(lines))
+    expected = ingest_waveform_csv(PPG_DIR / "recording01.csv")
+
+    def row_by_row(fh, path):
+        raise AssertionError("row-by-row parse called")
+
+    monkeypatch.setattr(signals, "_parse_rows", row_by_row)
+    assert ingest_waveform_csv(path).samples.tobytes() == expected.samples.tobytes()
+
+
 def _without_row_pass(monkeypatch):
     """Make the row-by-row pass raise, so a file that reaches it fails."""
     def row_pass(fh, path):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqsp.circuit import _KINDS, Circuit, gate
+from hqsp.circuit import _KINDS, Circuit, _pattern_of, gate
 from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import table1_configs
 from hqsp.qsynth import inverse_packet_qhwt, iqft
@@ -482,6 +482,99 @@ def test_support_simulation_matches_reference_on_table1_loaders(label):
     x = cfg.build_signal().samples
     compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
     _assert_support_matches_reference(sqsp(SparseState.from_compressed(compressed)))
+
+
+def _simulate_support_per_gate(circuit: Circuit) -> SupportState:
+    """Support simulation one gate at a time, re-pairing the support at
+    every rotation: the reference for :func:`simulate_support`, which
+    pairs it once per run of gates on one target and must match this bit
+    for bit."""
+    idx = np.zeros(1, dtype=np.int64)
+    amp = np.ones(1, dtype=complex)
+    peak, pruned = 1, 0.0
+    for g in circuit:
+        bit = 1 << g.targets[0]
+        if g.kind == "X":
+            idx = idx ^ bit
+        elif g.kind == "CX":
+            idx = np.where(idx & (1 << g.controls[0]), idx ^ bit, idx)
+        elif g.kind in ("RZ", "UCRZ"):
+            angles = np.atleast_1d(g.angle)[_pattern_of(idx, g.controls)]
+            amp = amp * np.exp(np.where(idx & bit, 0.5j, -0.5j) * angles)
+        else:
+            lows, pair = np.unique(idx & ~bit, return_inverse=True)
+            # row 0 holds each pair's amplitude at lo, row 1 at lo | bit
+            slots = np.zeros((2, len(lows)), dtype=complex)
+            slots[(idx >> g.targets[0]) & 1, pair.ravel()] = amp
+            half = 0.5 * np.atleast_1d(g.angle)[_pattern_of(lows, g.controls)]
+            c, s = np.cos(half), np.sin(half)
+            idx = np.concatenate([lows, lows | bit])
+            amp = np.concatenate([c * slots[0] - s * slots[1], s * slots[0] + c * slots[1]])
+            keep = np.abs(amp) > SUPPORT_DROP
+            pruned += float(np.sum(np.abs(amp[~keep]) ** 2))
+            idx, amp = idx[keep], amp[keep]
+            peak = max(peak, len(idx))
+    order = np.argsort(idx)
+    return SupportState(idx[order], amp[order], peak, pruned)
+
+
+def _assert_support_is_per_gate(circuit: Circuit) -> SupportState:
+    run, want = simulate_support(circuit), _simulate_support_per_gate(circuit)
+    np.testing.assert_array_equal(run.indices, want.indices)
+    np.testing.assert_array_equal(run.amplitudes, want.amplitudes)
+    assert run.peak_support == want.peak_support
+    # the same dropped squares, which a pairwise sum may group otherwise
+    assert run.pruned_mass == pytest.approx(want.pruned_mass, rel=1e-13, abs=0)
+    return run
+
+
+def _run_loader_circuit(rng, n: int, runs: int) -> Circuit:
+    """``runs`` runs of 1-12 gates on one random target each: X, CX from
+    any other wire, RY, RZ, and UCRY and UCRZ with 0-3 controls in random
+    order, and RY(pi) pairs, whose residues are dropped mid-run."""
+    circuit = Circuit(n)
+    for _ in range(runs):
+        target = int(rng.integers(n))
+        wires = [q for q in range(n) if q != target]
+        for _ in range(int(rng.integers(1, 13))):
+            kind = str(rng.choice(["X", "CX", "RY", "RZ", "UCRY", "UCRZ", "RY(pi)"]))
+            if kind == "RY(pi)":
+                circuit.extend([gate("RY", target, angle=math.pi)] * 2)
+            elif kind == "X" or (kind == "CX" and not wires):
+                circuit.add("X", target)
+            elif kind == "CX":
+                circuit.add("CX", int(rng.choice(wires)), target)
+            elif kind in ("RY", "RZ"):
+                circuit.add(kind, target, angle=float(rng.uniform(-3, 3)))
+            else:
+                k = int(rng.integers(0, min(3, len(wires)) + 1))
+                controls = [int(q) for q in rng.choice(wires, size=k, replace=False)]
+                circuit.add(kind, *controls, target, angle=rng.uniform(-3, 3, size=2**k))
+    return circuit
+
+
+def test_paired_runs_match_the_per_gate_support_simulation():
+    rng = np.random.default_rng(41)
+    dropped = toggled = 0
+    for _ in range(200):
+        circuit = _run_loader_circuit(rng, int(rng.integers(1, 8)), 10)
+        run = _assert_support_is_per_gate(circuit)
+        dropped += run.pruned_mass > 0
+        # a run of rotations with CX from two or more controls among them
+        for _, gates in groupby(circuit, key=lambda g: g.targets[0]):
+            gates = list(gates)
+            controls = {g.controls[0] for g in gates if g.kind == "CX"}
+            toggled += len(controls) > 1 and any(g.kind != "CX" for g in gates)
+    assert dropped > 100 and toggled > 100
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_paired_runs_match_the_per_gate_support_simulation_on_table1_loaders(seed):
+    sinc, gaussian, mixture = table1_configs(seed=seed)[:3]
+    for cfg in (sinc, gaussian, mixture) if seed == 0 else (mixture,):
+        x = cfg.build_signal().samples
+        compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
+        _assert_support_is_per_gate(sqsp(SparseState.from_compressed(compressed)))
 
 
 @pytest.mark.parametrize("kind", ["RY", "RZ"])
