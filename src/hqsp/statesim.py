@@ -27,10 +27,11 @@ adds one workspace of twice that size.
 from |0...0> on its support only, an index array and an amplitude array,
 so a d-sparse load costs O(d) per gate instead of O(2**n).  It takes the
 circuit in maximal runs of gates on one target, as a lowered merge ladder
-is one: each run pairs the support once, O(d log d), X and CX then toggle
-which slot of each pair holds the |1>, and each rotation is a few array
-operations over the pairs, bit for bit the products and sums of pairing
-the support at every gate.  Amplitudes of magnitude at most
+is one: each run pairs the support once, O(d log d), into two slots per
+pair, the amplitudes at target bit 0 and 1.  X and CX swap the slots of the
+pairs they act on, each rotation is a few array operations over the pairs,
+bit for bit the products and sums of pairing the support at every gate, and
+the support is the nonzero slots.  Amplitudes of magnitude at most
 :data:`SUPPORT_DROP` are dropped after each rotation; the run reports its
 peak support and the squared norm it dropped.
 """
@@ -169,17 +170,16 @@ def _apply_fan(psi: np.ndarray, n: int, fan, work: np.ndarray) -> None:
     for g in fan:
         c = g.controls[0]
         phases[c] = phases.get(c, 1.0) * np.exp(1j * g.angle)
-    # the factor over the controls, highest qubit first as the view's axes
-    # run, built by outer products in two rows of ``work``, so that a fan
-    # allocates nothing
+    # the factor over the controls, built by outer products in two rows of
+    # ``work`` so that a fan allocates nothing; the highest control comes
+    # first, so ``controls[j]`` is bit j of its index, as _pattern_grid reads it
+    controls = sorted(phases)
     factor = work[0, :1]
     factor[0] = 1.0
-    shape = [1] * (n - 1)
-    for j, c in enumerate(sorted(phases, reverse=True)):
+    for j, c in enumerate(reversed(controls)):
         out = work[(j + 1) % 2, : 2 * factor.size].reshape(factor.size, 2)
         factor = np.multiply.outer(factor, (1.0, phases[c]), out=out).reshape(-1)
-        shape[n - 1 - c - (c < target)] = 2
-    _apply_diag(psi, n, (None, factor.reshape(shape)), target, ())
+    _apply_diag(psi, n, (None, _pattern_grid(factor, n, target, controls)), target, ())
 
 
 def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
@@ -252,7 +252,7 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
         if psi.shape != (2**n,):
             raise ValueError(f"initial state must have length {2**n}")
         w = n
-    # per-gate temporaries live here, so a gate allocates nothing and the
+    # per-gate temporaries are kept here, so a gate allocates nothing and the
     # run's page faults do not depend on the allocator's history
     work = np.empty((4, 2 ** (n - 1)), dtype=complex)
     # the active width w: no gate has touched a qubit at or above it, so
@@ -326,55 +326,39 @@ def _paired_run(run, target, idx, amp, peak, pruned):
     """One run of gates on ``target`` over the support paired by the index
     with the target bit cleared, which no gate of the run changes; returns
     the (idx, amp, peak, pruned) after it.  Slot row r of pair j holds the
-    amplitude at ``lows[j]`` with target bit ``r ^ flip``, ``flip`` being
-    the parity of the pair's X and CX toggles so far; ``live`` marks the
-    slots the support holds, and every other slot holds an exact 0, as the
-    pair a rotation builds from the support alone would."""
+    amplitude at ``lows[j]`` with target bit r, so X swaps every pair's two
+    slots and CX those of the pairs whose control bit is set.  A slot is in
+    the support exactly when it is nonzero: no support amplitude is 0, a
+    rotation writes 0 to every slot it drops, and a phase keeps a magnitude."""
     lows, col = np.unique(idx & ~(1 << target), return_inverse=True)
-    row = (idx >> target) & 1
     slots = np.zeros((2, len(lows)), dtype=complex)
-    live = np.zeros(slots.shape, dtype=bool)
-    slots[row, col.ravel()] = amp
-    live[row, col.ravel()] = True
-    # flips[i]: each pair's flip after the run's first i toggles
-    toggles = [
-        (g.controls[0], 0) if g.kind == "CX" else (0, 1) for g in run if g.kind in ("X", "CX")
-    ]
-    shift, ones = np.array(toggles, dtype=np.int64).reshape(-1, 2).T[:, :, None]
-    flips = np.zeros((len(toggles) + 1, len(lows)), dtype=np.int64)
-    np.bitwise_xor.accumulate((lows >> shift) & 1 | ones, axis=0, out=flips[1:])
-    unflipped = flips == 0
-    i = 0
+    slots[(idx >> target) & 1, col.ravel()] = amp
     for g in run:
-        if g.kind in ("X", "CX"):
-            i += 1
+        if g.kind == "X":
+            slots = slots[::-1]
+        elif g.kind == "CX":
+            slots = np.where(((lows >> g.controls[0]) & 1).astype(bool), slots[::-1], slots)
         elif g.kind in ("RZ", "UCRZ"):
             theta = _angles(g, lows)
-            lo, hi = np.exp(-0.5j * theta), np.exp(0.5j * theta)
-            # row 0 holds the |1> of a flipped pair
-            np.multiply(slots, np.where(unflipped[i], (lo, hi), (hi, lo)), out=slots, where=live)
+            slots *= (np.exp(-0.5j * theta), np.exp(0.5j * theta))
         else:
             # an RY's one angle, for every pair, as _angles would give it
             half = np.full(len(lows), 0.5 * g.angle) if g.kind == "RY" else 0.5 * _angles(g, lows)
             c, s = np.cos(half), np.sin(half)
-            # an unflipped pair's rows become c*a0 - s*a1 and c*a1 + s*a0; a
-            # flipped pair's rows are the other way round, which swaps the
-            # signs: the products and sums of the unpaired form, as a
-            # negation is exact
+            # the rows become c*a0 - s*a1 and c*a1 + s*a0, the products and
+            # sums of the unpaired form
             sp = s * slots
-            np.negative(sp, out=sp, where=unflipped[i])
             slots *= c
-            slots[0] += sp[1]
-            slots[1] -= sp[0]
+            slots[0] -= sp[1]
+            slots[1] += sp[0]
             mag = np.abs(slots)
-            live = mag > SUPPORT_DROP
-            if not live.all():
-                dropped = ~live
+            dropped = mag <= SUPPORT_DROP
+            if dropped.any():
                 pruned += float((mag[dropped] ** 2).sum())
                 slots[dropped] = 0
-            peak = max(peak, int(np.count_nonzero(live)))
-    rows = np.array([[0], [1]]) ^ flips[i]
-    return (lows | rows << target)[live], slots[live], peak, pruned
+            peak = max(peak, slots.size - int(np.count_nonzero(dropped)))
+    held = slots != 0
+    return (lows | np.array([[0], [1]]) << target)[held], slots[held], peak, pruned
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

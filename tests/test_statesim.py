@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hqsp.circuit import _KINDS, Circuit, _pattern_of, gate
 from hqsp.loaders import SparseState, sqsp
-from hqsp.pipeline import table1_configs
+from hqsp.pipeline import ExperimentConfig, table1_configs
 from hqsp.qsynth import inverse_packet_qhwt, iqft
 from hqsp.statesim import _H, _apply_1q, _apply_h
 from hqsp.statesim import (
@@ -31,7 +31,17 @@ from hqsp.statesim import (
     trace_distance,
     unitary_of,
 )
-from hqsp.transforms import analyse, read_amplitude_csv, threshold_normalize, write_amplitude_csv
+from hqsp.transforms import (
+    ABSOLUTE,
+    DFT,
+    FRACTION_OF_MAX,
+    PACKET_HAAR,
+    ThresholdPolicy,
+    analyse,
+    read_amplitude_csv,
+    threshold_normalize,
+    write_amplitude_csv,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -476,12 +486,17 @@ def test_support_simulation_matches_dense_on_sqsp_outputs(complex_amps):
         assert fidelity(simulate(Circuit(s.n), run), s.to_dense()) >= 1 - 1e-12
 
 
+def _loader(cfg: ExperimentConfig) -> Circuit:
+    """The sqsp load of ``cfg``'s compressed signal."""
+    x = cfg.build_signal().samples
+    compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
+    return sqsp(SparseState.from_compressed(compressed))
+
+
 @pytest.mark.parametrize("label", ["sinc", "gaussian"])
 def test_support_simulation_matches_reference_on_table1_loaders(label):
     cfg = next(c for c in table1_configs() if c.label == label)
-    x = cfg.build_signal().samples
-    compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
-    _assert_support_matches_reference(sqsp(SparseState.from_compressed(compressed)))
+    _assert_support_matches_reference(_loader(cfg))
 
 
 def _simulate_support_per_gate(circuit: Circuit) -> SupportState:
@@ -572,9 +587,52 @@ def test_paired_runs_match_the_per_gate_support_simulation():
 def test_paired_runs_match_the_per_gate_support_simulation_on_table1_loaders(seed):
     sinc, gaussian, mixture = table1_configs(seed=seed)[:3]
     for cfg in (sinc, gaussian, mixture) if seed == 0 else (mixture,):
-        x = cfg.build_signal().samples
-        compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
-        _assert_support_is_per_gate(sqsp(SparseState.from_compressed(compressed)))
+        _assert_support_is_per_gate(_loader(cfg))
+
+
+_PPG = table1_configs()[3]
+
+
+@pytest.mark.parametrize(
+    "cfg, kind",
+    [
+        # native UCRY cascades: recording01 at L = 12 (d = 1029, the
+        # dense-cascade benchmark's load) and table 1's ppg row (d = 3200)
+        (
+            ExperimentConfig(
+                "csv", PACKET_HAAR, 12, ThresholdPolicy(ABSOLUTE, 0.006), csv_path=_PPG.csv_path
+            ),
+            "UCRY",
+        ),
+        (_PPG, "UCRY"),
+        # DFT loads, whose merges carry RZ phasing
+        (
+            ExperimentConfig(
+                "gaussian",
+                DFT,
+                None,
+                ThresholdPolicy(FRACTION_OF_MAX, 0.01),
+                signal_params={"N": 1024},
+            ),
+            "RZ",
+        ),
+        (
+            ExperimentConfig(
+                "mixture",
+                DFT,
+                None,
+                ThresholdPolicy(FRACTION_OF_MAX, 0.02),
+                signal_params={"N": 4096, "seed": 3},
+            ),
+            "RZ",
+        ),
+    ],
+    ids=["recording01-L12", "table1-ppg", "dft-gaussian", "dft-mixture"],
+)
+def test_paired_runs_match_the_per_gate_support_simulation_on_cascades_and_phases(cfg, kind):
+    circuit = _loader(cfg)
+    assert kind in {g.kind for g in circuit}
+    _assert_support_is_per_gate(circuit)
 
 
 @pytest.mark.parametrize("kind", ["RY", "RZ"])
