@@ -14,15 +14,18 @@ describes; :func:`report` prices that ladder from the angles, and SWAP and
 CPHASE from their closed forms, without building any of them.
 
 The IR has one gate vocabulary: the ten kinds OpenQASM 2 files carry
-(H, X, RX, RY, RZ, PHASE, CX, CPHASE, SWAP, CCX) plus the two native
-multiplexers, which :func:`export` writes lowered.  OpenQASM 2 is the one
-circuit file format: :func:`export` writes it and :func:`parse_qasm` reads
-it back.  Decomposition targets the base set {H, X, RX, RY, RZ, PHASE, CX},
-exactly and without ancillas:
+(H, X, RX, RY, RZ, PHASE, CX, CPHASE, SWAP, CCX) plus two native
+multiplexers and two Fourier transforms, ``IQFT``/``QFT`` on the low qubits
+``0..k-1``, which :func:`report` schedules and :func:`export` writes as
+their H, CPHASE and SWAP lowerings.  OpenQASM 2 is the one circuit file
+format: :func:`export` writes it and :func:`parse_qasm` reads it back.
+Decomposition targets the base set {H, X, RX, RY, RZ, PHASE, CX}, exactly
+and without ancillas:
 
 * ``UCRY``/``UCRZ`` with k >= 1 controls cost ``2**k`` CX,
 * ``CCX`` uses the textbook 6-CX / 9-single-qubit T network,
-* ``SWAP`` is 3 CX, ``CPHASE`` is 2 CX plus 3 phase gates.
+* ``SWAP`` is 3 CX, ``CPHASE`` is 2 CX plus 3 phase gates,
+* ``IQFT``/``QFT`` on k qubits cost k(k-1) + 3*floor(k/2) CX.
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ __all__ = [
 
 
 # one row per gate kind; ``controls`` None (any number) marks a multiplexer,
-# which has no OpenQASM 2 name but the ``rotation`` its ladder repeats
+# which has no OpenQASM 2 name but the ``rotation`` its ladder repeats, and
+# ``targets`` None a Fourier transform, every operand of which is a target
 class _Kind(NamedTuple):
     controls: int | None
-    targets: int
+    targets: int | None
     takes_angle: bool
     qasm: str | None
     rotation: str | None = None
@@ -74,17 +78,20 @@ _KINDS = {
     "CCX": _Kind(2, 1, False, "ccx"),
     "UCRY": _Kind(None, 1, True, None, "RY"),
     "UCRZ": _Kind(None, 1, True, None, "RZ"),
+    "IQFT": _Kind(0, None, False, None),
+    "QFT": _Kind(0, None, False, None),
 }
 
 GATE_KINDS = frozenset(_KINDS)
 _MULTIPLEXERS = frozenset(k for k, row in _KINDS.items() if row.rotation)
+_TRANSFORMS = frozenset(k for k, row in _KINDS.items() if row.targets is None)
 
 _BASE_KINDS = frozenset({"H", "X", "RX", "RY", "RZ", "PHASE", "CX"})
 # the two-wire kinds the scheduler prices in closed form, as (CX, single-qubit
 # gates, depth): each lowering ends with both wires at the later one plus depth
 _TWO_WIRE_COSTS = {"CX": (1, 0, 1), "SWAP": (3, 0, 3), "CPHASE": (2, 3, 4)}
 # what the scheduler takes as it is: base gates, SWAP, CPHASE and native
-# multiplexers; only CCX is lowered first
+# multiplexers; CCX and the transforms are lowered first
 _SCHEDULED_KINDS = _BASE_KINDS | _MULTIPLEXERS | frozenset(_TWO_WIRE_COSTS)
 # OpenQASM 2 name -> kind, for the reader
 _QASM_KINDS = {row.qasm: k for k, row in _KINDS.items() if row.qasm}
@@ -104,11 +111,12 @@ class Gate:
 
     @property
     def targets(self) -> tuple[int, ...]:
-        return self.qubits[len(self.qubits) - _KINDS[self.kind].targets :]
+        n_tgt = _KINDS[self.kind].targets
+        return self.qubits if n_tgt is None else self.qubits[len(self.qubits) - n_tgt :]
 
     @property
     def controls(self) -> tuple[int, ...]:
-        return self.qubits[: len(self.qubits) - _KINDS[self.kind].targets]
+        return self.qubits[: len(self.qubits) - len(self.targets)]
 
     @functools.cached_property
     def walk(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +140,11 @@ def gate(kind: str, *qubits: int, angle=None) -> Gate:
     if kind not in _KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
     n_ctrl, n_tgt, takes_angle, *_ = _KINDS[kind]
-    if n_ctrl is None:
+    if n_ctrl is None or n_tgt is None:
         if not qubits:
             raise ValueError(f"{kind} needs a target")
+        if n_tgt is None and qubits != tuple(range(len(qubits))):
+            raise ValueError(f"{kind} acts on the low qubits 0..k-1 in order, got {qubits}")
     elif len(qubits) != n_ctrl + n_tgt:
         raise ValueError(f"{kind} takes {n_ctrl + n_tgt} operands, got {len(qubits)}")
     if len(set(qubits)) != len(qubits):
@@ -192,9 +202,7 @@ class Circuit:
             raise ValueError("circuit needs at least one qubit")
         self.n_qubits = int(n_qubits)
         self.gates: list[Gate] = []
-        if gates:
-            for g in gates:
-                self.append(g)
+        self.extend(gates or ())
 
     @classmethod
     def _of(cls, n_qubits: int, gates: list[Gate]) -> "Circuit":
@@ -351,16 +359,27 @@ def _decompose_gate(g: Gate) -> list[Gate]:
         kind, wire = _KINDS[g.kind].rotation, g.targets
         cx = [gate("CX", c, *wire) for c in g.controls]
         return _ladder(g, lambda angle: Gate(kind, wire, angle), cx)
+    if g.kind in _TRANSFORMS:
+        # from the top qubit down, H then the CPHASE fan onto it from every
+        # lower qubit, then the bit-reversal SWAPs: n(n-1) + 3*floor(n/2) CX
+        k = len(g.qubits)
+        out = []
+        for q in range(k - 1, -1, -1):
+            out.append(Gate("H", (q,)))
+            for p in range(q - 1, -1, -1):
+                out.append(Gate("CPHASE", (p, q), math.pi / 2 ** (q - p)))
+        out += [Gate("SWAP", (q, k - 1 - q)) for q in range(k // 2)]
+        return out if g.kind == "IQFT" else [inverse(x) for x in reversed(out)]
     raise ValueError(f"no decomposition rule for {g.kind}")
 
 
 def _lowered(gates, kept=_BASE_KINDS):
-    """``gates`` with every kind outside ``kept`` decomposed, one at a time."""
+    """``gates`` with every kind outside ``kept`` decomposed, recursively."""
     for g in gates:
         if g.kind in kept:
             yield g
         else:
-            yield from _decompose_gate(g)
+            yield from _lowered(_decompose_gate(g), kept)
 
 
 def decompose(circuit: Circuit) -> Circuit:
@@ -371,8 +390,8 @@ def decompose(circuit: Circuit) -> Circuit:
 def _schedule(frontier: list[int], circuit: Circuit) -> ResourceReport:
     """One ASAP pass of ``circuit`` from the per-wire ``frontier``, which it
     advances: the circuit's CX and single-qubit counts, and the depth the
-    frontier reaches.  Only CCX is lowered first; a multiplexer schedules as
-    its Gray-code ladder, SWAP and CPHASE as their lowerings."""
+    frontier reaches.  CCX and the transforms are lowered first; a multiplexer
+    schedules as its Gray-code ladder, SWAP and CPHASE as their lowerings."""
     cx = single = 0
     for g in _lowered(circuit, _SCHEDULED_KINDS):
         if g.kind in _MULTIPLEXERS:
@@ -424,7 +443,7 @@ def report(circuit: Circuit) -> ResourceReport:
     """Tally CX count, single-qubit count and ASAP depth of the decomposed
     circuit in one pass without building it: native multiplexers are priced
     from their angles without building their ladders, SWAP and CPHASE in
-    closed form, and only CCX is lowered, one gate at a time.
+    closed form, and only CCX and the transforms are lowered, one at a time.
     """
     return _schedule([0] * circuit.n_qubits, circuit)
 
@@ -446,9 +465,11 @@ def report_stages(first: Circuit, second: Circuit) -> tuple[ResourceReport, ...]
 
 
 def inverse(g: Gate) -> Gate:
-    """The gate undoing ``g``: every kind that takes an angle is a rotation
-    and inverts by negating it (a multiplexer negates every pattern angle);
-    every other kind is its own inverse."""
+    """The gate undoing ``g``: IQFT and QFT undo each other; every kind that
+    takes an angle is a rotation and inverts by negating it (a multiplexer
+    negates every pattern angle); every other kind is its own inverse."""
+    if g.kind in _TRANSFORMS:
+        return Gate("QFT" if g.kind == "IQFT" else "IQFT", g.qubits)
     if g.angle is None:
         return g
     if g.kind in _MULTIPLEXERS:
@@ -457,9 +478,11 @@ def inverse(g: Gate) -> Gate:
 
 
 def _cancels(a: Gate, b: Gate) -> bool:
-    if a.kind != b.kind or a.qubits != b.qubits:
+    if a.qubits != b.qubits:
         return False
     inv = inverse(a)
+    if inv.kind != b.kind:
+        return False
     if inv.angle is None:
         return True
     if a.kind in _MULTIPLEXERS:
@@ -502,7 +525,7 @@ def export(circuit: Circuit) -> str:
     """Serialise to OpenQASM 2.0 (subset h,x,rx,ry,rz,u1,cx,cp,swap,ccx),
     one register ``q`` and one gate per line.  A UCRY/UCRZ multiplexer is
     written straight from its Gray walk, as the same lines that lowering it
-    to its ladder and writing each gate would give."""
+    to its ladder and writing each gate would give, a transform as its lowering."""
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
@@ -511,6 +534,8 @@ def export(circuit: Circuit) -> str:
     for g in circuit:
         if g.kind in _MULTIPLEXERS:
             lines += _ladder_lines(g)
+        elif g.kind in _TRANSFORMS:
+            lines += map(_qasm_line, _decompose_gate(g))
         else:  # every other kind is a QASM kind
             lines.append(_qasm_line(g))
     return "\n".join(lines) + "\n"

@@ -194,6 +194,16 @@ def cmd_compress(args) -> int:
     return 0
 
 
+def _read(path, reader):
+    """``reader(path)``, each invalid value it meets named by ``path`` once:
+    a reader's own parse errors already lead with ``path:`` (and the line)."""
+    try:
+        return reader(path)
+    except (PipelineError, ValueError) as err:  # a UnicodeDecodeError is one
+        text = str(err)
+        raise PipelineError(text if text.startswith(f"{path}:") else f"{path}: {text}") from None
+
+
 def _require(value, flag: str, plan: str):
     if value is None:
         raise PipelineError(f"--plan {plan} requires {flag}")
@@ -209,8 +219,8 @@ def cmd_synth(args) -> int:
             _require(args.n, "--n", plan), _require(args.levels, "--levels", plan)
         )
     elif plan == "sqsp":
-        compressed = load_compressed_csv(_require(args.input, "--input", plan))
-        circuit = sqsp(SparseState.from_compressed(compressed))
+        path = _require(args.input, "--input", plan)
+        circuit = sqsp(_read(path, lambda p: SparseState.from_compressed(load_compressed_csv(p))))
     elif plan == "eae":
         signal = ingest_waveform_csv(_require(args.input, "--input", plan))
         circuit = eae_real(np.asarray(signal.samples, dtype=float))
@@ -233,11 +243,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        text = args.circuit.read_text()
-    except UnicodeDecodeError as err:
-        raise PipelineError(f"{args.circuit}: {err}") from None
-    circuit = parse_qasm(text)
+    circuit = _read(args.circuit, lambda p: parse_qasm(p.read_text()))
     state = simulate(circuit)
     print(f"simulated {circuit.n_qubits} qubits, {len(circuit)} gates")
     if args.out is not None:
@@ -252,7 +258,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+    cfg = _read(args.config, ExperimentConfig.from_file)
     circuit, record = hybrid_prepare(cfg)
     print(format_table([record]))
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None

@@ -594,6 +594,7 @@ def run_table2(
             )
             continue
         x = _unit_samples(signal)
+        del signal  # released before the simulator and its FFT scratch allocate
         circuit = fsl_circuit(fsl_coefficients(Signal(x), m), n, m)
         rep = report(circuit)
         td = trace_distance(simulate(circuit), x)

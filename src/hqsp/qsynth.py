@@ -1,7 +1,9 @@
 """Quantum decompression circuits and the Fourier Series Loader baseline.
 
 ``iqft`` realizes the inverse-DFT matrix (1/sqrt(N)) exp(+2 pi i j k / N)
-up to global phase, bit-reversal SWAPs included.  The inverse
+up to global phase, bit-reversal SWAPs included, as one ``IQFT`` op that
+simulates as one FFT; the costs below are those of its lowering, which
+every count, depth and QASM file describes.  The inverse
 packet Haar circuit undoes :func:`hqsp.transforms.packet_dhwt`: one block
 per level in increasing block size, each block a descending SWAP chain
 followed by a Hadamard on qubit 0.  Closed-form costs (decomposed):
@@ -37,19 +39,12 @@ __all__ = [
 
 
 def iqft(n: int) -> Circuit:
-    """Inverse quantum Fourier transform on n qubits; the closing
-    bit-reversal SWAPs make its unitary the inverse-DFT matrix up to
-    global phase."""
+    """Inverse quantum Fourier transform on n qubits, one ``IQFT`` op; the
+    closing bit-reversal SWAPs of its lowering make its unitary the
+    inverse-DFT matrix up to global phase."""
     if n < 1:
         raise ValueError("iqft needs at least one qubit")
-    circ = Circuit(n)
-    for q in range(n - 1, -1, -1):
-        circ.add("H", q)
-        for p in range(q - 1, -1, -1):
-            circ.add("CPHASE", p, q, angle=math.pi / 2 ** (q - p))
-    for q in range(n // 2):
-        circ.add("SWAP", q, n - 1 - q)
-    return circ
+    return Circuit(n).add("IQFT", *range(n))
 
 
 def inverse_packet_qhwt(n: int, L: int) -> Circuit:
@@ -113,14 +108,10 @@ def fsl_circuit(coefficients: np.ndarray, n: int, m: int) -> Circuit:
         raise ValueError(
             f"coefficient register must hold {2 ** (m + 1)} values, got {coeffs.shape}"
         )
-    circ = Circuit(n)
-    for g in dense_complex_load(coeffs):
-        circ.append(g)
+    circ = Circuit(n).extend(dense_complex_load(coeffs))
     for j in range(m + 1, n):
         circ.add("CX", m, j)
-    for g in iqft(n):
-        circ.append(g)
-    return circ
+    return circ.add("IQFT", *range(n))
 
 
 def fsl_cx_count(n: int, m: int) -> int:

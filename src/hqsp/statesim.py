@@ -4,7 +4,7 @@ States are little-endian: qubit 0 is the least significant bit of the basis
 index, so ``state[5]`` is the amplitude of |...101>.  Both simulators state
 each gate family once, on the gate's own target and controls: X/CX/CCX,
 PHASE/CPHASE, and the rotations, RY and RZ being UCRY and UCRZ with no
-controls.
+controls.  Only :func:`simulate` applies the two transforms.
 
 :func:`simulate` is the whole-circuit simulator.  Axis slicing on the
 ``[2]*w``-shaped view keeps every update vectorised; a multiplexer's
@@ -16,12 +16,11 @@ that no gate has touched, so each gate acts on the first ``2**w`` only, bit
 for bit as on the whole register.  H takes four passes, the products and
 sums of its 2x2 matrix without their copies.  A run of consecutive SWAPs
 only moves data, so it is composed into one axis permutation and costs one
-transposed copy and one copy back.  A run of consecutive CPHASEs on one
-target (the fan the inverse QFT emits after each H) is one multiply of the
-target's |1> half by the product of their phase factors, which differs
-from applying them one at a time by rounding only.  Register width is
-capped at 24 qubits, which bounds the state at 256 MiB of complex128; a run
-adds one workspace of twice that size.
+transposed copy and one copy back.  An IQFT or QFT on the low k qubits is
+one in-place orthonormal ``np.fft.ifft``/``np.fft.fft`` over the rows of
+the ``(2**(w-k), 2**k)`` view, equal to its H, CPHASE and SWAP lowering up
+to rounding.  Register width is capped at 24 qubits, which bounds the state
+at 256 MiB of complex128; a run adds one workspace of twice that size.
 
 :func:`simulate_support` runs a loader circuit (X, CX, RY, RZ, UCRY, UCRZ)
 from |0...0> on its support only, an index array and an amplitude array,
@@ -156,30 +155,13 @@ def _apply_diag(psi: np.ndarray, n: int, phases: tuple, target: int, controls) -
             view[sel] *= phase
 
 
-def _apply_fan(psi: np.ndarray, n: int, fan, work: np.ndarray) -> None:
-    """A run of CPHASEs on one target as one multiply of the target's |1>
-    half by the product of their phase factors, laid onto the control axes;
-    a lone CPHASE multiplies the quarter under its control."""
-    target = fan[0].targets[0]
-    # half the memory traffic of the half-register multiply, and no
-    # broadcast over a short inner axis when the control is above the target
-    if len(fan) == 1:
-        _apply_diag(psi, n, (None, np.exp(1j * fan[0].angle)), target, fan[0].controls)
-        return
-    phases: dict = {}
-    for g in fan:
-        c = g.controls[0]
-        phases[c] = phases.get(c, 1.0) * np.exp(1j * g.angle)
-    # the factor over the controls, built by outer products in two rows of
-    # ``work`` so that a fan allocates nothing; the highest control comes
-    # first, so ``controls[j]`` is bit j of its index, as _pattern_grid reads it
-    controls = sorted(phases)
-    factor = work[0, :1]
-    factor[0] = 1.0
-    for j, c in enumerate(reversed(controls)):
-        out = work[(j + 1) % 2, : 2 * factor.size].reshape(factor.size, 2)
-        factor = np.multiply.outer(factor, (1.0, phases[c]), out=out).reshape(-1)
-    _apply_diag(psi, n, (None, _pattern_grid(factor, n, target, controls)), target, ())
+def _apply_fft(fft, blocks: np.ndarray) -> None:
+    """The orthonormal ``fft`` of each row of ``blocks``, in place on every
+    NumPy version (before 2.0 it takes no ``out=``, so it is copied back)."""
+    try:
+        fft(blocks, axis=-1, norm="ortho", out=blocks)
+    except TypeError:
+        blocks[...] = fft(blocks, axis=-1, norm="ortho")
 
 
 def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
@@ -190,8 +172,12 @@ def _apply_gate(psi: np.ndarray, n: int, g, work: np.ndarray) -> None:
         _apply_1q(psi, n, _rx(g.angle), target, (), work)
     elif kind in ("X", "CX", "CCX"):
         _apply_1q(psi, n, _X, target, controls, work)
-    elif kind == "PHASE":
-        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), target, ())
+    elif kind in ("PHASE", "CPHASE"):
+        _apply_diag(psi, n, (None, np.exp(1j * g.angle)), target, controls)
+    elif kind in ("IQFT", "QFT"):
+        # each row of the (high bits, low bits) view is one transform register
+        fft = np.fft.ifft if kind == "IQFT" else np.fft.fft
+        _apply_fft(fft, psi.reshape(-1, 2 ** len(g.qubits)))
     elif kind in ("RY", "UCRY"):
         half = np.atleast_1d(g.angle) / 2.0
         c, s = (_pattern_grid(f(half), n, target, controls) for f in (np.cos, np.sin))
@@ -217,14 +203,6 @@ def _permute(psi: np.ndarray, n: int, swaps, work: np.ndarray) -> None:
     np.copyto(view, moved)
 
 
-def _run_key(g):
-    """Gates that :func:`simulate` applies as one run share a key: SWAPs
-    "SWAP", CPHASEs their target; every other gate None, one at a time."""
-    if g.kind == "SWAP":
-        return "SWAP"
-    return g.targets[0] if g.kind == "CPHASE" else None
-
-
 def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     """Run the circuit on ``initial`` and return the state.
 
@@ -232,8 +210,8 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     state (a :class:`hqsp.loaders.SparseState` or :class:`SupportState`)
     whose ``indices`` and ``amplitudes`` are scattered into a fresh register.
     Each run of consecutive SWAPs is one axis permutation of the register,
-    each run of consecutive CPHASEs on one target one multiply; every other
-    gate is applied on its own.  Each acts on the active width only.
+    each IQFT or QFT one FFT; every other gate is applied on its own.  Each
+    acts on the active width only.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -252,23 +230,21 @@ def simulate(circuit: Circuit, initial=None) -> np.ndarray:
         if psi.shape != (2**n,):
             raise ValueError(f"initial state must have length {2**n}")
         w = n
-    # per-gate temporaries are kept here, so a gate allocates nothing and the
-    # run's page faults do not depend on the allocator's history
+    # per-gate temporaries are kept here, so a gate allocates nothing (but
+    # for pocketfft's own scratch) and the run's page faults do not depend on
+    # the allocator's history
     work = np.empty((4, 2 ** (n - 1)), dtype=complex)
     # the active width w: no gate has touched a qubit at or above it, so
     # every amplitude past psi[:2**w] is an exact zero that gates skip
-    for key, run in groupby(circuit, key=_run_key):
-        if key is None:
+    for is_swap, run in groupby(circuit, key=lambda g: g.kind == "SWAP"):
+        if not is_swap:
             for g in run:
                 w = max(w, 1 + max(g.qubits))
                 _apply_gate(psi[: 2**w], w, g, work)
             continue
         run = list(run)
         w = max(w, 1 + max(q for g in run for q in g.qubits))
-        if key == "SWAP":
-            _permute(psi[: 2**w], w, run, work)
-        else:
-            _apply_fan(psi[: 2**w], w, run, work)
+        _permute(psi[: 2**w], w, run, work)
     return psi
 
 

@@ -26,7 +26,7 @@ from hqsp.circuit import (
     report,
     report_stages,
 )
-from hqsp.circuit import _ANGLE_EPS, _KINDS, _fwht
+from hqsp.circuit import _ANGLE_EPS, _KINDS, _decompose_gate, _fwht
 from hqsp.statesim import simulate, unitary_of
 
 RNG = np.random.default_rng(7)
@@ -285,6 +285,9 @@ DECOMPOSED_CASES = [
     gate("UCRY", 1, 0, angle=(0.0, 0.9)),
     gate("UCRY", 0, 1, 2, 3, angle=(0.0,) * 7 + (-1.4,)),
     gate("UCRZ", 3, 1, 4, angle=(0.0, 0.0, 0.0, 0.6)),
+    # the transforms lower through CPHASE and SWAP, themselves lowered
+    gate("IQFT", 0, 1, 2),
+    gate("QFT", 0, 1, 2, 3),
 ]
 
 
@@ -313,6 +316,9 @@ def test_decomposition_cx_costs():
         one_hot = (0.0,) * (2**k - 1) + (0.5,)
         ucry = gate("UCRY", *range(k), k, angle=one_hot)
         assert cx_count(ucry) == (2**k if k else 0)
+    for kind in ("IQFT", "QFT"):
+        for k in range(1, 7):
+            assert cx_count(gate(kind, *range(k))) == k * (k - 1) + 3 * (k // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +424,35 @@ def test_cancel_opposite_rotations():
     assert len(cancel_adjacent_inverses(keep)) == 2
 
 
+def test_transforms_cancel_only_against_each_other():
+    iqft, qft = gate("IQFT", 0, 1, 2), gate("QFT", 0, 1, 2)
+    for pair in ([qft, iqft], [iqft, qft]):
+        assert cancel_adjacent_inverses(Circuit(4, [*pair, gate("X", 3)])).gates == [gate("X", 3)]
+    for pair in ([iqft, iqft], [qft, qft], [iqft, gate("IQFT", 0, 1)]):
+        assert cancel_adjacent_inverses(Circuit(4, pair)).gates == pair
+
+
+@pytest.mark.parametrize("kind", ["IQFT", "QFT"])
+def test_transforms_act_on_the_low_block_in_order(kind):
+    assert gate(kind, 0, 1, 2).qubits == (0, 1, 2)
+    assert gate(kind, 0).targets == (0,) and gate(kind, 0, 1).controls == ()
+    for qubits in [(1, 0), (1,), (0, 2), (0, 1, 1), (2, 1, 0), ()]:
+        with pytest.raises(ValueError):
+            gate(kind, *qubits)
+    with pytest.raises(ValueError, match="does not take an angle"):
+        gate(kind, 0, 1, angle=0.5)
+
+
+def test_qft_lowers_to_the_iqft_lowering_reversed_and_negated():
+    for k in range(1, 6):
+        forward = _decompose_gate(gate("IQFT", *range(k)))
+        backward = _decompose_gate(gate("QFT", *range(k)))
+        assert backward == [
+            Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
+            for g in reversed(forward)
+        ]
+
+
 def test_cancel_mcx_pairs():
     # CCX is the IR's one multi-controlled X
     c = Circuit(3, [gate("CCX", 0, 1, 2), gate("CCX", 0, 1, 2)])
@@ -440,13 +475,16 @@ _ONE_OF_EACH_KIND = [
     gate("CCX", 2, 0, 1),
     gate("UCRY", 2, 0, 1, angle=(0.4, -1.2, 0.0, 2.5)),
     gate("UCRZ", 1, 2, angle=(0.9, -0.3)),
+    gate("IQFT", 0, 1, 2),
+    gate("QFT", 0, 1),
 ]
+_SELF_INVERSE_KINDS = {"H", "X", "CX", "SWAP", "CCX"}
 
 
 @pytest.mark.parametrize("g", _ONE_OF_EACH_KIND, ids=lambda g: g.kind)
 def test_inverse_undoes_each_kind(g):
     inv = inverse(g)
-    assert (inv is g) == (g.angle is None)
+    assert (inv is g) == (g.kind in _SELF_INVERSE_KINDS)
     product = unitary_of(Circuit(3, [g, inv]))
     np.testing.assert_allclose(product, np.eye(8), atol=1e-12)
     assert cancel_adjacent_inverses(Circuit(3, [g, inv])).gates == []
@@ -459,12 +497,15 @@ def test_one_of_each_kind_covers_the_ir():
 @pytest.mark.parametrize("g", _ONE_OF_EACH_KIND, ids=lambda g: g.kind)
 def test_each_kind_row_round_trips(g):
     # a kind with a QASM name is written and read back as it is; a
-    # multiplexer is written as its ladder of its row's rotation and CX
+    # multiplexer is written as its ladder of its row's rotation and CX, a
+    # transform as its H, CPHASE and SWAP gates
     row, c = _KINDS[g.kind], Circuit(3, [g])
     lowered = decompose(c)
     if row.qasm:
         assert export(c).splitlines()[-1].startswith(row.qasm)
         assert parse_qasm(export(c)) == c
+    elif row.targets is None:
+        assert parse_qasm(export(c)) == Circuit(3, _decompose_gate(g))
     else:
         assert {h.kind for h in lowered} == {row.rotation, "CX"}
         assert parse_qasm(export(c)) == lowered

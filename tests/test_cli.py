@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqsp.circuit import decompose, parse_qasm
+from hqsp.circuit import Circuit, _decompose_gate, decompose, parse_qasm
 from hqsp.cli import build_parser, main
 from hqsp.loaders import eae_real
 from hqsp.qsynth import iqft
@@ -145,8 +145,9 @@ def test_synth_qhwt_report(capsys):
 
 
 def test_synth_qasm_on_stdout(capsys):
+    # iqft's one op is written as its lowering, which reads back gate by gate
     assert main(["synth", "--plan", "iqft", "--n", "3"]) == 0
-    assert parse_qasm(capsys.readouterr().out) == iqft(3)
+    assert parse_qasm(capsys.readouterr().out) == Circuit(3, _decompose_gate(iqft(3).gates[0]))
 
 
 def test_synth_missing_flag_is_usage_error(capsys):
@@ -211,6 +212,15 @@ def test_synth_sqsp_rejects_metadata_that_save_does_not_write(tmp_path, capsys, 
     bad.write_text(meta + "# n=2\nindex,real,imaginary\n1,1.0,0.0\n")
     assert main(["synth", "--plan", "sqsp", "--input", str(bad), "--report"]) == 2
     assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+def test_synth_sqsp_norm_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "c.csv"
+    bad.write_text("# kind=haar\n# levels=1\n# n=2\nindex,real,imaginary\n1,0.5,0.0\n")
+    assert main(["synth", "--plan", "sqsp", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: amplitudes have squared norm 0.25, expected 1" in err
+    assert err.count(str(bad)) == 1
 
 
 def test_synth_eae_and_fsl(gaussian_csv, tmp_path):
@@ -310,6 +320,12 @@ def test_circuit_file_rejects_native_multiplexer(tmp_path, capsys, command, line
 def test_simulate_rejects_what_parse_qasm_cannot_read_back(tmp_path, capsys, body, message):
     assert main(["simulate", str(_qasm_file(tmp_path, 2, body))]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_simulate_malformed_statement_names_the_file(tmp_path, capsys):
+    circ = _qasm_file(tmp_path, 3, "cxq[2],q[1];")
+    assert main(["simulate", str(circ)]) == 2
+    assert f"error: {circ}: malformed statement 'cxq[2],q[1]'" in capsys.readouterr().err
 
 
 def test_simulate_too_wide_is_usage_error(tmp_path, capsys):
@@ -424,11 +440,32 @@ def test_prepare_rejects_coerced_value(tmp_path, capsys, line, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("signal.N = 64e", "signal.N must be int, got '64e'"),
+        ("colour = red", "unknown config key 'colour'"),
+        ("threshold.mode = absolute", "threshold needs both threshold.mode and threshold.value"),
+        ("epsilon = 2.0", "epsilon must lie in (0, 1], got 2.0"),
+    ],
+    ids=["typing", "unknown-key", "threshold", "epsilon"],
+)
+def test_prepare_config_errors_name_the_file(tmp_path, capsys, line, message):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"signal.kind = sinc\ntransform.levels = 3\n{line}\n")
+    assert main(["prepare", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {conf}: {message}" in err
+    assert err.count(str(conf)) == 1
+
+
 def test_prepare_unterminated_quote_is_usage_error(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text('signal.kind = sinc\ntransform.levels = 3\nlabel = "g # note\n')
     assert main(["prepare", str(conf)]) == 2
-    assert f"error: {conf}:3: unterminated \" quote" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {conf}:3: unterminated \" quote" in err
+    assert err.count(str(conf)) == 1  # the parser's own path:line, not doubled
 
 
 def test_prepare_tolerance_exit_code(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hqsp.pipeline as pipeline
+from hqsp.circuit import export, parse_qasm
 from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import (
     CR_VALID_HIGH,
@@ -407,6 +408,33 @@ def test_hybrid_prepare_matches_classical_reconstruction(seed):
     compressed = threshold_normalize(packet_dhwt(x, levels), cfg.threshold)
     recon = classical_reconstruct(compressed).samples
     assert trace_distance(simulate(circuit), recon) < 1e-9
+
+
+@st.composite
+def _dft_configs(draw):
+    """DFT experiments on every signal kind (periodic needs N >= 64) at
+    n = 3-12 and fraction-of-max thresholds up to 0.05, zero included."""
+    kind = draw(st.sampled_from(sorted(pipeline._GENERATORS)))
+    n = draw(st.integers(6 if kind == "periodic" else 3, 12))
+    tau = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+    params = {"N": 2**n}
+    if kind == "mixture":
+        params["seed"] = draw(st.integers(0, 2**16))
+    return ExperimentConfig(kind, DFT, None, ThresholdPolicy(FRACTION_OF_MAX, tau), signal_params=params)
+
+
+@given(_dft_configs())
+@settings(max_examples=12, deadline=None)
+def test_dft_register_holds_the_classical_reconstruction(cfg):
+    # the inverse QFT runs as one FFT; read back from its QASM it runs gate
+    # by gate, H, CPHASE and SWAP, and lands on the same register
+    circuit, _ = hybrid_prepare(cfg)
+    x = _unit_samples(cfg.build_signal())
+    compressed = threshold_normalize(analyse(x, cfg.descriptor), cfg.threshold)
+    psi = simulate(circuit)
+    assert trace_distance(psi, classical_reconstruct(compressed).samples) < 1e-9
+    gate_by_gate = simulate(parse_qasm(export(circuit)))
+    np.testing.assert_allclose(gate_by_gate, psi, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg", table1_configs(), ids=lambda c: c.label)

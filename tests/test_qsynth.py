@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from hqsp.circuit import Circuit, report
+from hqsp.circuit import Circuit, _decompose_gate, decompose, export, report
+from hqsp.pipeline import DEFAULT_PPG_RECORDING, _table2_rows, _unit_samples, build_signal
 from hqsp.qsynth import (
     fsl_circuit,
     fsl_classical_reconstruction,
@@ -48,9 +49,16 @@ def test_iqft_matches_inverse_dft_matrix(n):
     np.testing.assert_allclose(_phase_aligned(u, _idft_matrix(n)), _idft_matrix(n), atol=1e-10)
 
 
+def _iqft_lowering(n: int) -> Circuit:
+    """The H, CPHASE and SWAP gates of iqft(n)'s one op."""
+    (op,) = iqft(n).gates
+    assert op.kind == "IQFT" and op.qubits == tuple(range(n))
+    return Circuit(n, _decompose_gate(op))
+
+
 def test_iqft_without_swaps_is_bit_reversed():
     n = 3
-    u = unitary_of(Circuit(n, [g for g in iqft(n) if g.kind != "SWAP"]))
+    u = unitary_of(Circuit(n, [g for g in _iqft_lowering(n) if g.kind != "SWAP"]))
     perm = [int(f"{j:0{n}b}"[::-1], 2) for j in range(2**n)]
     np.testing.assert_allclose(
         _phase_aligned(u[perm, :], _idft_matrix(n)), _idft_matrix(n), atol=1e-10
@@ -60,6 +68,16 @@ def test_iqft_without_swaps_is_bit_reversed():
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 12])
 def test_iqft_cx_count_closed_form(n):
     assert report(iqft(n)).cnot_count == n * (n - 1) + 3 * (n // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_iqft_writes_and_prices_its_lowering(n):
+    lowering = _iqft_lowering(n)
+    assert [g.kind for g in lowering].count("SWAP") == n // 2
+    assert export(iqft(n)) == export(lowering)
+    rep = report(iqft(n))
+    assert rep == report(lowering) == report(decompose(iqft(n)))
+    assert rep.cnot_count == n * (n - 1) + 3 * (n // 2)
 
 
 def test_iqft_eight_qubits_is_68_cx():
@@ -136,6 +154,19 @@ def test_fsl_simulation_matches_classical_truncation():
         psi = simulate(circ)
         ref = fsl_classical_reconstruction(x, m)
         assert trace_distance(psi, ref) < 1e-9
+
+
+@pytest.mark.parametrize("row", _table2_rows(0), ids=lambda row: row[0])
+def test_table2_registers_hold_the_classical_truncation(row):
+    # each register of `run table2`, its inverse QFT run as one FFT
+    label, n, m, params = row
+    if label == "ppg":
+        signal = build_signal("csv", csv_path=DEFAULT_PPG_RECORDING)
+    else:
+        signal = build_signal(label, {"N": 2**n, **params})
+    x = Signal(_unit_samples(signal))
+    psi = simulate(fsl_circuit(fsl_coefficients(x, m), n, m))
+    assert trace_distance(psi, fsl_classical_reconstruction(x, m)) < 1e-9
 
 
 def test_fsl_exact_when_band_covers_support():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqsp.circuit import _KINDS, Circuit, _pattern_of, gate
+from hqsp.circuit import _KINDS, Circuit, _decompose_gate, _pattern_of, gate
 from hqsp.loaders import SparseState, sqsp
 from hqsp.pipeline import ExperimentConfig, table1_configs
 from hqsp.qsynth import inverse_packet_qhwt, iqft
@@ -188,7 +188,7 @@ def test_simulate_norm_preserved_on_random_circuits():
 def _assert_matches_swap_by_swap(circuit: Circuit) -> None:
     """simulate, bit for bit, against a reference that applies each SWAP as
     its own np.swapaxes and simulates each maximal run of other gates as a
-    circuit of its own, so that a CPHASE fan is fused on both sides."""
+    circuit of its own."""
     n = circuit.n_qubits
     initial = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
     psi = initial
@@ -239,8 +239,8 @@ def test_decompression_swap_chains_match_one_swap_at_a_time(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_iqft_closing_swaps_match_one_swap_at_a_time(n):
-    circuit = iqft(n)
-    # its bit-reversal SWAPs close the circuit as one run
+    circuit = Circuit(n, _decompose_gate(gate("IQFT", *range(n))))
+    # the bit-reversal SWAPs close its lowering as one run
     kinds = [g.kind for g in circuit]
     assert kinds[-(n // 2):] == ["SWAP"] * (n // 2) and kinds.count("SWAP") == n // 2
     _assert_matches_swap_by_swap(circuit)
@@ -248,16 +248,20 @@ def test_iqft_closing_swaps_match_one_swap_at_a_time(n):
 
 @st.composite
 def _random_circuits(draw):
-    """Circuits of all twelve IR kinds on random wires, multiplexers with 0-3
-    controls; about half start from |0...0>, the rest from a sparse state
-    whose largest index stays below 2**3 (so the active width starts small)
-    or from a dense state."""
+    """Circuits of all fourteen IR kinds on random wires, multiplexers with
+    0-3 controls, transforms on a low block of 1-n qubits; about a third
+    start from |0...0>, the rest from a sparse state whose largest index
+    stays below 2**3 (so the active width starts small) or from a dense
+    state."""
     n = draw(st.integers(1, 7))
     angle = st.floats(-4.0, 4.0, allow_nan=False)
     circuit = Circuit(n)
     for _ in range(draw(st.integers(0, 16))):
         kind = draw(st.sampled_from(sorted(_KINDS)))
         row = _KINDS[kind]
+        if row.targets is None:
+            circuit.add(kind, *range(draw(st.integers(1, n))))
+            continue
         k = draw(st.integers(0, min(3, n - 1))) if row.controls is None else row.controls
         if k + row.targets > n:
             continue
@@ -279,26 +283,18 @@ def _random_circuits(draw):
     return circuit, SparseState(n, idx, amps / np.linalg.norm(amps))
 
 
-def _is_fan(a, b) -> bool:
-    return a.kind == b.kind == "CPHASE" and a.targets == b.targets
-
-
 @given(_random_circuits())
 @settings(max_examples=300, deadline=None)
 def test_simulate_matches_full_width_gate_at_a_time(case):
     # the reference applies each gate alone to the whole register (a dense
-    # start is active on every qubit); without a fused CPHASE fan the two
-    # agree bit for bit, up to the sign of a zero
+    # start is active on every qubit), a transform through the same FFT on
+    # more rows; the two agree bit for bit, up to the sign of a zero
     circuit, initial = case
     n = circuit.n_qubits
     psi = simulate(Circuit(n), initial)
     for g in circuit:
         psi = simulate(Circuit(n, [g]), psi)
-    got = simulate(circuit, initial)
-    if any(_is_fan(a, b) for a, b in zip(circuit.gates, circuit.gates[1:])):
-        np.testing.assert_allclose(got, psi, rtol=0, atol=1e-13 * max(1.0, np.linalg.norm(psi)))
-    else:
-        assert np.array_equal(got + 0.0, psi + 0.0)
+    assert np.array_equal(simulate(circuit, initial) + 0.0, psi + 0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -327,7 +323,7 @@ def test_cphase_fan_matches_one_gate_at_a_time():
         want = psi
         for g in fan:
             want = simulate(Circuit(n, [g]), want)
-        np.testing.assert_allclose(simulate(Circuit(n, fan), psi), want, rtol=0, atol=1e-14)
+        assert np.array_equal(simulate(Circuit(n, fan), psi), want)
 
 
 def test_cphase_fan_with_every_control_repeated():
@@ -344,11 +340,48 @@ def test_cphase_fan_with_every_control_repeated():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_iqft_is_the_inverse_dft(n):
-    # its CPHASE ladders simulate as one fan per target
+    # its one op simulates as one FFT
     v = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
     v /= np.linalg.norm(v)
     want = np.fft.ifft(v) * math.sqrt(2**n)
     np.testing.assert_allclose(simulate(iqft(n), v), want, rtol=0, atol=1e-15)
+
+
+def _sparse_start(n: int, width: int) -> SparseState:
+    """A random unit state on n qubits over basis indices below 2**width."""
+    idx = np.sort(RNG.choice(2**width, size=min(2**width, 5), replace=False))
+    amps = RNG.normal(size=len(idx)) + 1j * RNG.normal(size=len(idx))
+    return SparseState(n, idx, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("kind", ["IQFT", "QFT"])
+def test_transform_op_matches_its_lowering(kind, n):
+    # on the low k qubits of an n-qubit register, from a dense start and
+    # from sparse starts whose active width is below k
+    for k in sorted({1, (n + 1) // 2, n}):
+        op = gate(kind, *range(k))
+        lowering = Circuit(n, _decompose_gate(op))
+        starts = [RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)]
+        starts += [_sparse_start(n, w) for w in {0, k // 2, k - 1}]
+        for initial in starts:
+            want = simulate(lowering, initial)
+            got = simulate(Circuit(n, [op]), initial)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(want))
+
+
+def test_transforms_without_fft_out_match(monkeypatch):
+    # NumPy < 2.0's np.fft takes no out=, so the result is copied back
+    circuit = Circuit(5, [gate("H", 4), gate("IQFT", 0, 1, 2), gate("QFT", 0, 1, 2, 3)])
+    v = RNG.normal(size=2**5) + 1j * RNG.normal(size=2**5)
+    want = simulate(circuit, v)
+    for name in ("fft", "ifft"):
+
+        def without_out(a, axis=-1, norm=None, fft=getattr(np.fft, name)):
+            return fft(a, axis=axis, norm=norm)
+
+        monkeypatch.setattr(np.fft, name, without_out)
+    assert np.array_equal(simulate(circuit, v), want)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +694,14 @@ def test_support_simulation_drops_residues_and_reports_them():
 
 @pytest.mark.parametrize(
     "g",
-    [gate("H", 0), gate("SWAP", 0, 1), gate("CPHASE", 0, 1, angle=0.3), gate("CCX", 0, 1, 2)],
+    [
+        gate("H", 0),
+        gate("SWAP", 0, 1),
+        gate("CPHASE", 0, 1, angle=0.3),
+        gate("CCX", 0, 1, 2),
+        gate("IQFT", 0, 1, 2),
+        gate("QFT", 0, 1),
+    ],
     ids=lambda g: g.kind,
 )
 def test_support_simulation_rejects_non_loader_kinds(g):
